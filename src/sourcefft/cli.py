@@ -28,6 +28,7 @@ import csv
 import dataclasses
 import math
 import sys
+import warnings
 from pathlib import Path
 from typing import Optional, Union
 
@@ -41,6 +42,7 @@ from .experiments import (
     run_mu_sweep,
     run_rule_comparison,
     summarize_rel_error,
+    write_csv,
 )
 from .inversion import (
     error_bound,
@@ -48,7 +50,7 @@ from .inversion import (
     select_mu,
     solve_forward,
 )
-from .noise_lab import NoiseSpec, add_noise, discrete_l2
+from .noise_lab import NOISE_MODES, NoiseSpec, add_noise, discrete_l2
 from .quadrature_oracle import (
     QuadratureSpec,
     aligned_spec,
@@ -85,6 +87,11 @@ class RunConfig:
     out: str = "figures"
 
     def source_spec(self):
+        """The built-in source named by source.
+
+        Also called as RunConfig.source_spec(args) on parsed command line
+        flags, which carry the same four source fields.
+        """
         if self.source == "cosine":
             return cosine_source()
         if self.source == "hat":
@@ -132,15 +139,12 @@ def _parse_mus(text: str) -> Union[tuple, str]:
     return _parse_float_list(text)
 
 
-_NOISE_ALIASES = {"iid": "iid", "norm_calibrated": "norm_calibrated",
-                  "norm-calibrated": "norm_calibrated"}
-
-
 def _parse_noise_mode(text: str) -> str:
-    mode = _NOISE_ALIASES.get(text.strip())
-    if mode is None:
+    """A noise mode, spelled with hyphens or underscores."""
+    mode = text.strip().replace("-", "_")
+    if mode not in NOISE_MODES:
         raise CliError(
-            f"noise mode must be iid or norm-calibrated, got {text.strip()!r}"
+            f"noise mode must be one of {NOISE_MODES}, got {text.strip()!r}"
         )
     return mode
 
@@ -218,47 +222,32 @@ def _load_config(path: Optional[str]) -> RunConfig:
 # ---------------------------------------------------------------------------
 # CSV I/O
 
-def _csv_lines(header, rows):
-    yield ",".join(header)
-    for row in rows:
-        yield ",".join(
-            cell if isinstance(cell, str) else repr(float(cell)) for cell in row
-        )
-
-
 def _emit_csv(out_path: Optional[str], header, rows) -> None:
-    lines = _csv_lines(header, rows)
-    if out_path is None:
-        for line in lines:
-            print(line)
-    else:
-        Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(sys.stdout if out_path is None else out_path, header, rows)
 
 
 def _read_csv_columns(path: str):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first:
             raise CliError(f"{path}: empty CSV")
-        header = [name.strip() for name in header]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CliError(
-                    f"{path}: row {lineno} has {len(row)} fields, "
-                    f"header has {len(header)}"
-                )
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                raise CliError(f"{path}: row {lineno} has a non-numeric field")
-    if not rows:
+        header = [name.strip() for name in next(csv.reader([first]), [])]
+        try:
+            # A header-only file warns "input contained no data"; the
+            # no-rows error below says so on the one stderr line.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", quotechar='"', ndmin=2)
+        except ValueError as exc:
+            # numpy's " at row N" counts data rows from 0, not file lines.
+            reason = str(exc).split(" at row ")[0]
+            raise CliError(f"{path}: bad data row: {reason}")
+    if data.shape[0] == 0:
         raise CliError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
+    if data.shape[1] != len(header):
+        raise CliError(
+            f"{path}: rows have {data.shape[1]} fields, header has {len(header)}"
+        )
     return {name: data[:, idx] for idx, name in enumerate(header)}
 
 
@@ -305,12 +294,6 @@ def _grid_from_args(args) -> Grid:
         raise CliError(str(exc))
 
 
-def _source_from_args(args):
-    if args.source == "cosine":
-        return cosine_source()
-    return hat_source(args.hat_center, args.hat_half_width, args.hat_height)
-
-
 def _forward_data(args):
     """Shared data path of `forward` and `simulate`: produce (grid, f, g)."""
     if args.input is not None:
@@ -321,7 +304,7 @@ def _forward_data(args):
         g = solve_forward(f, demean=args.demean)
         return grid, f, g
     grid = _grid_from_args(args)
-    spec = _source_from_args(args)
+    spec = RunConfig.source_spec(args)
     f = sample_source(spec, grid)
     g = exact_data(spec, grid)
     return grid, f, g
@@ -329,7 +312,8 @@ def _forward_data(args):
 
 def cmd_forward(args) -> int:
     grid, f, g = _forward_data(args)
-    _emit_csv(args.out, ["x", "f", "g"], zip(grid.points, f.values, g.values))
+    rows = np.column_stack((grid.points, f.values, g.values))
+    _emit_csv(args.out, ["x", "f", "g"], rows)
     return 0
 
 
@@ -337,9 +321,8 @@ def cmd_simulate(args) -> int:
     grid, _, g = _forward_data(args)
     spec = NoiseSpec(args.delta, args.seed, _parse_noise_mode(args.noise_mode))
     noisy = add_noise(g, spec)
-    _emit_csv(
-        args.out, ["x", "g", "g_delta"], zip(grid.points, g.values, noisy.values)
-    )
+    rows = np.column_stack((grid.points, g.values, noisy.values))
+    _emit_csv(args.out, ["x", "g", "g_delta"], rows)
     return 0
 
 
@@ -360,7 +343,8 @@ def cmd_invert(args) -> int:
         if mu < 0:
             raise CliError(f"--mu must be nonnegative, got {mu}")
     estimate = estimate_source_regularized(g, mu)
-    _emit_csv(args.out, ["x", "f_estimate"], zip(grid.points, estimate.values))
+    rows = np.column_stack((grid.points, estimate.values))
+    _emit_csv(args.out, ["x", "f_estimate"], rows)
     return 0
 
 
@@ -439,7 +423,7 @@ def cmd_oracle(args) -> int:
     _emit_csv(
         args.out,
         ["x", "f_oracle", "f_pipeline"],
-        zip(grid.points, oracle.values, pipeline.values),
+        np.column_stack((grid.points, oracle.values, pipeline.values)),
     )
     return 0
 
@@ -452,6 +436,9 @@ class _Parser(argparse.ArgumentParser):
     # the documented exit-code contract (validation -> 1) holds.
     def error(self, message):
         raise CliError(message)
+
+
+_WORKERS_HELP = "accepted and ignored: cells run serially"
 
 
 def _add_grid_and_source_flags(sub):
@@ -487,7 +474,8 @@ def build_parser() -> _Parser:
     sub.add_argument("--delta", type=float, default=0.05, help="noise level")
     sub.add_argument("--seed", type=int, default=42)
     sub.add_argument(
-        "--noise-mode", default="iid", choices=("iid", "norm-calibrated"),
+        "--noise-mode", default="iid",
+        choices=tuple(mode.replace("_", "-") for mode in NOISE_MODES),
     )
     sub.add_argument("--out", help="output CSV path (default: stdout)")
     sub.set_defaults(func=cmd_simulate)
@@ -508,14 +496,14 @@ def build_parser() -> _Parser:
     sub.add_argument("--config", help="config file (default: built-in defaults)")
     sub.add_argument("--replicates", type=int)
     sub.add_argument("--base-seed", type=int)
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     sub.add_argument("--out", help="output CSV path (default: stdout)")
     sub.set_defaults(func=cmd_sweep)
 
     sub = subs.add_parser("figures", help="write demonstration CSVs and scripts")
     sub.add_argument("--config", help="config file (default: built-in defaults)")
     sub.add_argument("--out", help="output directory (default: from config)")
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     sub.set_defaults(func=cmd_figures)
 
     sub = subs.add_parser("dump-config", help="print the default config file")

@@ -2,16 +2,17 @@
 
 Every experiment cell (one noise realization at one parameter combination)
 draws its seed from cell_seed(base_seed, delta_index, mu_index, replicate),
-a pure function, so sweeps are reproducible cell by cell, safe to run in
-parallel, and independent of execution schedule.  Result lists are sorted
-by parameter values, never by completion order.
+a pure function, so sweeps are reproducible cell by cell and independent
+of the order cells run in.  Result lists are sorted by parameter values,
+never by position in the config.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -24,7 +25,7 @@ from .inversion import (
     select_mu,
     sobolev_norm,
 )
-from .noise_lab import NoiseSpec, add_noise, discrete_l2
+from .noise_lab import NOISE_MODES, NoiseSpec, add_noise, discrete_l2
 from .source_models import SourceSpec, cosine_source, exact_data, sample_source
 from .spectral_core import Grid, RealSignal, make_grid
 
@@ -45,8 +46,6 @@ __all__ = [
 # Marker accepted in SweepConfig.mus meaning "choose mu by the a-priori rule
 # for each p in p_values".
 RULE_MUS = "rule"
-
-_NOISE_MODES = ("iid", "norm_calibrated")
 
 
 def default_mu_grid() -> tuple:
@@ -99,9 +98,9 @@ class SweepConfig:
         if not (0 <= int(self.base_seed) < 2**64):
             raise ValueError("base_seed must fit in 64 unsigned bits")
         object.__setattr__(self, "base_seed", int(self.base_seed))
-        if self.noise_mode not in _NOISE_MODES:
+        if self.noise_mode not in NOISE_MODES:
             raise ValueError(
-                f"noise_mode must be one of {_NOISE_MODES}, got {self.noise_mode!r}"
+                f"noise_mode must be one of {NOISE_MODES}, got {self.noise_mode!r}"
             )
 
 
@@ -154,59 +153,64 @@ def cell_seed(base_seed: int, delta_index: int, mu_index: int, replicate: int) -
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _run_cells(tasks, evaluate, workers: int):
-    if workers <= 1:
-        return [evaluate(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(evaluate, tasks))
+def _cells(config: SweepConfig, columns, noise_mode: str, f_true, g_exact):
+    """Run every (delta index i, column j, replicate r) cell, one after another.
+
+    columns[i][j] is a tuple whose first item is the mu of column j at delta
+    index i.  Each cell draws noise seeded by cell_seed(base_seed, i, j, r),
+    inverts it and yields (i, j, r, seed, noisy data, discrete L2 error of
+    the estimate), in (i, j, r) order.
+    """
+    for i, (delta, row) in enumerate(zip(config.deltas, columns)):
+        for j, (mu, *_) in enumerate(row):
+            for r in range(config.replicates):
+                seed = cell_seed(config.base_seed, i, j, r)
+                noisy = add_noise(g_exact, NoiseSpec(delta, seed, noise_mode))
+                est = estimate_source_regularized(noisy, mu)
+                err = discrete_l2(RealSignal(config.grid, est.values - f_true.values))
+                yield i, j, r, seed, noisy, err
+
+
+def _sweep_records(config: SweepConfig, columns) -> list:
+    """One SweepRecord per cell; columns[i][j] is (mu, p, bound) of column j."""
+    f_true = sample_source(config.source, config.grid)
+    g_exact = exact_data(config.source, config.grid)
+    f_norm = discrete_l2(f_true)
+    records = []
+    for i, j, r, _, noisy, err in _cells(
+        config, columns, config.noise_mode, f_true, g_exact
+    ):
+        mu, p, bound = columns[i][j]
+        noise_norm = discrete_l2(
+            RealSignal(config.grid, noisy.values - g_exact.values)
+        )
+        records.append(SweepRecord(
+            delta=config.deltas[i],
+            mu=mu,
+            p=p,
+            replicate=r,
+            rel_error=err / f_norm,
+            abs_error=err,
+            bound=bound,
+            empirical_noise_norm=noise_norm,
+        ))
+    return records
 
 
 def run_mu_sweep(config: SweepConfig, workers: int = 1) -> list:
     """Evaluate every (delta, mu, replicate) cell with explicit mus.
 
-    Returns SweepRecords sorted by (delta, mu, replicate) values.  workers
-    only changes wall time: each cell's arithmetic is identical either way,
-    and assembly sorts, so results are byte-equal across schedules.
+    Returns SweepRecords sorted by (delta, mu, replicate) values.  Cells run
+    serially; workers is accepted for compatibility and ignored.
     """
     if isinstance(config.mus, str):
         raise ValueError(
             "run_mu_sweep needs explicit mus; use run_rule_comparison for "
             f"mus={RULE_MUS!r}"
         )
-    f_true = sample_source(config.source, config.grid)
-    g_exact = exact_data(config.source, config.grid)
-    f_norm = discrete_l2(f_true)
-
-    def evaluate(task):
-        i, j, r = task
-        delta, mu = config.deltas[i], config.mus[j]
-        seed = cell_seed(config.base_seed, i, j, r)
-        noisy = add_noise(g_exact, NoiseSpec(delta, seed, config.noise_mode))
-        est = estimate_source_regularized(noisy, mu)
-        abs_err = discrete_l2(RealSignal(config.grid, est.values - f_true.values))
-        noise_norm = discrete_l2(
-            RealSignal(config.grid, noisy.values - g_exact.values)
-        )
-        return SweepRecord(
-            delta=delta,
-            mu=mu,
-            p=None,
-            replicate=r,
-            rel_error=abs_err / f_norm,
-            abs_error=abs_err,
-            bound=None,
-            empirical_noise_norm=noise_norm,
-        )
-
-    tasks = [
-        (i, j, r)
-        for i in range(len(config.deltas))
-        for j in range(len(config.mus))
-        for r in range(config.replicates)
-    ]
-    records = _run_cells(tasks, evaluate, workers)
-    records.sort(key=lambda rec: (rec.delta, rec.mu, rec.replicate))
-    return records
+    row = [(mu, None, None) for mu in config.mus]
+    records = _sweep_records(config, [row] * len(config.deltas))
+    return sorted(records, key=attrgetter("delta", "mu", "replicate"))
 
 
 def run_rule_comparison(config: SweepConfig, workers: int = 1) -> list:
@@ -214,54 +218,22 @@ def run_rule_comparison(config: SweepConfig, workers: int = 1) -> list:
 
     Each record carries the rule's mu, the p that produced it, and the
     theoretical bound error_bound(delta, p, mu).  Requires mus=RULE_MUS and
-    strictly positive deltas (the rule is undefined at delta=0).
+    strictly positive deltas (the rule is undefined at delta=0).  workers is
+    ignored, as in run_mu_sweep.
     """
     if config.mus != RULE_MUS:
         raise ValueError(f"run_rule_comparison requires mus={RULE_MUS!r}")
     if any(d <= 0 for d in config.deltas):
         raise ValueError("the rule needs delta > 0 for every delta")
-    f_true = sample_source(config.source, config.grid)
-    g_exact = exact_data(config.source, config.grid)
-    f_norm = discrete_l2(f_true)
-    mus = [select_mu(d, 1.0, p) for d in config.deltas for p in config.p_values]
-    bounds = [
-        error_bound(d, p, select_mu(d, 1.0, p))
-        for d in config.deltas
-        for p in config.p_values
-    ]
-
-    def evaluate(task):
-        i, j, r = task
-        delta, p = config.deltas[i], config.p_values[j]
-        mu = mus[i * len(config.p_values) + j]
-        bound = bounds[i * len(config.p_values) + j]
-        seed = cell_seed(config.base_seed, i, j, r)
-        noisy = add_noise(g_exact, NoiseSpec(delta, seed, config.noise_mode))
-        est = estimate_source_regularized(noisy, mu)
-        abs_err = discrete_l2(RealSignal(config.grid, est.values - f_true.values))
-        noise_norm = discrete_l2(
-            RealSignal(config.grid, noisy.values - g_exact.values)
-        )
-        return SweepRecord(
-            delta=delta,
-            mu=mu,
-            p=p,
-            replicate=r,
-            rel_error=abs_err / f_norm,
-            abs_error=abs_err,
-            bound=bound,
-            empirical_noise_norm=noise_norm,
-        )
-
-    tasks = [
-        (i, j, r)
-        for i in range(len(config.deltas))
-        for j in range(len(config.p_values))
-        for r in range(config.replicates)
-    ]
-    records = _run_cells(tasks, evaluate, workers)
-    records.sort(key=lambda rec: (rec.delta, rec.p, rec.replicate))
-    return records
+    columns = []
+    for d in config.deltas:
+        row = []
+        for p in config.p_values:
+            mu = select_mu(d, 1.0, p)
+            row.append((mu, p, error_bound(d, p, mu)))
+        columns.append(row)
+    records = _sweep_records(config, columns)
+    return sorted(records, key=attrgetter("delta", "p", "replicate"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -295,7 +267,8 @@ def run_bound_check(
     E = sobolev_norm(f, p), mu = select_mu(delta, E, p), and compares the
     measured absolute error against both bound forms.  Returns one
     BoundFinding per cell regardless of outcome, so callers can report
-    violations as structured records or confirm there are none.
+    violations as structured records or confirm there are none.  workers is
+    ignored, as in run_mu_sweep.
     """
     if config is None:
         config = dataclasses.replace(
@@ -307,20 +280,22 @@ def run_bound_check(
         raise ValueError("the bound check needs delta > 0")
     f_true = sample_source(config.source, config.grid)
     g_exact = exact_data(config.source, config.grid)
-
-    def evaluate(task):
-        i, j, r = task
-        delta, p = config.deltas[i], config.p_values[j]
-        E = sobolev_norm(f_true, p)
-        mu = select_mu(delta, E, p)
-        seed = cell_seed(config.base_seed, i, j, r)
-        noisy = add_noise(g_exact, NoiseSpec(delta, seed, "norm_calibrated"))
-        est = estimate_source_regularized(noisy, mu)
-        err = discrete_l2(RealSignal(config.grid, est.values - f_true.values))
-        raw = error_bound(delta, p, mu)
-        scaled = E * error_bound(delta / E, p, mu)
-        return BoundFinding(
-            delta=delta,
+    smoothness = [(p, sobolev_norm(f_true, p)) for p in config.p_values]
+    columns = []
+    for d in config.deltas:
+        row = []
+        for p, E in smoothness:
+            mu = select_mu(d, E, p)
+            scaled = E * error_bound(d / E, p, mu)
+            row.append((mu, p, E, error_bound(d, p, mu), scaled))
+        columns.append(row)
+    findings = []
+    for i, j, r, seed, _, err in _cells(
+        config, columns, "norm_calibrated", f_true, g_exact
+    ):
+        mu, p, E, raw, scaled = columns[i][j]
+        findings.append(BoundFinding(
+            delta=config.deltas[i],
             p=p,
             replicate=r,
             seed=seed,
@@ -331,39 +306,34 @@ def run_bound_check(
             bound_scaled=scaled,
             violates_raw=err > raw,
             violates_scaled=err > scaled,
-        )
-
-    tasks = [
-        (i, j, r)
-        for i in range(len(config.deltas))
-        for j in range(len(config.p_values))
-        for r in range(config.replicates)
-    ]
-    findings = _run_cells(tasks, evaluate, workers)
-    findings.sort(key=lambda rec: (rec.delta, rec.p, rec.replicate))
-    return findings
+        ))
+    return sorted(findings, key=attrgetter("delta", "p", "replicate"))
 
 
-def _format_float(v) -> str:
-    return repr(float(v))
+# Rows per write: bounds the text held in memory for a 2^20-row table.
+_CSV_CHUNK_ROWS = 1 << 14
 
 
-def write_csv(path: Path, header: Sequence[str], rows) -> None:
-    """Write rows of floats/strings with LF endings and repr-exact floats.
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """Write a header and rows of numbers as CSV, LF endings, repr-exact floats.
 
-    repr gives the shortest string that parses back to the identical double,
-    which is what makes reruns byte-comparable.
+    path is a file path, or an open text stream that is written to and left
+    open.  rows is a 2-D array or a sequence of equal-length rows; every
+    cell is written as repr(float(cell)), the shortest string that parses
+    back to the identical double, which is what makes reruns
+    byte-comparable.  Rows go out in chunks, so a large table never exists
+    as one string.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    cell if isinstance(cell, str) else _format_float(cell)
-                    for cell in row
-                )
-                + "\n"
-            )
+    if isinstance(path, (str, os.PathLike)):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write_csv(fh, header, rows)
+        return
+    table = np.asarray(rows, dtype=float)
+    line = ",".join(["%r"] * len(header)) + "\n"
+    path.write(",".join(header) + "\n")
+    for start in range(0, len(table), _CSV_CHUNK_ROWS):
+        chunk = table[start:start + _CSV_CHUNK_ROWS]
+        path.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _mean_stderr(values) -> tuple:
@@ -451,7 +421,7 @@ def reproduce_figures(out_dir, config: Optional[SweepConfig] = None,
         estimate_source_unregularized(noisy).values for noisy in draws
     ]
     path = out / "fig1.csv"
-    write_csv(path, header, zip(*columns))
+    write_csv(path, header, np.column_stack(columns))
     created.append(path)
 
     for fig_no, (i, delta) in zip((2, 3, 4), enumerate(config.deltas)):
@@ -461,7 +431,7 @@ def reproduce_figures(out_dir, config: Optional[SweepConfig] = None,
             estimate_source_regularized(draws[i], mu).values for mu in mu_set
         ]
         path = out / f"fig{fig_no}.csv"
-        write_csv(path, header, zip(*columns))
+        write_csv(path, header, np.column_stack(columns))
         created.append(path)
 
     records = run_mu_sweep(config, workers=workers)
@@ -486,7 +456,7 @@ def reproduce_figures(out_dir, config: Optional[SweepConfig] = None,
         path.write_text(script, encoding="utf-8")
         created.append(path)
     fig5_plots = ", \\\n     ".join(
-        f"'fig5.csv' using 1:($2=={_format_float(d)} ? $3 : 1/0) "
+        f"'fig5.csv' using 1:($2=={float(d)!r} ? $3 : 1/0) "
         f"with linespoints title 'delta={d:g}'"
         for d in sorted(set(config.deltas))
     )

@@ -20,6 +20,7 @@ from .spectral_core import (
     RealSignal,
     apply_multiplier,
     forward_multiplier,
+    from_spectrum,
     inverse_multiplier,
     regularized_multiplier,
     to_spectrum,
@@ -36,7 +37,6 @@ __all__ = [
 ]
 
 _MEAN_TOL = 1e-10
-_IMAG_TOL = 1e-10
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,19 +72,6 @@ class RegParams:
         return params
 
 
-def _real_inverse_transform(coeffs: np.ndarray, grid, context: str) -> RealSignal:
-    # Real input and a real even multiplier keep the spectrum conjugate
-    # symmetric, so the imaginary residue is rounding noise; check anyway.
-    raw = np.fft.ifft(coeffs)
-    resid = float(np.max(np.abs(raw.imag)))
-    if resid >= _IMAG_TOL:
-        raise ValueError(
-            f"{context}: imaginary residue {resid:.3e} exceeds {_IMAG_TOL:g}; "
-            "the spectrum lost conjugate symmetry"
-        )
-    return RealSignal(grid, raw.real)
-
-
 def solve_forward(f: RealSignal, demean: bool = False) -> RealSignal:
     """Map a source f to the line measurement g it produces.
 
@@ -101,8 +88,7 @@ def solve_forward(f: RealSignal, demean: bool = False) -> RealSignal:
                 "pass demean=True to subtract it"
             )
         f = RealSignal(f.grid, f.values - mean)
-    sp = apply_multiplier(to_spectrum(f), forward_multiplier)
-    return _real_inverse_transform(sp.coeffs, f.grid, "solve_forward")
+    return from_spectrum(apply_multiplier(to_spectrum(f), forward_multiplier))
 
 
 def estimate_source_unregularized(g: RealSignal) -> RealSignal:
@@ -113,8 +99,7 @@ def estimate_source_unregularized(g: RealSignal) -> RealSignal:
     oscillate wildly.  That is expected behavior, not an error.  The DC mode
     of the estimate is 0 by the multiplier's convention.
     """
-    sp = apply_multiplier(to_spectrum(g), inverse_multiplier)
-    return _real_inverse_transform(sp.coeffs, g.grid, "estimate_source_unregularized")
+    return from_spectrum(apply_multiplier(to_spectrum(g), inverse_multiplier))
 
 
 def estimate_source_regularized(g: RealSignal, mu: float) -> RealSignal:
@@ -126,7 +111,7 @@ def estimate_source_regularized(g: RealSignal, mu: float) -> RealSignal:
     if mu < 0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
     sp = apply_multiplier(to_spectrum(g), lambda xi: regularized_multiplier(xi, mu))
-    return _real_inverse_transform(sp.coeffs, g.grid, "estimate_source_regularized")
+    return from_spectrum(sp)
 
 
 def select_mu(delta: float, E: float = 1.0, p: float = 1.0) -> float:

@@ -15,13 +15,15 @@ import numpy as np
 from .spectral_core import RealSignal
 
 __all__ = [
+    "NOISE_MODES",
     "NoiseSpec",
     "add_noise",
     "discrete_l2",
     "relative_l2_error",
 ]
 
-_MODES = ("iid", "norm_calibrated")
+# The noise modes, spelled as NoiseSpec.mode takes them.
+NOISE_MODES = ("iid", "norm_calibrated")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,8 +49,10 @@ class NoiseSpec:
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError("seed must fit in 64 unsigned bits")
         object.__setattr__(self, "seed", int(self.seed))
-        if self.mode not in _MODES:
-            raise ValueError(f"noise mode must be one of {_MODES}, got {self.mode!r}")
+        if self.mode not in NOISE_MODES:
+            raise ValueError(
+                f"noise mode must be one of {NOISE_MODES}, got {self.mode!r}"
+            )
 
 
 def add_noise(g: RealSignal, spec: NoiseSpec) -> RealSignal:

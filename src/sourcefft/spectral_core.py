@@ -170,14 +170,26 @@ def to_spectrum(s: RealSignal) -> Spectrum:
     return Spectrum(s.grid, np.fft.fft(s.values))
 
 
-def from_spectrum(sp: Spectrum) -> RealSignal:
-    """Inverse DFT back to samples; the imaginary residue is discarded.
+# Largest imaginary part from_spectrum accepts in an inverse transform.
+_IMAG_TOL = 1e-10
 
-    Callers that need a guarantee on that residue (it is at rounding level
-    whenever the spectrum is conjugate symmetric) check it themselves before
-    calling, see e.g. the inversion module.
+
+def from_spectrum(sp: Spectrum) -> RealSignal:
+    """Inverse DFT back to real samples.
+
+    The spectrum of a real signal times a real even multiplier is conjugate
+    symmetric, so the imaginary part of the inverse is rounding noise and is
+    discarded.  A residue of 1e-10 or more means the symmetry was lost (for
+    instance through an odd multiplier) and raises ValueError.
     """
-    return RealSignal(sp.grid, np.fft.ifft(sp.coeffs).real)
+    raw = np.fft.ifft(sp.coeffs)
+    resid = float(np.max(np.abs(raw.imag)))
+    if resid >= _IMAG_TOL:
+        raise ValueError(
+            f"imaginary residue {resid:.3e} exceeds {_IMAG_TOL:g}; "
+            "the spectrum lost conjugate symmetry"
+        )
+    return RealSignal(sp.grid, raw.real)
 
 
 def forward_multiplier(xi):

@@ -186,6 +186,53 @@ class TestInvert:
         assert np.all(np.isfinite(cols[1]))
 
 
+def _input_csv(quote="", sep=",", eol="\n", blank=False, bad_row=None):
+    """CSV text of cos(x) on a 16-point grid, optionally with one row replaced."""
+    xs = [TWO_PI * k / 16 for k in range(16)]
+    header = f"{quote}x{quote}{sep}{quote}g{quote}"
+    rows = [f"{quote}{x!r}{quote}{sep}{quote}{math.cos(x)!r}{quote}" for x in xs]
+    if bad_row is not None:
+        rows[5] = bad_row
+    lines = [header] + rows
+    if blank:
+        lines = [line + eol for line in lines]
+    return eol.join(lines) + eol
+
+
+class TestInputCsv:
+    # A warning would print a second stderr line outside pytest.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            pytest.param(_input_csv(eol="\r\n"), 0, id="crlf"),
+            pytest.param(_input_csv(quote='"'), 0, id="quoted"),
+            pytest.param(_input_csv(blank=True), 0, id="blank-lines"),
+            pytest.param(_input_csv(sep=", "), 0, id="spaces-after-commas"),
+            pytest.param(_input_csv(bad_row="2.0,0.5,1.0"), 1, id="ragged-row"),
+            pytest.param(_input_csv(bad_row="2.0,abc"), 1, id="non-numeric"),
+            pytest.param("x,g\n", 1, id="header-only"),
+            pytest.param("", 1, id="empty"),
+        ],
+    )
+    def test_parsing(self, capsys, tmp_path, text, expected):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode("utf-8"))
+        code, out, err = run_cli(capsys, "invert", "--input", str(path), "--mu", "1")
+        assert code == expected
+        if expected == 0:
+            header, cols = parse_csv(out)
+            assert header == ["x", "f_estimate"]
+            assert len(cols[0]) == 16
+            assert np.all(np.isfinite(cols[1]))
+        else:
+            lines = err.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith("sourcefft: error:")
+            assert str(path) in lines[0]
+            assert "Traceback" not in err
+
+
 class TestSweep:
     @pytest.fixture
     def tiny_config(self, tmp_path):

@@ -248,6 +248,12 @@ class TestApplyMultiplier:
         out = apply_multiplier(sp, lambda xi: float(xi) * 0.0 + 2.0)
         assert np.allclose(out.coeffs, 2.0 * sp.coeffs)
 
+    def test_odd_multiplier_trips_residue_guard(self, default_grid):
+        sp = to_spectrum(RealSignal(default_grid, np.sin(default_grid.points)))
+        odd = apply_multiplier(sp, lambda xi: xi)
+        with pytest.raises(ValueError, match="imaginary residue"):
+            from_spectrum(odd)
+
     def test_preserves_conjugate_symmetry(self, default_grid, band_limited):
         s = band_limited(default_grid, 9)
         out = apply_multiplier(to_spectrum(s), inverse_multiplier)
