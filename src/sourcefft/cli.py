@@ -287,13 +287,6 @@ def _signal_from_csv(path: str, column_names) -> tuple:
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def _grid_from_args(args) -> Grid:
-    try:
-        return make_grid(args.n, args.x_min, args.x_max)
-    except ValueError as exc:
-        raise CliError(str(exc))
-
-
 def _forward_data(args):
     """Shared data path of `forward` and `simulate`: produce (grid, f, g)."""
     if args.input is not None:
@@ -303,7 +296,7 @@ def _forward_data(args):
             f = RealSignal(grid, f.values - mean)
         g = solve_forward(f, demean=args.demean)
         return grid, f, g
-    grid = _grid_from_args(args)
+    grid = make_grid(args.n, args.x_min, args.x_max)
     spec = RunConfig.source_spec(args)
     f = sample_source(spec, grid)
     g = exact_data(spec, grid)
@@ -340,8 +333,8 @@ def cmd_invert(args) -> int:
         )
     else:
         mu = args.mu
-        if mu < 0:
-            raise CliError(f"--mu must be nonnegative, got {mu}")
+        if not 0.0 <= mu < math.inf:
+            raise CliError(f"--mu must be finite and nonnegative, got {mu}")
     estimate = estimate_source_regularized(g, mu)
     rows = np.column_stack((grid.points, estimate.values))
     _emit_csv(args.out, ["x", "f_estimate"], rows)
@@ -354,14 +347,11 @@ def cmd_sweep(args) -> int:
         cfg = dataclasses.replace(cfg, replicates=args.replicates)
     if args.base_seed is not None:
         cfg = dataclasses.replace(cfg, base_seed=args.base_seed)
-    try:
-        sweep_cfg = cfg.to_sweep_config()
-        if sweep_cfg.mus == RULE_MUS:
-            records = run_rule_comparison(sweep_cfg, workers=args.workers)
-        else:
-            records = run_mu_sweep(sweep_cfg, workers=args.workers)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    sweep_cfg = cfg.to_sweep_config()
+    if sweep_cfg.mus == RULE_MUS:
+        records = run_rule_comparison(sweep_cfg, workers=args.workers)
+    else:
+        records = run_mu_sweep(sweep_cfg, workers=args.workers)
     summary = summarize_rel_error(records)
     rows = [
         key + summary[key] for key in sorted(summary, key=lambda k: (k[0], k[1]))
@@ -375,12 +365,9 @@ def cmd_sweep(args) -> int:
 def cmd_figures(args) -> int:
     cfg = _load_config(args.config)
     out_dir = args.out if args.out is not None else cfg.out
-    try:
-        paths = reproduce_figures(
-            out_dir, config=cfg.to_sweep_config(), workers=args.workers
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
+    paths = reproduce_figures(
+        out_dir, config=cfg.to_sweep_config(), workers=args.workers
+    )
     for path in paths:
         print(path)
     return 0
@@ -397,8 +384,8 @@ def cmd_dump_config(args) -> int:
 
 def cmd_oracle(args) -> int:
     grid, g, _ = _signal_from_csv(args.input, ("g_delta", "g"))
-    if args.mu < 0:
-        raise CliError(f"--mu must be nonnegative, got {args.mu}")
+    if not 0.0 <= args.mu < math.inf:
+        raise CliError(f"--mu must be finite and nonnegative, got {args.mu}")
     try:
         if args.xi_max is not None or args.nodes is not None:
             if args.xi_max is None or args.nodes is None:
@@ -533,10 +520,7 @@ def main(argv=None) -> int:
         if getattr(args, "command", None) is None:
             raise CliError("missing command (run with --help for usage)")
         return args.func(args)
-    except CliError as exc:
-        print(f"sourcefft: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"sourcefft: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -3,8 +3,10 @@
 Every experiment cell (one noise realization at one parameter combination)
 draws its seed from cell_seed(base_seed, delta_index, mu_index, replicate),
 a pure function, so sweeps are reproducible cell by cell and independent
-of the order cells run in.  Result lists are sorted by parameter values,
-never by position in the config.
+of the order cells run in.  Cells run serially in blocks, one FFT pair per
+(delta, mu) pair and all its replicates, with the per-cell seeds and
+results unchanged; the drivers' workers argument is accepted and ignored.
+Result lists are sorted by parameter values, never by position in the config.
 """
 
 from __future__ import annotations
@@ -19,15 +21,16 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .inversion import (
+    _filter_rows,
     error_bound,
     estimate_source_regularized,
     estimate_source_unregularized,
     select_mu,
     sobolev_norm,
 )
-from .noise_lab import NOISE_MODES, NoiseSpec, add_noise, discrete_l2
+from .noise_lab import NOISE_MODES, NoiseSpec, _l2, _noise, add_noise, discrete_l2
 from .source_models import SourceSpec, cosine_source, exact_data, sample_source
-from .spectral_core import Grid, RealSignal, make_grid
+from .spectral_core import Grid, make_grid, regularized_multiplier
 
 __all__ = [
     "RULE_MUS",
@@ -57,8 +60,8 @@ def default_mu_grid() -> tuple:
 class SweepConfig:
     """Full description of a sweep: what to invert, over which parameters.
 
-    mus is either an explicit tuple of nonnegative values or the string
-    RULE_MUS, in which case p_values drives the parameter choice.
+    mus is either an explicit tuple of finite nonnegative values or the
+    string RULE_MUS, in which case p_values drives the parameter choice.
     """
 
     source: SourceSpec
@@ -71,27 +74,20 @@ class SweepConfig:
     noise_mode: str = "iid"
 
     def __post_init__(self):
-        object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
-        if not self.deltas:
-            raise ValueError("deltas must be nonempty")
-        if any(d < 0 for d in self.deltas):
-            raise ValueError("deltas must be nonnegative")
-        if isinstance(self.mus, str):
-            if self.mus != RULE_MUS:
-                raise ValueError(
-                    f"mus must be a list of values or {RULE_MUS!r}, got {self.mus!r}"
-                )
-        else:
-            object.__setattr__(self, "mus", tuple(float(m) for m in self.mus))
-            if not self.mus:
-                raise ValueError("mus must be nonempty")
-            if any(m < 0 for m in self.mus):
-                raise ValueError("mus must be nonnegative")
-        object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
-        if not self.p_values:
-            raise ValueError("p_values must be nonempty")
-        if any(p < 0 for p in self.p_values):
-            raise ValueError("p_values must be nonnegative")
+        for name in ("deltas", "mus", "p_values"):
+            values = getattr(self, name)
+            if name == "mus" and isinstance(values, str):
+                if values != RULE_MUS:
+                    raise ValueError(
+                        f"mus must be a list of values or {RULE_MUS!r}, got {values!r}"
+                    )
+                continue
+            values = tuple(float(v) for v in values)
+            if not values:
+                raise ValueError(f"{name} must be nonempty")
+            if not all(0.0 <= v < math.inf for v in values):
+                raise ValueError(f"{name} must be finite and nonnegative")
+            object.__setattr__(self, name, values)
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         object.__setattr__(self, "replicates", int(self.replicates))
@@ -154,21 +150,24 @@ def cell_seed(base_seed: int, delta_index: int, mu_index: int, replicate: int) -
 
 
 def _cells(config: SweepConfig, columns, noise_mode: str, f_true, g_exact):
-    """Run every (delta index i, column j, replicate r) cell, one after another.
+    """Run the cells in blocks, one block per (delta index i, column j).
 
     columns[i][j] is a tuple whose first item is the mu of column j at delta
-    index i.  Each cell draws noise seeded by cell_seed(base_seed, i, j, r),
-    inverts it and yields (i, j, r, seed, noisy data, discrete L2 error of
-    the estimate), in (i, j, r) order.
+    index i.  Row r of a block is the noise draw seeded by
+    cell_seed(base_seed, i, j, r) added to g_exact, as add_noise makes it;
+    all rows are inverted together.  Yields (i, j, seeds, noisy rows,
+    discrete L2 error of each row's estimate), in (i, j) order.
     """
+    grid, reps = config.grid, range(config.replicates)
     for i, (delta, row) in enumerate(zip(config.deltas, columns)):
         for j, (mu, *_) in enumerate(row):
-            for r in range(config.replicates):
-                seed = cell_seed(config.base_seed, i, j, r)
-                noisy = add_noise(g_exact, NoiseSpec(delta, seed, noise_mode))
-                est = estimate_source_regularized(noisy, mu)
-                err = discrete_l2(RealSignal(config.grid, est.values - f_true.values))
-                yield i, j, r, seed, noisy, err
+            seeds = [cell_seed(config.base_seed, i, j, r) for r in reps]
+            noisy = np.broadcast_to(g_exact.values, (len(seeds), grid.n))
+            if delta > 0.0:
+                noisy = noisy + [_noise(grid, delta, s, noise_mode) for s in seeds]
+            weights = regularized_multiplier(grid.frequencies, mu)
+            diffs = _filter_rows(noisy, weights) - f_true.values
+            yield i, j, seeds, noisy, [_l2(grid.dx, d) for d in diffs]
 
 
 def _sweep_records(config: SweepConfig, columns) -> list:
@@ -177,23 +176,22 @@ def _sweep_records(config: SweepConfig, columns) -> list:
     g_exact = exact_data(config.source, config.grid)
     f_norm = discrete_l2(f_true)
     records = []
-    for i, j, r, _, noisy, err in _cells(
+    for i, j, _, noisy, errs in _cells(
         config, columns, config.noise_mode, f_true, g_exact
     ):
         mu, p, bound = columns[i][j]
-        noise_norm = discrete_l2(
-            RealSignal(config.grid, noisy.values - g_exact.values)
-        )
-        records.append(SweepRecord(
-            delta=config.deltas[i],
-            mu=mu,
-            p=p,
-            replicate=r,
-            rel_error=err / f_norm,
-            abs_error=err,
-            bound=bound,
-            empirical_noise_norm=noise_norm,
-        ))
+        noise = noisy - g_exact.values
+        for r, err in enumerate(errs):
+            records.append(SweepRecord(
+                delta=config.deltas[i],
+                mu=mu,
+                p=p,
+                replicate=r,
+                rel_error=err / f_norm,
+                abs_error=err,
+                bound=bound,
+                empirical_noise_norm=_l2(config.grid.dx, noise[r]),
+            ))
     return records
 
 
@@ -290,23 +288,24 @@ def run_bound_check(
             row.append((mu, p, E, error_bound(d, p, mu), scaled))
         columns.append(row)
     findings = []
-    for i, j, r, seed, _, err in _cells(
+    for i, j, seeds, _, errs in _cells(
         config, columns, "norm_calibrated", f_true, g_exact
     ):
         mu, p, E, raw, scaled = columns[i][j]
-        findings.append(BoundFinding(
-            delta=config.deltas[i],
-            p=p,
-            replicate=r,
-            seed=seed,
-            mu=mu,
-            E=E,
-            error=err,
-            bound_raw=raw,
-            bound_scaled=scaled,
-            violates_raw=err > raw,
-            violates_scaled=err > scaled,
-        ))
+        for r, (seed, err) in enumerate(zip(seeds, errs)):
+            findings.append(BoundFinding(
+                delta=config.deltas[i],
+                p=p,
+                replicate=r,
+                seed=seed,
+                mu=mu,
+                E=E,
+                error=err,
+                bound_raw=raw,
+                bound_scaled=scaled,
+                violates_raw=err > raw,
+                violates_scaled=err > scaled,
+            ))
     return sorted(findings, key=attrgetter("delta", "p", "replicate"))
 
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .spectral_core import RealSignal
+from .spectral_core import Grid, RealSignal
 
 __all__ = [
     "NOISE_MODES",
@@ -55,6 +55,21 @@ class NoiseSpec:
             )
 
 
+def _l2(dx: float, v: np.ndarray) -> float:
+    """sqrt(dx * v.v) for one 1-D array; a batched sum would round otherwise."""
+    return math.sqrt(dx * float(np.dot(v, v)))
+
+
+def _noise(grid: Grid, delta: float, seed: int, mode: str) -> np.ndarray:
+    """The noise law: n PCG64(seed) Gaussians, scaled by mode to level delta."""
+    eps = np.random.Generator(np.random.PCG64(seed)).standard_normal(grid.n)
+    if mode == "iid":
+        eps *= delta
+    else:
+        eps *= delta / _l2(grid.dx, eps)
+    return eps
+
+
 def add_noise(g: RealSignal, spec: NoiseSpec) -> RealSignal:
     """Return g plus one seeded noise realization.
 
@@ -62,13 +77,7 @@ def add_noise(g: RealSignal, spec: NoiseSpec) -> RealSignal:
     """
     if spec.delta == 0.0:
         return g
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    eps = rng.standard_normal(g.grid.n)
-    if spec.mode == "iid":
-        eps *= spec.delta
-    else:
-        norm = math.sqrt(g.grid.dx * float(np.dot(eps, eps)))
-        eps *= spec.delta / norm
+    eps = _noise(g.grid, spec.delta, spec.seed, spec.mode)
     return RealSignal(g.grid, g.values + eps)
 
 
@@ -78,8 +87,7 @@ def discrete_l2(s: RealSignal) -> float:
     The sqrt(dx) weight makes the value consistent under grid refinement and
     matches the spectral Sobolev norm at smoothness order 0 (Parseval).
     """
-    v = s.values
-    return math.sqrt(s.grid.dx * float(np.dot(v, v)))
+    return _l2(s.grid.dx, s.values)
 
 
 def relative_l2_error(estimate: RealSignal, truth: RealSignal) -> float:
@@ -89,5 +97,4 @@ def relative_l2_error(estimate: RealSignal, truth: RealSignal) -> float:
     denom = discrete_l2(truth)
     if denom == 0.0:
         raise ValueError("relative error is undefined against a zero signal")
-    diff = RealSignal(truth.grid, estimate.values - truth.values)
-    return discrete_l2(diff) / denom
+    return _l2(truth.grid.dx, estimate.values - truth.values) / denom

@@ -140,8 +140,8 @@ def invert_via_quadrature(
     mu = 0 gives the unregularized integral.  xi_max must cover the grid's
     own frequencies, otherwise the comparison is against a truncated band.
     """
-    if mu < 0:
-        raise ValueError(f"mu must be nonnegative, got {mu}")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and nonnegative, got {mu}")
     if spec.xi_max < g.grid.nyquist - 1e-9:
         raise ValueError(
             f"xi_max={spec.xi_max:g} is below the grid's largest frequency "

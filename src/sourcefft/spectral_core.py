@@ -100,12 +100,12 @@ def make_grid(n: int, x_min: float, x_max: float) -> Grid:
     return Grid(n, x_min, x_max)
 
 
-def _as_clean_array(values, n: int, label: str) -> np.ndarray:
-    arr = np.array(values, dtype=float, copy=True)
+def _as_clean_array(values, n: int, label: str, dtype=float) -> np.ndarray:
+    arr = np.array(values, dtype=dtype, copy=True)
     if arr.shape != (n,):
         raise ValueError(f"{label} must have shape ({n},), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{label} contains non-finite entries")
+        raise ValueError(f"non-finite entries in {label}")
     arr.setflags(write=False)
     return arr
 
@@ -141,15 +141,9 @@ class Spectrum:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=complex, copy=True)
-        if arr.shape != (self.grid.n,):
-            raise ValueError(
-                f"coefficients must have shape ({self.grid.n},), got {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("coefficients contain non-finite entries")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", _as_clean_array(
+            self.coeffs, self.grid.n, "coefficients", complex
+        ))
 
     def coeff(self, k: int) -> complex:
         """Coefficient of wavenumber k, k in {-n/2, ..., n/2 - 1}."""
@@ -174,6 +168,19 @@ def to_spectrum(s: RealSignal) -> Spectrum:
 _IMAG_TOL = 1e-10
 
 
+def _real_ifft(coeffs: np.ndarray) -> np.ndarray:
+    """Real part of the inverse DFT along the last axis; an imaginary part of
+    1e-10 or more anywhere in the array raises ValueError (from_spectrum)."""
+    raw = np.fft.ifft(coeffs)
+    resid = float(np.max(np.abs(raw.imag)))
+    if resid >= _IMAG_TOL:
+        raise ValueError(
+            f"imaginary residue {resid:.3e} exceeds {_IMAG_TOL:g}; "
+            "the spectrum lost conjugate symmetry"
+        )
+    return raw.real
+
+
 def from_spectrum(sp: Spectrum) -> RealSignal:
     """Inverse DFT back to real samples.
 
@@ -182,14 +189,7 @@ def from_spectrum(sp: Spectrum) -> RealSignal:
     discarded.  A residue of 1e-10 or more means the symmetry was lost (for
     instance through an odd multiplier) and raises ValueError.
     """
-    raw = np.fft.ifft(sp.coeffs)
-    resid = float(np.max(np.abs(raw.imag)))
-    if resid >= _IMAG_TOL:
-        raise ValueError(
-            f"imaginary residue {resid:.3e} exceeds {_IMAG_TOL:g}; "
-            "the spectrum lost conjugate symmetry"
-        )
-    return RealSignal(sp.grid, raw.real)
+    return RealSignal(sp.grid, _real_ifft(sp.coeffs))
 
 
 def forward_multiplier(xi):
@@ -225,12 +225,12 @@ def inverse_multiplier(xi):
 def regularized_multiplier(xi, mu):
     """Filtered inversion symbol xi^2 / ((1 - e^{-|xi|}) (1 + xi^2 mu^2)).
 
-    mu >= 0 is the regularization parameter.  mu = 0 reproduces
-    inverse_multiplier exactly (the extra factor is exactly 1.0 then); for
-    mu > 0 the symbol is bounded and tends to 1/mu^2 at large |xi|.
+    mu >= 0 is the regularization parameter and must be finite.  mu = 0
+    reproduces inverse_multiplier exactly (the extra factor is exactly 1.0
+    then); for mu > 0 the symbol is bounded and tends to 1/mu^2 at large |xi|.
     """
-    if mu < 0:
-        raise ValueError(f"regularization parameter must be nonnegative, got {mu}")
+    if not 0.0 <= mu < np.inf:
+        raise ValueError(f"mu must be finite and nonnegative, got {mu}")
     xi = np.asarray(xi, dtype=float)
     base = inverse_multiplier(xi)
     # Factored so mu = 0 divides by exactly 1.0 and is bit-identical to the
@@ -250,6 +250,4 @@ def apply_multiplier(sp: Spectrum, m) -> Spectrum:
         weights = np.asarray(m(xi), dtype=float)
     except (TypeError, ValueError):
         weights = np.array([float(m(v)) for v in xi])
-    if weights.shape != xi.shape:
-        weights = np.broadcast_to(np.asarray(weights, dtype=float), xi.shape)
     return Spectrum(sp.grid, sp.coeffs * weights)

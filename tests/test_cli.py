@@ -284,6 +284,24 @@ class TestSweep:
         assert code == 1
         assert "mus" in err
 
+    # A numpy RuntimeWarning would print a second stderr line outside pytest.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "text",
+        ["mus = inf", "mus = 1.0, nan", "deltas = inf", "mus = rule\np_values = inf"],
+    )
+    def test_non_finite_parameter_is_one_error_line(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text + "\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("sourcefft: error:")
+        assert "finite" in lines[0]
+        assert "Warning" not in err
+
     def test_workers_match_serial(self, capsys, tiny_config):
         _, out1, _ = run_cli(capsys, "sweep", "--config", str(tiny_config))
         _, out4, _ = run_cli(

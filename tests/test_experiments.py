@@ -10,6 +10,7 @@ import pytest
 
 from sourcefft.experiments import (
     RULE_MUS,
+    BoundFinding,
     SweepConfig,
     SweepRecord,
     cell_seed,
@@ -22,9 +23,15 @@ from sourcefft.experiments import (
     summarize_rel_error,
     write_csv,
 )
-from sourcefft.inversion import select_mu
-from sourcefft.source_models import cosine_source
-from sourcefft.spectral_core import make_grid
+from sourcefft.inversion import (
+    error_bound,
+    estimate_source_regularized,
+    select_mu,
+    sobolev_norm,
+)
+from sourcefft.noise_lab import NoiseSpec, add_noise, discrete_l2
+from sourcefft.source_models import cosine_source, exact_data, sample_source
+from sourcefft.spectral_core import RealSignal, make_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -244,6 +251,114 @@ class TestBoundCheck:
         for f in run_bound_check(cfg):
             assert f.bound_raw > 0 and f.bound_scaled > 0
             assert f.mu == select_mu(f.delta, f.E, f.p)
+
+
+def per_cell_reference(config, columns):
+    """Every cell of a sweep, one at a time, through the public API only.
+
+    columns[i][j] is the mu of column j at delta index i.  Yields
+    (i, j, r, seed, abs error, empirical noise norm) in (i, j, r) order.
+    """
+    f_true = sample_source(config.source, config.grid)
+    g_exact = exact_data(config.source, config.grid)
+    for i, (delta, row) in enumerate(zip(config.deltas, columns)):
+        for j, mu in enumerate(row):
+            for r in range(config.replicates):
+                seed = cell_seed(config.base_seed, i, j, r)
+                noisy = add_noise(g_exact, NoiseSpec(delta, seed, config.noise_mode))
+                est = estimate_source_regularized(noisy, mu)
+                err = discrete_l2(RealSignal(config.grid, est.values - f_true.values))
+                noise = discrete_l2(
+                    RealSignal(config.grid, noisy.values - g_exact.values)
+                )
+                yield i, j, r, seed, err, noise
+
+
+class TestBatchedCellsMatchPerCell:
+    """The block-batched drivers against a naive cell-by-cell evaluation.
+
+    Equality is exact (==): batching must not move a single bit.
+    """
+
+    @pytest.mark.parametrize("mode", ["iid", "norm_calibrated"])
+    def test_mu_sweep(self, mode):
+        # Deltas high-to-low, with the noiseless delta = 0 in the middle.
+        cfg = small_config(
+            deltas=(0.1, 0.0, 0.05), mus=(3.0, 0.0, 0.5), replicates=3,
+            noise_mode=mode,
+        )
+        f_norm = discrete_l2(sample_source(cfg.source, cfg.grid))
+        columns = [cfg.mus] * len(cfg.deltas)
+        expected = [
+            SweepRecord(
+                delta=cfg.deltas[i], mu=cfg.mus[j], p=None, replicate=r,
+                rel_error=err / f_norm, abs_error=err, bound=None,
+                empirical_noise_norm=noise,
+            )
+            for i, j, r, _, err, noise in per_cell_reference(cfg, columns)
+        ]
+        expected.sort(key=lambda rec: (rec.delta, rec.mu, rec.replicate))
+        assert run_mu_sweep(cfg) == expected
+
+    @pytest.mark.parametrize("mode", ["iid", "norm_calibrated"])
+    def test_rule_comparison(self, mode):
+        cfg = small_config(
+            deltas=(0.1, 0.015, 0.05), mus=RULE_MUS, p_values=(2.0, 1.0),
+            replicates=3, noise_mode=mode,
+        )
+        f_norm = discrete_l2(sample_source(cfg.source, cfg.grid))
+        columns = [[select_mu(d, 1.0, p) for p in cfg.p_values] for d in cfg.deltas]
+        expected = []
+        for i, j, r, _, err, noise in per_cell_reference(cfg, columns):
+            delta, p, mu = cfg.deltas[i], cfg.p_values[j], columns[i][j]
+            expected.append(SweepRecord(
+                delta=delta, mu=mu, p=p, replicate=r,
+                rel_error=err / f_norm, abs_error=err,
+                bound=error_bound(delta, p, mu), empirical_noise_norm=noise,
+            ))
+        expected.sort(key=lambda rec: (rec.delta, rec.p, rec.replicate))
+        assert run_rule_comparison(cfg) == expected
+
+    def test_bound_check(self):
+        cfg = small_config(
+            deltas=(0.1, 0.015, 0.05), mus=RULE_MUS, p_values=(2.0, 1.0),
+            replicates=3, noise_mode="norm_calibrated",
+        )
+        f_true = sample_source(cfg.source, cfg.grid)
+        E = [sobolev_norm(f_true, p) for p in cfg.p_values]
+        columns = [
+            [select_mu(d, e, p) for p, e in zip(cfg.p_values, E)]
+            for d in cfg.deltas
+        ]
+        expected = []
+        for i, j, r, seed, err, _ in per_cell_reference(cfg, columns):
+            delta, p, e, mu = cfg.deltas[i], cfg.p_values[j], E[j], columns[i][j]
+            raw = error_bound(delta, p, mu)
+            scaled = e * error_bound(delta / e, p, mu)
+            expected.append(BoundFinding(
+                delta=delta, p=p, replicate=r, seed=seed, mu=mu, E=e,
+                error=err, bound_raw=raw, bound_scaled=scaled,
+                violates_raw=err > raw, violates_scaled=err > scaled,
+            ))
+        expected.sort(key=lambda f: (f.delta, f.p, f.replicate))
+        assert run_bound_check(cfg) == expected
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("deltas", (0.1, math.inf)),
+            ("deltas", (math.nan,)),
+            ("mus", (1.0, math.inf)),
+            ("mus", (math.nan,)),
+            ("p_values", (math.inf,)),
+            ("p_values", (1.0, math.nan)),
+        ],
+    )
+    def test_config_rejects(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            small_config(**{field: value})
 
 
 @pytest.fixture(scope="module")

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sourcefft.inversion import (
     RegParams,
+    _filter_rows,
     error_bound,
     estimate_source_regularized,
     estimate_source_unregularized,
@@ -16,7 +19,15 @@ from sourcefft.inversion import (
 )
 from sourcefft.noise_lab import NoiseSpec, add_noise, discrete_l2, relative_l2_error
 from sourcefft.source_models import cosine_source, exact_data, sample_source
-from sourcefft.spectral_core import RealSignal, make_grid
+from sourcefft.spectral_core import (
+    RealSignal,
+    apply_multiplier,
+    from_spectrum,
+    inverse_multiplier,
+    make_grid,
+    regularized_multiplier,
+    to_spectrum,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -119,6 +130,70 @@ class TestEstimators:
             f = band_limited(grid, seed)  # top quarter of the spectrum empty
             back = estimate_source_unregularized(solve_forward(f))
             assert np.max(np.abs(back.values - f.values)) < 1e-8
+
+
+def random_rows(draw_seed, grid, rows):
+    # Scaled so the filtered rows stay O(1) even at mu = 0: the imaginary
+    # residue guard is absolute, and random data on a fine grid would trip it.
+    rng = np.random.Generator(np.random.PCG64(draw_seed))
+    return rng.standard_normal((rows, grid.n)) / (1.0 + grid.nyquist**2)
+
+
+grids = st.builds(
+    lambda half_n, length: make_grid(2 * half_n, 0.0, length),
+    st.integers(4, 512),
+    st.floats(0.1, 1000.0),
+)
+
+
+class TestBatchedKernel:
+    """_filter_rows, the array kernel of the estimators and the sweep cells."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mu", [math.inf, math.nan])
+    def test_rejects_non_finite_mu(self, cosine_problem, mu):
+        _, _, g = cosine_problem
+        with pytest.raises(ValueError, match="nonnegative"):
+            estimate_source_regularized(g, mu)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grid=grids,
+        mu=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+        rows=st.integers(1, 24),
+        draw_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_single_estimates(self, grid, mu, rows, draw_seed):
+        values = random_rows(draw_seed, grid, rows)
+        batched = _filter_rows(values, regularized_multiplier(grid.frequencies, mu))
+        assert batched.shape == values.shape
+        for row, out in zip(values, batched):
+            g = RealSignal(grid, row)
+            single = estimate_source_regularized(g, mu)
+            assert np.array_equal(out, single.values)
+            # The same filter through the Spectrum-level public API.
+            spectrum = apply_multiplier(
+                to_spectrum(g), lambda xi: regularized_multiplier(xi, mu)
+            )
+            assert np.array_equal(out, from_spectrum(spectrum).values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        grid=grids,
+        rows=st.integers(1, 8),
+        draw_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mu_zero_is_unregularized(self, grid, rows, draw_seed):
+        values = random_rows(draw_seed, grid, rows)
+        batched = _filter_rows(values, regularized_multiplier(grid.frequencies, 0.0))
+        direct = _filter_rows(values, inverse_multiplier(grid.frequencies))
+        assert np.array_equal(batched, direct)
+        for row, out in zip(values, batched):
+            g = RealSignal(grid, row)
+            unregularized = estimate_source_unregularized(g).values
+            regularized = estimate_source_regularized(g, 0.0).values
+            assert np.array_equal(regularized, unregularized)
+            assert np.array_equal(out, unregularized)
 
 
 class TestSelectMu:
