@@ -3,9 +3,11 @@
 Every experiment cell (one noise realization at one parameter combination)
 draws its seed from cell_seed(base_seed, delta_index, mu_index, replicate),
 a pure function, so sweeps are reproducible cell by cell and independent
-of the order cells run in.  Cells run serially in blocks, one FFT pair per
-(delta, mu) pair and all its replicates, with the per-cell seeds and
-results unchanged; the drivers' workers argument is accepted and ignored.
+of the order cells run in.  A sweep hashes the seeds of all its cells, and
+the PCG64 words each seed expands to, in one vectorized SeedSequence pass;
+each cell's draw stays bit-equal to Generator(PCG64(cell_seed(...))).
+Cells run serially in blocks, one FFT pair per (delta, mu) pair and all its
+replicates; the drivers' workers argument is accepted and ignored.
 Result lists are sorted by parameter values, never by position in the config.
 """
 
@@ -28,7 +30,16 @@ from .inversion import (
     select_mu,
     sobolev_norm,
 )
-from .noise_lab import NOISE_MODES, NoiseSpec, _l2, _noise, add_noise, discrete_l2
+from .noise_lab import (
+    NOISE_MODES,
+    NoiseSpec,
+    _int_words,
+    _l2,
+    _noise,
+    _seed_words,
+    add_noise,
+    discrete_l2,
+)
 from .source_models import SourceSpec, cosine_source, exact_data, sample_source
 from .spectral_core import Grid, make_grid, regularized_multiplier
 
@@ -138,36 +149,51 @@ class SweepRecord:
 def cell_seed(base_seed: int, delta_index: int, mu_index: int, replicate: int) -> int:
     """Seed for one experiment cell.
 
-    Derived by spawning a SeedSequence from the entropy tuple
-    (base_seed, delta_index, mu_index, replicate); SeedSequence's expansion
-    is specified and stable across platforms and numpy versions, so this is
-    a documented pure function of its four arguments.
+    The 64-bit state of SeedSequence((base_seed, delta_index, mu_index,
+    replicate)), its first two uint32 words joined low word first;
+    SeedSequence's expansion is specified and stable across platforms and
+    numpy versions, so this is a documented pure function of its four
+    nonnegative integer arguments.
     """
-    ss = np.random.SeedSequence(
-        (int(base_seed), int(delta_index), int(mu_index), int(replicate))
-    )
-    return int(ss.generate_state(1, np.uint64)[0])
+    entropy = (base_seed, delta_index, mu_index, replicate)
+    low, high = _seed_words([[w] for v in entropy for w in _int_words(v)], 2)[0]
+    return int(low) | int(high) << 32
+
+
+def _cell_streams(config: SweepConfig, n_columns: int) -> tuple:
+    """Seeds and PCG64 words of every cell, hashed in one array pass.
+
+    Returns (seeds, words): seeds[i, j, r] is cell_seed(base_seed, i, j, r)
+    as uint64 and words[i, j, r] the 8 uint32 words PCG64 takes from it,
+    for n_columns columns at every delta index.
+    """
+    i, j, r = np.ogrid[:len(config.deltas), :n_columns, :config.replicates]
+    base = [[w] for w in _int_words(config.base_seed)]
+    low, high = np.moveaxis(_seed_words([*base, i, j, r], 2), -1, 0)
+    seeds = high.astype(np.uint64) << np.uint64(32) | low
+    return seeds, _seed_words([low, high], 8)
 
 
 def _cells(config: SweepConfig, columns, noise_mode: str, f_true, g_exact):
     """Run the cells in blocks, one block per (delta index i, column j).
 
     columns[i][j] is a tuple whose first item is the mu of column j at delta
-    index i.  Row r of a block is the noise draw seeded by
-    cell_seed(base_seed, i, j, r) added to g_exact, as add_noise makes it;
-    all rows are inverted together.  Yields (i, j, seeds, noisy rows,
-    discrete L2 error of each row's estimate), in (i, j) order.
+    index i; every row of columns has the same length.  Row r of a block is
+    the noise draw of Generator(PCG64(cell_seed(base_seed, i, j, r))) added
+    to g_exact, as add_noise makes it; all rows are inverted together.
+    Yields (i, j, seeds, noisy rows, discrete L2 error of each row's
+    estimate), in (i, j) order.
     """
-    grid, reps = config.grid, range(config.replicates)
+    grid = config.grid
+    seeds, words = _cell_streams(config, len(columns[0]))
     for i, (delta, row) in enumerate(zip(config.deltas, columns)):
         for j, (mu, *_) in enumerate(row):
-            seeds = [cell_seed(config.base_seed, i, j, r) for r in reps]
-            noisy = np.broadcast_to(g_exact.values, (len(seeds), grid.n))
+            noisy = np.broadcast_to(g_exact.values, (config.replicates, grid.n))
             if delta > 0.0:
-                noisy = noisy + [_noise(grid, delta, s, noise_mode) for s in seeds]
+                noisy = noisy + _noise(grid, delta, words[i, j], noise_mode)
             weights = regularized_multiplier(grid.frequencies, mu)
             diffs = _filter_rows(noisy, weights) - f_true.values
-            yield i, j, seeds, noisy, [_l2(grid.dx, d) for d in diffs]
+            yield i, j, seeds[i, j].tolist(), noisy, [_l2(grid.dx, d) for d in diffs]
 
 
 def _sweep_records(config: SweepConfig, columns) -> list:

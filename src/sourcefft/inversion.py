@@ -119,6 +119,12 @@ def _filter_rows(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return _real_ifft(np.fft.fft(values) * weights)
 
 
+def _check_finite(**params) -> None:
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def select_mu(delta: float, E: float = 1.0, p: float = 1.0) -> float:
     """A-priori parameter rule mu = (delta/E)^(1/(p+2)).
 
@@ -126,8 +132,9 @@ def select_mu(delta: float, E: float = 1.0, p: float = 1.0) -> float:
     delta/E <= mu^2 <= 1 exactly; pow alone can land one ulp outside (seen
     at delta = 1e-3, p = 0), so the result is nudged by ulps when needed.
     delta > E is allowed but emits a warning: the rule then returns mu > 1,
-    outside its usual operating range.
+    outside its usual operating range.  Every argument must be finite.
     """
+    _check_finite(delta=delta, E=E, p=p)
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if E <= 0:
@@ -174,7 +181,9 @@ def error_bound(delta: float, p: float, mu: float) -> float:
     data noise satisfies ||g_noisy - g|| <= delta, the source satisfies
     ||f||_{H^p} <= 1, and mu respects the range law.  For an H^p bound
     E != 1, rescale: the guarantee becomes E * error_bound(delta/E, p, mu).
+    Every argument must be finite.
     """
+    _check_finite(delta=delta, p=p, mu=mu)
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if p < 0:

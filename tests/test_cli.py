@@ -101,6 +101,16 @@ class TestSimulate:
         achieved = math.sqrt(dx * float(np.sum((cols[2] - cols[1]) ** 2)))
         assert abs(achieved - 0.05) < 1e-12
 
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta_names_delta(self, capsys, delta):
+        code, out, err = run_cli(capsys, "simulate", "--delta", delta)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            f"sourcefft: error: noise level delta must be finite and "
+            f"nonnegative, got {delta}"
+        ]
+
     def test_same_seed_same_bytes(self, capsys):
         args = ("simulate", "--delta", "0.05", "--seed", "7")
         _, out1, _ = run_cli(capsys, *args)
@@ -154,6 +164,20 @@ class TestInvert:
         )
         assert code == 1
         assert "delta" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--delta", "nan"), ("--delta", "inf"), ("--delta", "0.05", "--E", "nan")],
+    )
+    def test_rule_non_finite_is_one_error_line(self, capsys, forward_file, flags):
+        code, out, err = run_cli(
+            capsys, "invert", "--input", str(forward_file), "--rule", "1", *flags
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("sourcefft: error:")
+        assert len(err.splitlines()) == 1
+        assert "must be finite" in err
 
     def test_negative_mu_rejected(self, capsys, forward_file):
         code, _, err = run_cli(

@@ -71,6 +71,20 @@ class TestCellSeed:
     def test_base_seed_matters(self):
         assert cell_seed(1, 0, 0, 0) != cell_seed(2, 0, 0, 0)
 
+    @pytest.mark.parametrize(
+        "args",
+        [(42, 0, 0, 0), (2**32 - 1, 3, 1, 7), (2**32, 0, 2, 19),
+         (2**64 - 1, 2, 80, 0), (5, 2**32, 2**40, 2**64 - 1)],
+    )
+    def test_equals_seed_sequence(self, args):
+        state = np.random.SeedSequence(args).generate_state(1, np.uint64)
+        assert cell_seed(*args) == int(state[0])
+
+    @pytest.mark.parametrize("args", [(-1, 0, 0, 0), (42, 0, -1, 0), (42, 0, 0, -3)])
+    def test_negative_argument_rejected(self, args):
+        with pytest.raises(ValueError):
+            cell_seed(*args)
+
 
 class TestSweepConfig:
     def test_defaults(self):
@@ -342,6 +356,57 @@ class TestBatchedCellsMatchPerCell:
             ))
         expected.sort(key=lambda f: (f.delta, f.p, f.replicate))
         assert run_bound_check(cfg) == expected
+
+    @pytest.mark.parametrize("base_seed", [2**32, 2**64 - 1])
+    @pytest.mark.parametrize("mode", ["iid", "norm_calibrated"])
+    def test_big_base_seed_mu_sweep(self, base_seed, mode):
+        # base_seed >= 2^32 makes the cell entropy five words.  The
+        # reference uses numpy's SeedSequence and PCG64 alone, not add_noise.
+        cfg = small_config(
+            deltas=(0.1, 0.05), mus=(0.0, 0.5, 3.0), replicates=3,
+            base_seed=base_seed, noise_mode=mode,
+        )
+        grid, dx = cfg.grid, cfg.grid.dx
+        f_true = sample_source(cfg.source, grid).values
+        g_exact = exact_data(cfg.source, grid).values
+        expected = []
+        for i, delta in enumerate(cfg.deltas):
+            for j, mu in enumerate(cfg.mus):
+                for r in range(cfg.replicates):
+                    state = np.random.SeedSequence((base_seed, i, j, r))
+                    seed = int(state.generate_state(1, np.uint64)[0])
+                    gen = np.random.Generator(np.random.PCG64(seed))
+                    eps = gen.standard_normal(grid.n)
+                    if mode == "iid":
+                        eps = delta * eps
+                    else:
+                        eps = eps * (delta / math.sqrt(dx * float(np.dot(eps, eps))))
+                    noisy = g_exact + eps
+                    est = estimate_source_regularized(RealSignal(grid, noisy), mu)
+                    diff = est.values - f_true
+                    err = math.sqrt(dx * float(np.dot(diff, diff)))
+                    noise = noisy - g_exact
+                    expected.append((
+                        delta, mu, r, err, math.sqrt(dx * float(np.dot(noise, noise)))
+                    ))
+        expected.sort()
+        got = [
+            (rec.delta, rec.mu, rec.replicate, rec.abs_error,
+             rec.empirical_noise_norm)
+            for rec in run_mu_sweep(cfg)
+        ]
+        assert got == expected
+
+    def test_big_base_seed_bound_check_seeds(self):
+        cfg = small_config(
+            deltas=(0.1,), mus=RULE_MUS, p_values=(1.0, 2.0), replicates=2,
+            base_seed=2**40 + 3, noise_mode="norm_calibrated",
+        )
+        for finding in run_bound_check(cfg):
+            j = cfg.p_values.index(finding.p)
+            entropy = (cfg.base_seed, 0, j, finding.replicate)
+            state = np.random.SeedSequence(entropy).generate_state(1, np.uint64)
+            assert finding.seed == int(state[0])
 
 
 class TestNonFiniteParameters:

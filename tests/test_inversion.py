@@ -251,6 +251,17 @@ class TestSelectMu:
             assert abs(mu - 1.0) < 0.13
 
 
+    @pytest.mark.parametrize(
+        "name, args",
+        [("delta", (math.nan, 1.0, 1.0)), ("delta", (math.inf, 1.0, 1.0)),
+         ("E", (0.1, math.nan, 1.0)), ("E", (0.1, math.inf, 1.0)),
+         ("p", (0.1, 1.0, math.nan)), ("p", (0.1, 1.0, math.inf))],
+    )
+    def test_rejects_non_finite(self, name, args):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            select_mu(*args)
+
+
 class TestSobolevNorm:
     def test_zero(self, default_grid):
         z = RealSignal(default_grid, np.zeros(default_grid.n))
@@ -301,6 +312,16 @@ class TestErrorBound:
             error_bound(0.1, -1.0, 1.0)
         with pytest.raises(ValueError, match="mu"):
             error_bound(0.1, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [("delta", (math.nan, 1.0, 0.5)), ("delta", (math.inf, 1.0, 0.5)),
+         ("p", (0.1, math.nan, 0.5)), ("p", (0.1, math.inf, 0.5)),
+         ("mu", (0.1, 1.0, math.nan)), ("mu", (0.1, 1.0, math.inf))],
+    )
+    def test_rejects_non_finite(self, name, args):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            error_bound(*args)
 
 
 class TestRegParams:

@@ -4,8 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sourcefft.noise_lab import NoiseSpec, add_noise, discrete_l2, relative_l2_error
+from sourcefft.noise_lab import (
+    NoiseSpec,
+    _int_words,
+    _seed_words,
+    add_noise,
+    discrete_l2,
+    relative_l2_error,
+)
 from sourcefft.spectral_core import RealSignal, make_grid
 
 TWO_PI = 2.0 * math.pi
@@ -29,6 +38,68 @@ class TestNoiseSpec:
         with pytest.raises(ValueError, match="64"):
             NoiseSpec(0.1, 2**64)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_rejects_non_finite_delta(self, delta):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            NoiseSpec(delta, 0)
+
+
+# Edge values of SeedSequence's int-to-words split: one word, the largest
+# one-word value, the smallest two-word value, the largest 64-bit value.
+EDGE_INTS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+entropy_int = st.one_of(
+    st.sampled_from(EDGE_INTS), st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1)
+)
+
+
+class TestSeedWords:
+    """The vectorized hash against numpy's own SeedSequence."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entropy_int,
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+        st.sampled_from((1, 2, 4, 8, 9)),
+    )
+    def test_matches_seed_sequence(self, base, i, j, reps, n_words):
+        # One base_seed and (i, j) for all rows, as a sweep block has:
+        # 4-word entropy below 2^32, 5-word at or above it.
+        columns = [[w] for w in _int_words(base)] + [[i], [j], reps]
+        got = _seed_words(columns, n_words)
+        assert got.dtype == np.uint32 and got.shape == (len(reps), n_words)
+        for row, r in zip(got, reps):
+            expected = np.random.SeedSequence((base, i, j, r)).generate_state(
+                n_words, np.uint32
+            )
+            assert np.array_equal(row, expected)
+
+    @pytest.mark.parametrize("value", EDGE_INTS + (2**64, 2**96 + 5))
+    def test_single_int_entropy(self, value):
+        columns = [[w] for w in _int_words(value)]
+        expected = np.random.SeedSequence(value).generate_state(8, np.uint32)
+        assert np.array_equal(_seed_words(columns, 8)[0], expected)
+
+    def test_two_word_seed_below_2_32_hashes_as_one_word(self):
+        # A sweep always passes a seed as (low, high); high = 0 must equal
+        # the one-word entropy SeedSequence(seed) itself uses.
+        for seed in (0, 5, 2**32 - 1):
+            expected = np.random.SeedSequence(seed).generate_state(8, np.uint32)
+            assert np.array_equal(_seed_words([[seed], [0]], 8)[0], expected)
+
+    def test_negative_entropy_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            _int_words(-1)
+
+
+def numpy_noise(grid, spec):
+    """The noise of NoiseSpec spec, drawn through numpy's public API only."""
+    eps = np.random.Generator(np.random.PCG64(spec.seed)).standard_normal(grid.n)
+    if spec.mode == "iid":
+        return spec.delta * eps
+    return eps * (spec.delta / math.sqrt(grid.dx * float(np.dot(eps, eps))))
+
 
 class TestAddNoise:
     def test_zero_delta_returns_input_unchanged(self, cosine_signal):
@@ -40,6 +111,16 @@ class TestAddNoise:
             out = add_noise(cosine_signal, NoiseSpec(0.05, seed, "norm_calibrated"))
             eps = RealSignal(out.grid, out.values - cosine_signal.values)
             assert abs(discrete_l2(eps) - 0.05) < 1e-12
+
+    @pytest.mark.parametrize("mode", ["iid", "norm_calibrated"])
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 99, 2**31, 2**32 - 1, 2**32, 11465652750463011511, 2**64 - 1]
+    )
+    def test_equals_numpy_generator(self, cosine_signal, mode, seed):
+        spec = NoiseSpec(0.07, seed, mode)
+        out = add_noise(cosine_signal, spec)
+        expected = cosine_signal.values + numpy_noise(cosine_signal.grid, spec)
+        assert np.array_equal(out.values, expected)
 
     def test_deterministic_given_spec(self, cosine_signal):
         spec = NoiseSpec(0.07, 99)
