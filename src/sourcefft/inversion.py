@@ -49,6 +49,7 @@ class RegParams:
     mu: float
 
     def __post_init__(self):
+        _check_finite(delta=self.delta, E=self.E, p=self.p, mu=self.mu)
         if self.delta < 0:
             raise ValueError(f"delta must be nonnegative, got {self.delta}")
         if self.E <= 0:

@@ -144,18 +144,18 @@ def _seed_words(entropy, n_words: int) -> np.ndarray:
     return out
 
 
-def _noise(grid: Grid, delta: float, words: np.ndarray, mode: str) -> np.ndarray:
+def _noise(grid: Grid, delta: float, words: np.ndarray, mode: str,
+           gen: np.random.Generator) -> np.ndarray:
     """The noise law, one row per seed: n Gaussians of the stream
     Generator(PCG64(seed)), scaled by mode to level delta.
 
     words is the (rows, 8) array _seed_words(seed words, 8): the words
     PCG64(seed) takes from SeedSequence(seed).  Each row sets the state
-    PCG64's set_seed reaches from them (two 128-bit LCG steps) on one bit
-    generator, then draws into the row.
+    PCG64's set_seed reaches from them (two 128-bit LCG steps) on gen's
+    PCG64, whatever state it had, then draws into the row.
     """
     eps = np.empty((len(words), grid.n))
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
+    bitgen = gen.bit_generator
     pairs = words.astype("<u4", copy=False).view("<u8").tolist()
     for row, (seed_hi, seed_lo, seq_hi, seq_lo) in zip(eps, pairs):
         inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
@@ -181,8 +181,11 @@ def add_noise(g: RealSignal, spec: NoiseSpec) -> RealSignal:
     """
     if spec.delta == 0.0:
         return g
-    words = _seed_words([[w] for w in _int_words(spec.seed)], 8)
-    eps = _noise(g.grid, spec.delta, words, spec.mode)
+    # One seed needs no array hash: SeedSequence itself hashes it once,
+    # for the words and for the bit generator they are set on.
+    seq = np.random.SeedSequence(spec.seed)
+    words = seq.generate_state(8, np.uint32)[None]
+    eps = _noise(g.grid, spec.delta, words, spec.mode, np.random.default_rng(seq))
     return RealSignal(g.grid, g.values + eps[0])
 
 

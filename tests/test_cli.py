@@ -111,6 +111,28 @@ class TestSimulate:
             f"nonnegative, got {delta}"
         ]
 
+    @pytest.mark.parametrize("mode", ["iid", "norm-calibrated"])
+    def test_stdout_bytes_equal_file_bytes(self, capsys, tmp_path, mode):
+        # stdout is a text stream, --out a file: write_csv takes a different
+        # branch for each, and both must give the same repr text.
+        sim = tmp_path / "sim.csv"
+        args = ("simulate", "--n", "4096", "--delta", "0.05", "--seed", "3",
+                "--noise-mode", mode)
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert run_cli(capsys, *args, "--out", str(sim))[0] == 0
+        assert out.encode("ascii") == sim.read_bytes()
+        _, cols = parse_csv(out)
+        assert out.splitlines()[1:] == [
+            "%r,%r,%r" % row for row in zip(*(c.tolist() for c in cols))
+        ]
+        inv = tmp_path / "inv.csv"
+        args = ("invert", "--input", str(sim), "--mu", "0.3")
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert run_cli(capsys, *args, "--out", str(inv))[0] == 0
+        assert out.encode("ascii") == inv.read_bytes()
+
     def test_same_seed_same_bytes(self, capsys):
         args = ("simulate", "--delta", "0.05", "--seed", "7")
         _, out1, _ = run_cli(capsys, *args)

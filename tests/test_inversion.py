@@ -335,6 +335,14 @@ class TestRegParams:
         with pytest.raises(ValueError, match="mu"):
             RegParams(delta=0.1, E=1.0, p=1.0, mu=-0.5)
 
+    @pytest.mark.parametrize("field", ["delta", "E", "p", "mu"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        fields = {"delta": 0.1, "E": 1.0, "p": 1.0, "mu": 0.5}
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            RegParams(**fields)
+
     def test_from_rule_carries_inputs(self):
         params = RegParams.from_rule(0.05, 1.0, 2.0)
         assert params.mu == select_mu(0.05, 1.0, 2.0)
