@@ -33,7 +33,6 @@ _C_MIN = _U64(1 << 52)
 # never reach 1e16.  Compared as the bits of |x|, which order like the values.
 _FIXED_LO = _U64(np.float64(1e-4).view(_U64))
 _FIXED_HI = _U64(np.float64(1e16).view(_U64))
-_ONE_BITS = np.float64(1.0).view(_U64)
 
 # Biased exponents of the fixed-notation range: 1e-4 lies in [2^-14, 2^-13)
 # and 1e16 in [2^53, 2^54).  A normal double is c * 2^q with q = bq - 1075.
@@ -248,7 +247,11 @@ def format_rows(table) -> bytes:
     bits = values.view(_U64)
     magnitude = bits & _MASK63
     fixed = (magnitude >= _FIXED_LO) & (magnitude < _FIXED_HI)
-    d, k = _shortest(np.where(fixed, magnitude, _ONE_BITS))
+    # The kernel runs on the fixed-notation values only: the whole table
+    # when it holds nothing else, else a compacted copy of them.
+    everywhere = fixed.all()
+    kernel = slice(None) if everywhere else fixed
+    d, k = _shortest(magnitude[kernel])
 
     # Left-align d to exactly 17 digits, so |x| = 0.ddd... * 10^decpt.
     short = d < _U64(10 ** 16)
@@ -267,6 +270,14 @@ def format_rows(table) -> bytes:
                    np.maximum(_LAST[2][groups[2]], _LAST[3][groups[3]]))
     text_a = _DIGITS_LO[groups[0]] | _DIGITS_HI[groups[1]]
     text_b = _DIGITS_LO[groups[2]] | _DIGITS_HI[groups[3]]
+    negative = (bits[kernel] >> _U64(63)).astype(np.intp)
+    layout = (negative * _N_DECPT + decpt + 3) * 17 + n - 1
+    if not everywhere:
+        # The other values keep layout row 0; repr's text replaces it below.
+        parts = lead, text_a, text_b, layout
+        lead, text_a, text_b, layout = [np.zeros(len(values), p.dtype) for p in parts]
+        for whole, part in zip((lead, text_a, text_b, layout), parts):
+            whole[fixed] = part
 
     first = np.full(cols, _PREFIX, dtype=_U64)
     first[0] = _ROW_PREFIX
@@ -276,13 +287,11 @@ def format_rows(table) -> bytes:
          np.full(len(values), _POINT_WORD), text_a, text_b]
     ).astype("<u8", copy=False).view(np.uint8)
 
-    negative = (bits >> _U64(63)).astype(np.intp)
-    layout = (negative * _N_DECPT + decpt + 3) * 17 + n - 1
-    mask = np.take(_LAYOUTS, np.where(fixed, layout, 0), axis=0)
+    mask = np.take(_LAYOUTS, layout, axis=0)
     others = np.flatnonzero(~fixed)
     if len(others):
         # NUL-padded repr bytes, one row per value; repr never writes a NUL.
-        text = np.array([repr(v).encode("ascii") for v in values[others].tolist()])
+        text = np.array(list(map(repr, values[others].tolist())), dtype="S")
         text = text.view(np.uint8).reshape(len(others), -1)
         slots[others, 1:1 + text.shape[1]] = text
         mask[others, 1:] = False

@@ -37,11 +37,10 @@ import numpy as np
 from .experiments import (
     RULE_MUS,
     SweepConfig,
+    _SUMMARY_HEADER,
+    _summary_rows,
     default_mu_grid,
     reproduce_figures,
-    run_mu_sweep,
-    run_rule_comparison,
-    summarize_rel_error,
     write_csv,
 )
 from .inversion import (
@@ -347,18 +346,7 @@ def cmd_sweep(args) -> int:
         cfg = dataclasses.replace(cfg, replicates=args.replicates)
     if args.base_seed is not None:
         cfg = dataclasses.replace(cfg, base_seed=args.base_seed)
-    sweep_cfg = cfg.to_sweep_config()
-    if sweep_cfg.mus == RULE_MUS:
-        records = run_rule_comparison(sweep_cfg, workers=args.workers)
-    else:
-        records = run_mu_sweep(sweep_cfg, workers=args.workers)
-    summary = summarize_rel_error(records)
-    rows = [
-        key + summary[key] for key in sorted(summary, key=lambda k: (k[0], k[1]))
-    ]
-    _emit_csv(
-        args.out, ["mu", "delta", "mean_rel_error", "stderr_rel_error"], rows
-    )
+    _emit_csv(args.out, _SUMMARY_HEADER, _summary_rows(cfg.to_sweep_config()))
     return 0
 
 

@@ -182,8 +182,9 @@ def _cells(config: SweepConfig, columns, noise_mode: str, f_true, g_exact):
     index i; every row of columns has the same length.  Row r of a block is
     the noise draw of Generator(PCG64(cell_seed(base_seed, i, j, r))) added
     to g_exact, as add_noise makes it; all rows are inverted together.
-    Yields (i, j, seeds, noisy rows, discrete L2 error of each row's
-    estimate), in (i, j) order.
+    Yields (i, j, seeds, noisy rows, array of the discrete L2 error of each
+    row's estimate), in (i, j) order.  A block whose noise or errors
+    overflow raises ValueError naming its delta.
     """
     grid = config.grid
     seeds, words = _cell_streams(config, len(columns[0]))
@@ -194,22 +195,26 @@ def _cells(config: SweepConfig, columns, noise_mode: str, f_true, g_exact):
             if delta > 0.0:
                 noisy = noisy + _noise(grid, delta, words[i, j], noise_mode, gen)
             weights = regularized_multiplier(grid.frequencies, mu)
-            diffs = _filter_rows(noisy, weights) - f_true.values
-            yield i, j, seeds[i, j].tolist(), noisy, [_l2(grid.dx, d) for d in diffs]
+            with np.errstate(over="ignore", invalid="ignore"):
+                errs = _l2(grid.dx, _filter_rows(noisy, weights) - f_true.values)
+            if not np.isfinite(errs).all():
+                raise ValueError(f"noise level delta={delta!r} overflows the estimates")
+            yield i, j, seeds[i, j].tolist(), noisy, errs
 
 
-def _sweep_records(config: SweepConfig, columns) -> list:
-    """One SweepRecord per cell; columns[i][j] is (mu, p, bound) of column j."""
+def _sweep_records(config: SweepConfig, order: str) -> list:
+    """One SweepRecord per cell, sorted by (delta, order, replicate) values."""
     f_true = sample_source(config.source, config.grid)
     g_exact = exact_data(config.source, config.grid)
     f_norm = discrete_l2(f_true)
+    columns = _columns(config)
     records = []
     for i, j, _, noisy, errs in _cells(
         config, columns, config.noise_mode, f_true, g_exact
     ):
         mu, p, bound = columns[i][j]
-        noise = noisy - g_exact.values
-        for r, err in enumerate(errs):
+        noise_norms = _l2(config.grid.dx, noisy - g_exact.values).tolist()
+        for r, (err, noise_norm) in enumerate(zip(errs.tolist(), noise_norms)):
             records.append(SweepRecord(
                 delta=config.deltas[i],
                 mu=mu,
@@ -218,25 +223,64 @@ def _sweep_records(config: SweepConfig, columns) -> list:
                 rel_error=err / f_norm,
                 abs_error=err,
                 bound=bound,
-                empirical_noise_norm=_l2(config.grid.dx, noise[r]),
+                empirical_noise_norm=noise_norm,
             ))
-    return records
+    return sorted(records, key=attrgetter("delta", order, "replicate"))
+
+
+def _columns(config: SweepConfig) -> list:
+    """columns[i][j] = (mu, p, bound): one column per mu (p and bound None),
+    or for mus=RULE_MUS one per p, with the rule's mu (E=1) and its bound."""
+    if not isinstance(config.mus, str):
+        return [[(mu, None, None) for mu in config.mus]] * len(config.deltas)
+    if any(d <= 0 for d in config.deltas):
+        raise ValueError("the rule needs delta > 0 for every delta")
+    rule = [[(select_mu(d, 1.0, p), p) for p in config.p_values] for d in config.deltas]
+    return [[(mu, p, error_bound(d, p, mu)) for mu, p in row]
+            for d, row in zip(config.deltas, rule)]
+
+
+# The columns of the sweep CSV and of fig5.csv.
+_SUMMARY_HEADER = ["mu", "delta", "mean_rel_error", "stderr_rel_error"]
+
+
+def _summary_rows(config: SweepConfig) -> list:
+    """Sorted rows (mu, delta, mean, stderr) of summarize_rel_error over
+    run_mu_sweep(config) (run_rule_comparison for mus=RULE_MUS), folded from
+    the blocks; equal (mu, delta) cells merge as the sorted records order
+    them: by p, then replicate, so duplicate columns interleave."""
+    f_true = sample_source(config.source, config.grid)
+    g_exact = exact_data(config.source, config.grid)
+    f_norm = discrete_l2(f_true)
+    columns = _columns(config)
+    groups: dict = {}
+    for i, j, _, _, errs in _cells(
+        config, columns, config.noise_mode, f_true, g_exact
+    ):
+        mu, p, _ = columns[i][j]
+        by_p = groups.setdefault((mu, config.deltas[i]), {})
+        by_p.setdefault(p, []).append(errs / f_norm)
+    return sorted(
+        key + _mean_stderr(np.concatenate([
+            np.column_stack(blocks).reshape(-1) for _, blocks in sorted(by_p.items())
+        ]))
+        for key, by_p in groups.items()
+    )
 
 
 def run_mu_sweep(config: SweepConfig, workers: int = 1) -> list:
     """Evaluate every (delta, mu, replicate) cell with explicit mus.
 
     Returns SweepRecords sorted by (delta, mu, replicate) values.  Cells run
-    serially; workers is accepted for compatibility and ignored.
+    serially; workers is accepted for compatibility and ignored.  `sweep`
+    and fig5 summarize the same cells from their blocks, building no records.
     """
     if isinstance(config.mus, str):
         raise ValueError(
             "run_mu_sweep needs explicit mus; use run_rule_comparison for "
             f"mus={RULE_MUS!r}"
         )
-    row = [(mu, None, None) for mu in config.mus]
-    records = _sweep_records(config, [row] * len(config.deltas))
-    return sorted(records, key=attrgetter("delta", "mu", "replicate"))
+    return _sweep_records(config, "mu")
 
 
 def run_rule_comparison(config: SweepConfig, workers: int = 1) -> list:
@@ -249,17 +293,7 @@ def run_rule_comparison(config: SweepConfig, workers: int = 1) -> list:
     """
     if config.mus != RULE_MUS:
         raise ValueError(f"run_rule_comparison requires mus={RULE_MUS!r}")
-    if any(d <= 0 for d in config.deltas):
-        raise ValueError("the rule needs delta > 0 for every delta")
-    columns = []
-    for d in config.deltas:
-        row = []
-        for p in config.p_values:
-            mu = select_mu(d, 1.0, p)
-            row.append((mu, p, error_bound(d, p, mu)))
-        columns.append(row)
-    records = _sweep_records(config, columns)
-    return sorted(records, key=attrgetter("delta", "p", "replicate"))
+    return _sweep_records(config, "p")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -320,7 +354,7 @@ def run_bound_check(
         config, columns, "norm_calibrated", f_true, g_exact
     ):
         mu, p, E, raw, scaled = columns[i][j]
-        for r, (seed, err) in enumerate(zip(seeds, errs)):
+        for r, (seed, err) in enumerate(zip(seeds, errs.tolist())):
             findings.append(BoundFinding(
                 delta=config.deltas[i],
                 p=p,
@@ -383,7 +417,9 @@ def _mean_stderr(values) -> tuple:
 
 
 def summarize_rel_error(records) -> dict:
-    """Group records into {(mu, delta): (mean_rel_error, stderr_rel_error)}."""
+    """Group records into {(mu, delta): (mean_rel_error, stderr_rel_error)};
+    equal keys merge in record order, so over a sorted run_mu_sweep repeated
+    columns interleave by replicate, as `sweep` and fig5 do without records."""
     groups: dict = {}
     for rec in records:
         groups.setdefault((rec.mu, rec.delta), []).append(rec.rel_error)
@@ -472,15 +508,8 @@ def reproduce_figures(out_dir, config: Optional[SweepConfig] = None,
         write_csv(path, header, np.column_stack(columns))
         created.append(path)
 
-    records = run_mu_sweep(config, workers=workers)
-    summary = summarize_rel_error(records)
-    rows = [
-        (mu, delta) + summary[(mu, delta)]
-        for mu in sorted(set(config.mus))
-        for delta in sorted(set(config.deltas))
-    ]
     path = out / "fig5.csv"
-    write_csv(path, ["mu", "delta", "mean_rel_error", "stderr_rel_error"], rows)
+    write_csv(path, _SUMMARY_HEADER, _summary_rows(config))
     created.append(path)
 
     for fig_no in (1, 2, 3, 4):

@@ -61,9 +61,10 @@ class NoiseSpec:
             )
 
 
-def _l2(dx: float, v: np.ndarray) -> float:
-    """sqrt(dx * v.v) for one 1-D array; a batched sum would round otherwise."""
-    return math.sqrt(dx * float(np.dot(v, v)))
+def _l2(dx: float, v: np.ndarray) -> np.ndarray:
+    """sqrt(dx * v.v) over the last axis; each row's v.v is a (1, n) @ (n, 1)
+    matmul, np.dot's BLAS dot, so a batch rounds as each row alone would."""
+    return np.sqrt(dx * np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
 
 
 # SeedSequence's constants (numpy/random/bit_generator.pyx): pool size, the
@@ -152,7 +153,8 @@ def _noise(grid: Grid, delta: float, words: np.ndarray, mode: str,
     words is the (rows, 8) array _seed_words(seed words, 8): the words
     PCG64(seed) takes from SeedSequence(seed).  Each row sets the state
     PCG64's set_seed reaches from them (two 128-bit LCG steps) on gen's
-    PCG64, whatever state it had, then draws into the row.
+    PCG64, whatever state it had, then draws into the row.  Noise that
+    overflows when scaled to delta raises ValueError.
     """
     eps = np.empty((len(words), grid.n))
     bitgen = gen.bit_generator
@@ -167,10 +169,10 @@ def _noise(grid: Grid, delta: float, words: np.ndarray, mode: str,
             "uinteger": 0,
         }
         gen.standard_normal(out=row)
-        if mode != "iid":
-            row *= delta / _l2(grid.dx, row)
-    if mode == "iid":
-        eps *= delta
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps *= delta if mode == "iid" else delta / _l2(grid.dx, eps)[:, None]
+    if not np.isfinite(eps).all():
+        raise ValueError(f"noise level delta={delta!r} overflows float64")
     return eps
 
 
@@ -195,7 +197,7 @@ def discrete_l2(s: RealSignal) -> float:
     The sqrt(dx) weight makes the value consistent under grid refinement and
     matches the spectral Sobolev norm at smoothness order 0 (Parseval).
     """
-    return _l2(s.grid.dx, s.values)
+    return float(_l2(s.grid.dx, s.values))
 
 
 def relative_l2_error(estimate: RealSignal, truth: RealSignal) -> float:
@@ -205,4 +207,4 @@ def relative_l2_error(estimate: RealSignal, truth: RealSignal) -> float:
     denom = discrete_l2(truth)
     if denom == 0.0:
         raise ValueError("relative error is undefined against a zero signal")
-    return _l2(truth.grid.dx, estimate.values - truth.values) / denom
+    return float(_l2(truth.grid.dx, estimate.values - truth.values)) / denom

@@ -234,8 +234,9 @@ def regularized_multiplier(xi, mu):
     xi = np.asarray(xi, dtype=float)
     base = inverse_multiplier(xi)
     # Factored so mu = 0 divides by exactly 1.0 and is bit-identical to the
-    # unregularized symbol.
-    out = base / (1.0 + np.square(xi * mu))
+    # unregularized symbol; an overflowing (xi mu)^2 gives the limit 0.
+    with np.errstate(over="ignore"):
+        out = base / (1.0 + np.square(xi * mu))
     return out if np.ndim(out) else float(out)
 
 

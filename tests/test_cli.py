@@ -5,14 +5,25 @@ captured cheaply; exit codes follow the documented contract
 (0 success, 1 validation, 2 I/O).
 """
 
+import contextlib
 import csv
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sourcefft.cli import RunConfig, main, parse_config, serialize_config
+from sourcefft.experiments import (
+    RULE_MUS,
+    run_mu_sweep,
+    run_rule_comparison,
+    summarize_rel_error,
+    write_csv,
+)
+from sourcefft.noise_lab import NOISE_MODES
 
 TWO_PI = 2.0 * math.pi
 
@@ -111,6 +122,16 @@ class TestSimulate:
             f"nonnegative, got {delta}"
         ]
 
+    # A numpy RuntimeWarning would print a second stderr line outside pytest.
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_delta_is_one_error_line(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--n", "8", "--delta", "1e308")
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "sourcefft: error: noise level delta=1e+308 overflows float64"
+        ]
+
     @pytest.mark.parametrize("mode", ["iid", "norm-calibrated"])
     def test_stdout_bytes_equal_file_bytes(self, capsys, tmp_path, mode):
         # stdout is a text stream, --out a file: write_csv takes a different
@@ -200,6 +221,20 @@ class TestInvert:
         assert err.startswith("sourcefft: error:")
         assert len(err.splitlines()) == 1
         assert "must be finite" in err
+
+    # The symbol's (xi mu)^2 overflows; its limit, an all-zero estimate, is
+    # the answer, with no RuntimeWarning on stderr.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mu", ["1e200", "1e308"])
+    def test_huge_mu_gives_zero_estimate_quietly(self, capsys, forward_file, mu):
+        code, out, err = run_cli(
+            capsys, "invert", "--input", str(forward_file), "--mu", mu
+        )
+        assert code == 0
+        assert err == ""
+        header, cols = parse_csv(out)
+        assert header == ["x", "f_estimate"]
+        assert np.all(cols[1] == 0.0)
 
     def test_negative_mu_rejected(self, capsys, forward_file):
         code, _, err = run_cli(
@@ -348,12 +383,85 @@ class TestSweep:
         assert "finite" in lines[0]
         assert "Warning" not in err
 
+    # iid noise at 1e308 overflows in the draw; norm-calibrated noise at
+    # 1e200 is finite, but the errors of its estimates overflow.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "text, delta",
+        [
+            ("deltas = 1e308\nmus = 0, 1\nreplicates = 2", "1e+308"),
+            ("n = 8\ndeltas = 0.1, 1e200\nnoise_mode = norm_calibrated\n"
+             "mus = 0, 1\nreplicates = 2", "1e+200"),
+        ],
+    )
+    def test_overflowing_delta_is_one_error_line(self, capsys, tmp_path, text, delta):
+        path = tmp_path / "overflow.cfg"
+        path.write_text(text + "\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"sourcefft: error: noise level delta={delta} ")
+
     def test_workers_match_serial(self, capsys, tiny_config):
         _, out1, _ = run_cli(capsys, "sweep", "--config", str(tiny_config))
         _, out4, _ = run_cli(
             capsys, "sweep", "--config", str(tiny_config), "--workers", "4"
         )
         assert out1 == out4
+
+
+SWEEP_HEADER = ["mu", "delta", "mean_rel_error", "stderr_rel_error"]
+
+
+def repeats(pool, most):
+    """Tuples of 1 to most values drawn from pool, repeats likely."""
+    return st.lists(st.sampled_from(pool), min_size=1, max_size=most).map(tuple)
+
+
+@st.composite
+def sweep_configs(draw):
+    """Small configs whose mus, deltas and p_values repeat values (signed
+    zeros included), so equal (mu, delta) keys merge; delta 0 in mu mode,
+    and delta 1 in rule mode, where every p gives mu = 1."""
+    rule = draw(st.booleans())
+    return RunConfig(
+        n=2 * draw(st.integers(4, 32)),
+        deltas=draw(repeats([0.02, 0.1, 1.0] if rule else [0.0, 0.02, 0.1], 4)),
+        mus=RULE_MUS if rule else draw(repeats([0.0, -0.0, 0.5, 2.0], 4)),
+        p_values=draw(repeats([0.0, 1.0, 2.0], 3)),
+        replicates=draw(st.integers(1, 4)),
+        base_seed=draw(st.integers(0, 2**64 - 1)),
+        noise_mode=draw(st.sampled_from(NOISE_MODES)),
+    )
+
+
+class TestSweepSummary:
+    """`sweep` summarizes from the cell blocks; its bytes equal the summary
+    of the public record API."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=sweep_configs())
+    @example(cfg=RunConfig(
+        n=8, deltas=(0.1, 0.0, 0.1), mus=(0.5, -0.0, 0.5, 0.0), replicates=3
+    ))
+    @example(cfg=RunConfig(
+        n=8, deltas=(1.0, 0.1), mus=RULE_MUS, p_values=(2.0, 0.0, 2.0), replicates=3
+    ))
+    def test_csv_equals_record_summary(self, tmp_path_factory, cfg):
+        path = tmp_path_factory.mktemp("sweep") / "sweep.cfg"
+        path.write_text(serialize_config(cfg))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["sweep", "--config", str(path)]) == 0
+        sweep = cfg.to_sweep_config()
+        run = run_rule_comparison if sweep.mus == RULE_MUS else run_mu_sweep
+        summary = summarize_rel_error(run(sweep))
+        expected = io.StringIO()
+        rows = [key + summary[key] for key in sorted(summary)]
+        write_csv(expected, SWEEP_HEADER, rows)
+        assert out.getvalue() == expected.getvalue()
 
 
 class TestFigures:
@@ -387,6 +495,19 @@ class TestFigures:
         ]
         for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_delta_is_one_error_line(self, capsys, tmp_path):
+        path = tmp_path / "overflow.cfg"
+        path.write_text("deltas = 1e308\nmus = 0, 1\nreplicates = 2\n")
+        code, out, err = run_cli(
+            capsys, "figures", "--config", str(path), "--out", str(tmp_path / "f")
+        )
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "sourcefft: error: noise level delta=1e+308 overflows float64"
+        ]
 
     def test_unwritable_out_is_io_error(self, capsys, tmp_path, small_config):
         blocker = tmp_path / "not-a-dir"

@@ -102,6 +102,24 @@ class TestAgainstRepr:
                     -2.2250738585072014e-308, 1.7976931348623157e308, 1e-5]
         assert_formats(specials, cols=2)
 
+    # Tables that are mostly or wholly outside fixed notation: the kernel
+    # runs on the fixed-notation subset only, the rest go through repr.
+    @pytest.mark.parametrize("outside", ["zeros", "tiny", "mixed"])
+    def test_tables_outside_fixed_notation(self, outside):
+        rng = np.random.default_rng(11)
+        tiny = rng.standard_normal((500, 3)) * 1e-6
+        # Tiny, signed zero and huge (exponent notation) values.
+        pick = rng.integers(0, 3, tiny.shape)
+        repr_only = np.choose(pick, [tiny, -tiny * 0.0, tiny * 1e24])
+        table = {
+            "zeros": np.zeros((500, 3)),
+            "tiny": tiny,
+            "mixed": np.where(
+                rng.random(tiny.shape) < 0.5, repr_only, rng.standard_normal(tiny.shape)
+            ),
+        }[outside]
+        assert format_rows(table) == reference(table)
+
     def test_simulate_shaped_table(self):
         n = 1 << 16
         x = 2.0 * math.pi * np.arange(n) / n

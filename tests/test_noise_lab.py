@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sourcefft.noise_lab import (
     NoiseSpec,
     _int_words,
+    _l2,
     _seed_words,
     add_noise,
     discrete_l2,
@@ -122,6 +123,12 @@ class TestAddNoise:
         expected = cosine_signal.values + numpy_noise(cosine_signal.grid, spec)
         assert np.array_equal(out.values, expected)
 
+    # A numpy RuntimeWarning would print a second stderr line in the CLI.
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_delta_names_delta(self, cosine_signal):
+        with pytest.raises(ValueError, match=r"^noise level delta=1e\+308 overflows"):
+            add_noise(cosine_signal, NoiseSpec(1e308, 3))
+
     def test_deterministic_given_spec(self, cosine_signal):
         spec = NoiseSpec(0.07, 99)
         a = add_noise(cosine_signal, spec)
@@ -151,6 +158,21 @@ class TestAddNoise:
             ea, eb = a - cosine_signal.values, b - cosine_signal.values
             rho = float(np.corrcoef(ea, eb)[0, 1])
             assert abs(rho) < 0.1
+
+
+class TestRowNorms:
+    """_l2 over the rows of a block equals each row's own dot product."""
+
+    @pytest.mark.parametrize("n", [8, 10, 64, 250, 256, 1000, 4096, 1 << 14])
+    @pytest.mark.parametrize("rows", [1, 3, 20, 81])
+    def test_equals_row_by_row_dot(self, n, rows):
+        rng = np.random.default_rng(1000 * n + rows)
+        scales = 10.0 ** rng.integers(-6, 7, size=(rows, 1))
+        block = rng.standard_normal((rows, n)) * scales
+        dx = TWO_PI / n
+        expected = [math.sqrt(dx * np.dot(row, row)) for row in block]
+        assert _l2(dx, block).tolist() == expected
+        assert _l2(dx, block[0]) == expected[0]
 
 
 class TestMetrics:
