@@ -1,14 +1,16 @@
 """Seeded parameter sweeps, the bound-check suite, and figure-style outputs.
 
-Every experiment cell (one noise realization at one parameter combination)
-draws its seed from cell_seed(base_seed, delta_index, mu_index, replicate),
-a pure function, so sweeps are reproducible cell by cell and independent
-of the order cells run in.  A sweep hashes the seeds of all its cells, and
-the PCG64 words each seed expands to, in one vectorized SeedSequence pass;
-each cell's draw stays bit-equal to Generator(PCG64(cell_seed(...))).
-Cells run serially in blocks, one FFT pair per (delta, mu) pair and all its
-replicates; the drivers' workers argument is accepted and ignored.
-Result lists are sorted by parameter values, never by position in the config.
+An experiment cell is one noise realization at one parameter combination.
+Replicate r at delta index i draws the stream of
+Generator(PCG64(cell_seed(base_seed, i, 0, r))), and every column at that
+delta (each mu of an explicit sweep, each p of the rule and the bound
+check) inverts that same draw, so differences between columns are paired.
+A sweep hashes the seeds of its (delta, replicate) draws, and the PCG64
+words each seed expands to, in one vectorized SeedSequence pass.  Cells run
+serially: one rfft of each delta's (replicates, n) block of noisy data, and
+one irfft per column; the drivers' workers argument is accepted and
+ignored.  Result lists are sorted by parameter values, never by position in
+the config.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from ._floatfmt import format_rows
 from .inversion import (
-    _filter_rows,
+    _filter_half,
     error_bound,
     estimate_source_regularized,
     estimate_source_unregularized,
@@ -149,28 +151,30 @@ class SweepRecord:
 
 
 def cell_seed(base_seed: int, delta_index: int, mu_index: int, replicate: int) -> int:
-    """Seed for one experiment cell.
+    """Seed of one noise draw.
 
     The 64-bit state of SeedSequence((base_seed, delta_index, mu_index,
     replicate)), its first two uint32 words joined low word first;
     SeedSequence's expansion is specified and stable across platforms and
     numpy versions, so this is a documented pure function of its four
-    nonnegative integer arguments.
+    nonnegative integer arguments.  Sweeps, the bound check and the figures
+    draw with mu_index 0: cell_seed(base_seed, i, 0, r) seeds replicate r
+    at delta index i, shared by every mu (or p) at that delta.
     """
     entropy = (base_seed, delta_index, mu_index, replicate)
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def _cell_streams(config: SweepConfig, n_columns: int) -> tuple:
-    """Seeds and PCG64 words of every cell, hashed in one array pass.
+def _cell_streams(config: SweepConfig) -> tuple:
+    """Seeds and PCG64 words of every (delta, replicate) draw, hashed in one
+    array pass.
 
-    Returns (seeds, words): seeds[i, j, r] is cell_seed(base_seed, i, j, r)
-    as uint64 and words[i, j, r] the 8 uint32 words PCG64 takes from it,
-    for n_columns columns at every delta index.
+    Returns (seeds, words): seeds[i, r] is cell_seed(base_seed, i, 0, r) as
+    uint64 and words[i, r] the 8 uint32 words PCG64 takes from it.
     """
-    i, j, r = np.ogrid[:len(config.deltas), :n_columns, :config.replicates]
+    i, r = np.ogrid[:len(config.deltas), :config.replicates]
     base = [[w] for w in _int_words(config.base_seed)]
-    low, high = np.moveaxis(_seed_words([*base, i, j, r], 2), -1, 0)
+    low, high = np.moveaxis(_seed_words([*base, i, 0, r], 2), -1, 0)
     seeds = high.astype(np.uint64) << np.uint64(32) | low
     return seeds, _seed_words([low, high], 8)
 
@@ -179,27 +183,36 @@ def _cells(config: SweepConfig, columns, noise_mode: str, f_true, g_exact):
     """Run the cells in blocks, one block per (delta index i, column j).
 
     columns[i][j] is a tuple whose first item is the mu of column j at delta
-    index i; every row of columns has the same length.  Row r of a block is
-    the noise draw of Generator(PCG64(cell_seed(base_seed, i, j, r))) added
-    to g_exact, as add_noise makes it; all rows are inverted together.
-    Yields (i, j, seeds, noisy rows, array of the discrete L2 error of each
-    row's estimate), in (i, j) order.  A block whose noise or errors
-    overflow raises ValueError naming its delta.
+    index i.  Row r of every block at delta index i is the noise draw of
+    Generator(PCG64(cell_seed(base_seed, i, 0, r))) added to g_exact, as
+    add_noise makes it.  The (replicates, n) rows of a delta get one rfft,
+    and each column one irfft of it times the column's weights, which are
+    built once per distinct mu of the run; each row's estimate is bit for
+    bit estimate_source_regularized of that row.  Yields (i, j, seeds,
+    noisy rows, array of the discrete L2 error of each row's estimate), in
+    (i, j) order; the blocks of one delta share seeds and noisy rows.  A
+    block whose noise or errors overflow raises ValueError naming its delta.
     """
     grid = config.grid
-    seeds, words = _cell_streams(config, len(columns[0]))
+    seeds, words = _cell_streams(config)
     gen = np.random.Generator(np.random.PCG64(0))
+    weights = {}
     for i, (delta, row) in enumerate(zip(config.deltas, columns)):
+        noisy = np.broadcast_to(g_exact.values, (config.replicates, grid.n))
+        if delta > 0.0:
+            noisy = noisy + _noise(grid, delta, words[i], noise_mode, gen)
+        with np.errstate(over="ignore", invalid="ignore"):
+            half = np.fft.rfft(noisy)
+        row_seeds = seeds[i].tolist()
         for j, (mu, *_) in enumerate(row):
-            noisy = np.broadcast_to(g_exact.values, (config.replicates, grid.n))
-            if delta > 0.0:
-                noisy = noisy + _noise(grid, delta, words[i, j], noise_mode, gen)
-            weights = regularized_multiplier(grid.frequencies, mu)
+            if mu not in weights:
+                weights[mu] = regularized_multiplier(grid.half_frequencies, mu)
             with np.errstate(over="ignore", invalid="ignore"):
-                errs = _l2(grid.dx, _filter_rows(noisy, weights) - f_true.values)
+                estimates = _filter_half(half, weights[mu], grid.n)
+                errs = _l2(grid.dx, estimates - f_true.values)
             if not np.isfinite(errs).all():
                 raise ValueError(f"noise level delta={delta!r} overflows the estimates")
-            yield i, j, seeds[i, j].tolist(), noisy, errs
+            yield i, j, row_seeds, noisy, errs
 
 
 def _sweep_records(config: SweepConfig, order: str) -> list:
@@ -213,7 +226,8 @@ def _sweep_records(config: SweepConfig, order: str) -> list:
         config, columns, config.noise_mode, f_true, g_exact
     ):
         mu, p, bound = columns[i][j]
-        noise_norms = _l2(config.grid.dx, noisy - g_exact.values).tolist()
+        if j == 0:
+            noise_norms = _l2(config.grid.dx, noisy - g_exact.values).tolist()
         for r, (err, noise_norm) in enumerate(zip(errs.tolist(), noise_norms)):
             records.append(SweepRecord(
                 delta=config.deltas[i],
@@ -253,19 +267,38 @@ def _summary_rows(config: SweepConfig) -> list:
     g_exact = exact_data(config.source, config.grid)
     f_norm = discrete_l2(f_true)
     columns = _columns(config)
-    groups: dict = {}
+    keys: dict = {}  # (mu, delta) -> key index, in first-seen order
+    block_keys, block_ps, errors = [], [], []
     for i, j, _, _, errs in _cells(
         config, columns, config.noise_mode, f_true, g_exact
     ):
         mu, p, _ = columns[i][j]
-        by_p = groups.setdefault((mu, config.deltas[i]), {})
-        by_p.setdefault(p, []).append(errs / f_norm)
-    return sorted(
-        key + _mean_stderr(np.concatenate([
-            np.column_stack(blocks).reshape(-1) for _, blocks in sorted(by_p.items())
-        ]))
-        for key, by_p in groups.items()
-    )
+        block_keys.append(keys.setdefault((mu, config.deltas[i]), len(keys)))
+        block_ps.append(p)
+        errors.append(errs)
+    # Sort the (block, replicate) values by key, p, replicate, then block:
+    # each key's values come out contiguous and in the records' order.
+    p_rank = {p: k for k, p in enumerate(sorted(set(block_ps)))}
+    shape = (len(errors), config.replicates)
+    order = np.lexsort([
+        np.broadcast_to(a, shape).ravel() for a in (
+            np.arange(shape[0])[:, None],
+            np.arange(shape[1]),
+            np.array([p_rank[p] for p in block_ps])[:, None],
+            np.array(block_keys)[:, None],
+        )
+    ])
+    values = (np.stack(errors) / f_norm).ravel()[order]
+    counts = np.bincount(block_keys) * config.replicates
+    starts = np.cumsum(counts) - counts
+    stats = [None] * len(keys)
+    for count in set(counts.tolist()):
+        (which,) = np.nonzero(counts == count)
+        table = values[starts[which][:, None] + np.arange(count)]
+        means, stderrs = _mean_stderr(table)
+        for k, mean, stderr in zip(which.tolist(), means.tolist(), stderrs.tolist()):
+            stats[k] = (mean, stderr)
+    return sorted(key + stats[k] for key, k in keys.items())
 
 
 def run_mu_sweep(config: SweepConfig, workers: int = 1) -> list:
@@ -408,12 +441,14 @@ def write_csv(path, header: Sequence[str], rows) -> None:
             path.write(chunk.decode("utf-8"))
 
 
-def _mean_stderr(values) -> tuple:
-    arr = np.asarray(values, dtype=float)
-    mean = float(np.mean(arr))
-    if arr.size < 2:
-        return mean, 0.0
-    return mean, float(np.std(arr, ddof=1) / math.sqrt(arr.size))
+def _mean_stderr(table: np.ndarray) -> tuple:
+    """(means, standard errors) of the rows of a 2-D array, reduced along
+    the last axis, so each row rounds as np.mean/np.std of it alone; the
+    standard error of a one-value row is 0."""
+    mean = np.mean(table, axis=-1)
+    if table.shape[-1] < 2:
+        return mean, np.zeros_like(mean)
+    return mean, np.std(table, axis=-1, ddof=1) / math.sqrt(table.shape[-1])
 
 
 def summarize_rel_error(records) -> dict:
@@ -423,7 +458,10 @@ def summarize_rel_error(records) -> dict:
     groups: dict = {}
     for rec in records:
         groups.setdefault((rec.mu, rec.delta), []).append(rec.rel_error)
-    return {key: _mean_stderr(vals) for key, vals in groups.items()}
+    return {
+        key: tuple(float(v[0]) for v in _mean_stderr(np.array([vals])))
+        for key, vals in groups.items()
+    }
 
 
 _GNUPLOT_SERIES = """set datafile separator ','

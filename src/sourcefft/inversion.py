@@ -18,7 +18,6 @@ import numpy as np
 
 from .spectral_core import (
     RealSignal,
-    _real_ifft,
     forward_multiplier,
     inverse_multiplier,
     regularized_multiplier,
@@ -88,7 +87,7 @@ def solve_forward(f: RealSignal, demean: bool = False) -> RealSignal:
                 "pass demean=True to subtract it"
             )
         f = RealSignal(f.grid, f.values - mean)
-    weights = forward_multiplier(f.grid.frequencies)
+    weights = forward_multiplier(f.grid.half_frequencies)
     return RealSignal(f.grid, _filter_rows(f.values, weights))
 
 
@@ -100,7 +99,7 @@ def estimate_source_unregularized(g: RealSignal) -> RealSignal:
     oscillate wildly.  That is expected behavior, not an error.  The DC mode
     of the estimate is 0 by the multiplier's convention.
     """
-    weights = inverse_multiplier(g.grid.frequencies)
+    weights = inverse_multiplier(g.grid.half_frequencies)
     return RealSignal(g.grid, _filter_rows(g.values, weights))
 
 
@@ -110,14 +109,27 @@ def estimate_source_regularized(g: RealSignal, mu: float) -> RealSignal:
     f_hat(xi_k) = regularized_multiplier(xi_k, mu) * g_hat(xi_k).  mu = 0
     coincides with estimate_source_unregularized bit for bit.
     """
-    weights = regularized_multiplier(g.grid.frequencies, mu)
+    weights = regularized_multiplier(g.grid.half_frequencies, mu)
     return RealSignal(g.grid, _filter_rows(g.values, weights))
 
 
 def _filter_rows(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Multiply the DFT of each row of values by weights and transform back;
-    one FFT pair serves all rows, each bit for bit as it would come alone."""
-    return _real_ifft(np.fft.fft(values) * weights)
+    """irfft(rfft(values) * weights, n) along the last axis.
+
+    weights holds a real even multiplier on the n/2+1 nonnegative
+    frequencies (Grid.half_frequencies).  One rfft/irfft pair serves all
+    rows, each bit for bit as it would come alone.  The real transform pair
+    keeps the estimate real by construction, so there is no imaginary
+    residue to check.
+    """
+    return _filter_half(np.fft.rfft(values), weights, values.shape[-1])
+
+
+def _filter_half(half: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """The inverse half of _filter_rows, for a half spectrum rfft(values)
+    that several weight rows share: a sweep takes one rfft per noise draw
+    and one irfft per mu."""
+    return np.fft.irfft(half * weights, n)
 
 
 def _check_finite(**params) -> None:

@@ -4,9 +4,10 @@ Noise generation is a pure function of (NoiseSpec, input): the draw is the
 stream of Generator(PCG64(NoiseSpec.seed)), so identical inputs give
 bit-identical outputs on every platform and under any execution schedule.
 The SeedSequence hash that PCG64(seed) runs is re-implemented here over
-uint32 columns (_seed_words), so a sweep seeds all its cells in one array
-pass, and the PCG64 start state is set directly from the hashed words
-(_noise); each row stays bit-equal to Generator(PCG64(seed)).
+uint32 columns (_seed_words), so a sweep seeds all its draws, one per
+(delta, replicate), in one array pass, and the PCG64 start state is set
+directly from the hashed words (_noise); each row stays bit-equal to
+Generator(PCG64(seed)).  Every mu of a sweep reuses the same rows.
 """
 
 from __future__ import annotations

@@ -89,6 +89,15 @@ class Grid:
         xi.setflags(write=False)
         return xi
 
+    @cached_property
+    def half_frequencies(self) -> np.ndarray:
+        """xi_k for k = 0..n/2, the rfft storage order.  The last entry is
+        +nyquist where frequencies has -nyquist; the multipliers are even,
+        so their weights agree on it bit for bit."""
+        xi = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.dx)
+        xi.setflags(write=False)
+        return xi
+
     @property
     def nyquist(self) -> float:
         """Largest frequency magnitude carried by the grid, pi*n/length."""
@@ -164,21 +173,10 @@ def to_spectrum(s: RealSignal) -> Spectrum:
     return Spectrum(s.grid, np.fft.fft(s.values))
 
 
-# Largest imaginary part from_spectrum accepts in an inverse transform.
+# Largest imaginary part from_spectrum accepts in an inverse transform,
+# relative to max(1, largest real part): rounding residue grows with the
+# data, so an absolute bound would reject valid spectra of large signals.
 _IMAG_TOL = 1e-10
-
-
-def _real_ifft(coeffs: np.ndarray) -> np.ndarray:
-    """Real part of the inverse DFT along the last axis; an imaginary part of
-    1e-10 or more anywhere in the array raises ValueError (from_spectrum)."""
-    raw = np.fft.ifft(coeffs)
-    resid = float(np.max(np.abs(raw.imag)))
-    if resid >= _IMAG_TOL:
-        raise ValueError(
-            f"imaginary residue {resid:.3e} exceeds {_IMAG_TOL:g}; "
-            "the spectrum lost conjugate symmetry"
-        )
-    return raw.real
 
 
 def from_spectrum(sp: Spectrum) -> RealSignal:
@@ -186,10 +184,19 @@ def from_spectrum(sp: Spectrum) -> RealSignal:
 
     The spectrum of a real signal times a real even multiplier is conjugate
     symmetric, so the imaginary part of the inverse is rounding noise and is
-    discarded.  A residue of 1e-10 or more means the symmetry was lost (for
-    instance through an odd multiplier) and raises ValueError.
+    discarded.  A residue of 1e-10 times max(1, the largest real sample) or
+    more means the symmetry was lost (for instance through an odd
+    multiplier) and raises ValueError.
     """
-    return RealSignal(sp.grid, _real_ifft(sp.coeffs))
+    raw = np.fft.ifft(sp.coeffs)
+    resid = float(np.max(np.abs(raw.imag)))
+    tol = _IMAG_TOL * max(1.0, float(np.max(np.abs(raw.real))))
+    if resid >= tol:
+        raise ValueError(
+            f"imaginary residue {resid:.3e} exceeds {tol:.3e}; "
+            "the spectrum lost conjugate symmetry"
+        )
+    return RealSignal(sp.grid, raw.real)
 
 
 def forward_multiplier(xi):

@@ -404,6 +404,31 @@ class TestSweep:
         assert len(lines) == 1
         assert lines[0].startswith(f"sourcefft: error: noise level delta={delta} ")
 
+    # The data scale with delta, and so does the rounding residue of an
+    # inverse FFT; large but finite noise levels must still run.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", NOISE_MODES)
+    @pytest.mark.parametrize("delta", ["1000", "1e6"])
+    def test_large_delta_runs(self, capsys, tmp_path, mode, delta):
+        path = tmp_path / "large.cfg"
+        path.write_text(
+            f"deltas = {delta}\nnoise_mode = {mode}\nmus = 0, 1\nreplicates = 2\n"
+        )
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert (code, err) == (0, "")
+        header, cols = parse_csv(out)
+        assert len(cols[0]) == 2 and np.all(np.isfinite(cols[2]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_norm_calibrated_delta_at_default_n(self, capsys, tmp_path):
+        path = tmp_path / "overflow.cfg"
+        path.write_text("deltas = 1e200\nnoise_mode = norm_calibrated\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "sourcefft: error: noise level delta=1e+200 overflows the estimates"
+        ]
+
     def test_workers_match_serial(self, capsys, tiny_config):
         _, out1, _ = run_cli(capsys, "sweep", "--config", str(tiny_config))
         _, out4, _ = run_cli(

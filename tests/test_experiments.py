@@ -270,15 +270,17 @@ class TestBoundCheck:
 def per_cell_reference(config, columns):
     """Every cell of a sweep, one at a time, through the public API only.
 
-    columns[i][j] is the mu of column j at delta index i.  Yields
-    (i, j, r, seed, abs error, empirical noise norm) in (i, j, r) order.
+    columns[i][j] is the mu of column j at delta index i.  Every column at
+    delta index i inverts replicate r's draw cell_seed(base_seed, i, 0, r).
+    Yields (i, j, r, seed, abs error, empirical noise norm) in (i, j, r)
+    order.
     """
     f_true = sample_source(config.source, config.grid)
     g_exact = exact_data(config.source, config.grid)
     for i, (delta, row) in enumerate(zip(config.deltas, columns)):
         for j, mu in enumerate(row):
             for r in range(config.replicates):
-                seed = cell_seed(config.base_seed, i, j, r)
+                seed = cell_seed(config.base_seed, i, 0, r)
                 noisy = add_noise(g_exact, NoiseSpec(delta, seed, config.noise_mode))
                 est = estimate_source_regularized(noisy, mu)
                 err = discrete_l2(RealSignal(config.grid, est.values - f_true.values))
@@ -360,7 +362,7 @@ class TestBatchedCellsMatchPerCell:
     @pytest.mark.parametrize("base_seed", [2**32, 2**64 - 1])
     @pytest.mark.parametrize("mode", ["iid", "norm_calibrated"])
     def test_big_base_seed_mu_sweep(self, base_seed, mode):
-        # base_seed >= 2^32 makes the cell entropy five words.  The
+        # base_seed >= 2^32 makes the draw's entropy five words.  The
         # reference uses numpy's SeedSequence and PCG64 alone, not add_noise.
         cfg = small_config(
             deltas=(0.1, 0.05), mus=(0.0, 0.5, 3.0), replicates=3,
@@ -373,7 +375,7 @@ class TestBatchedCellsMatchPerCell:
         for i, delta in enumerate(cfg.deltas):
             for j, mu in enumerate(cfg.mus):
                 for r in range(cfg.replicates):
-                    state = np.random.SeedSequence((base_seed, i, j, r))
+                    state = np.random.SeedSequence((base_seed, i, 0, r))
                     seed = int(state.generate_state(1, np.uint64)[0])
                     gen = np.random.Generator(np.random.PCG64(seed))
                     eps = gen.standard_normal(grid.n)
@@ -403,10 +405,53 @@ class TestBatchedCellsMatchPerCell:
             base_seed=2**40 + 3, noise_mode="norm_calibrated",
         )
         for finding in run_bound_check(cfg):
-            j = cfg.p_values.index(finding.p)
-            entropy = (cfg.base_seed, 0, j, finding.replicate)
+            entropy = (cfg.base_seed, 0, 0, finding.replicate)
             state = np.random.SeedSequence(entropy).generate_state(1, np.uint64)
             assert finding.seed == int(state[0])
+
+
+class TestSharedDraw:
+    """Every column at one (delta, replicate) inverts the same noise draw."""
+
+    @pytest.mark.parametrize("mode", ["iid", "norm_calibrated"])
+    def test_noise_norm_equal_across_mus(self, mode):
+        cfg = small_config(mus=(3.0, 0.0, 0.5, 1.0), replicates=3, noise_mode=mode)
+        by_cell = {}
+        for rec in run_mu_sweep(cfg):
+            by_cell.setdefault((rec.delta, rec.replicate), set()).add(
+                rec.empirical_noise_norm
+            )
+        assert len(by_cell) == 2 * 3
+        assert all(len(norms) == 1 for norms in by_cell.values())
+        if mode == "iid":  # norm-calibrated draws all have norm delta
+            # Different replicates still see different draws.
+            assert len({norms.pop() for norms in by_cell.values()}) == 2 * 3
+
+    def test_bound_check_seed_equal_across_p(self):
+        cfg = small_config(
+            deltas=(0.1, 0.05), mus=RULE_MUS, p_values=(2.0, 1.0, 0.0),
+            replicates=3, noise_mode="norm_calibrated",
+        )
+        by_cell = {}
+        for finding in run_bound_check(cfg):
+            by_cell.setdefault((finding.delta, finding.replicate), []).append(
+                finding.seed
+            )
+        assert len(by_cell) == 2 * 3
+        for (delta, r), seeds in by_cell.items():
+            i = cfg.deltas.index(delta)
+            assert seeds == [cell_seed(cfg.base_seed, i, 0, r)] * 3
+
+    def test_figure_draw_is_replicate_zero(self):
+        # fig1-4 draw cell_seed(base_seed, i, 0, 0): replicate 0 of the
+        # sweep, at every mu.
+        cfg = small_config(deltas=(0.05,), mus=(1.0, 0.0), replicates=2)
+        g_exact = exact_data(cfg.source, cfg.grid)
+        noisy = add_noise(g_exact, NoiseSpec(0.05, cell_seed(42, 0, 0, 0)))
+        figure_norm = discrete_l2(RealSignal(cfg.grid, noisy.values - g_exact.values))
+        first = [rec for rec in run_mu_sweep(cfg) if rec.replicate == 0]
+        assert [rec.mu for rec in first] == [0.0, 1.0]
+        assert all(rec.empirical_noise_norm == figure_norm for rec in first)
 
 
 class TestNonFiniteParameters:

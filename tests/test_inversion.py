@@ -133,8 +133,7 @@ class TestEstimators:
 
 
 def random_rows(draw_seed, grid, rows):
-    # Scaled so the filtered rows stay O(1) even at mu = 0: the imaginary
-    # residue guard is absolute, and random data on a fine grid would trip it.
+    # Scaled so the filtered rows stay O(1) even at mu = 0.
     rng = np.random.Generator(np.random.PCG64(draw_seed))
     return rng.standard_normal((rows, grid.n)) / (1.0 + grid.nyquist**2)
 
@@ -144,6 +143,13 @@ grids = st.builds(
     st.integers(4, 512),
     st.floats(0.1, 1000.0),
 )
+
+
+# Largest deviation allowed between the rfft kernel and the full complex
+# Spectrum path (to_spectrum, apply_multiplier, from_spectrum), relative to
+# the largest sample of the latter: two FFT pairs of different shape round
+# differently; measured at most 1.5e-15 over 3,000 random cases.
+SPECTRUM_PATH_RTOL = 1e-13
 
 
 class TestBatchedKernel:
@@ -165,17 +171,20 @@ class TestBatchedKernel:
     )
     def test_rows_equal_single_estimates(self, grid, mu, rows, draw_seed):
         values = random_rows(draw_seed, grid, rows)
-        batched = _filter_rows(values, regularized_multiplier(grid.frequencies, mu))
+        weights = regularized_multiplier(grid.half_frequencies, mu)
+        batched = _filter_rows(values, weights)
         assert batched.shape == values.shape
         for row, out in zip(values, batched):
             g = RealSignal(grid, row)
             single = estimate_source_regularized(g, mu)
             assert np.array_equal(out, single.values)
-            # The same filter through the Spectrum-level public API.
+            # The same filter through the Spectrum-level public API, which
+            # keeps all n complex coefficients: equal up to rounding.
             spectrum = apply_multiplier(
                 to_spectrum(g), lambda xi: regularized_multiplier(xi, mu)
             )
-            assert np.array_equal(out, from_spectrum(spectrum).values)
+            full = from_spectrum(spectrum).values
+            assert np.max(np.abs(out - full)) <= SPECTRUM_PATH_RTOL * np.max(np.abs(full))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -185,8 +194,8 @@ class TestBatchedKernel:
     )
     def test_mu_zero_is_unregularized(self, grid, rows, draw_seed):
         values = random_rows(draw_seed, grid, rows)
-        batched = _filter_rows(values, regularized_multiplier(grid.frequencies, 0.0))
-        direct = _filter_rows(values, inverse_multiplier(grid.frequencies))
+        batched = _filter_rows(values, regularized_multiplier(grid.half_frequencies, 0.0))
+        direct = _filter_rows(values, inverse_multiplier(grid.half_frequencies))
         assert np.array_equal(batched, direct)
         for row, out in zip(values, batched):
             g = RealSignal(grid, row)

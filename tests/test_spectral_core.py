@@ -127,6 +127,20 @@ class TestSignalAndSpectrum:
             np.abs(sp.coeffs)
         )
 
+    @pytest.mark.parametrize("scale", [1e6, 1e12])
+    def test_large_spectrum_passes_residue_guard(self, scale):
+        # The residue tolerance scales with the data: a valid spectrum of a
+        # large signal has a large rounding residue, not a broken symmetry.
+        g = make_grid(256, 0.0, TWO_PI)
+        rng = np.random.Generator(np.random.PCG64(5))
+        s = RealSignal(g, rng.standard_normal(256))
+        sp = apply_multiplier(to_spectrum(s), inverse_multiplier)
+        big = Spectrum(g, sp.coeffs * scale)
+        back = from_spectrum(big).values
+        assert np.max(np.abs(back - scale * from_spectrum(sp).values)) <= (
+            1e-12 * np.max(np.abs(back))
+        )
+
     def test_real_signal_spectra_conjugate_symmetric(self):
         g = make_grid(32, 0.0, 2.0)
         rng = np.random.Generator(np.random.PCG64(3))
@@ -139,6 +153,21 @@ class TestSignalAndSpectrum:
 
 
 class TestMultipliers:
+    @pytest.mark.parametrize("n, length", [(8, 1.0), (256, TWO_PI), (1000, 7.5)])
+    def test_half_spectrum_weights_match_full(self, n, length):
+        # The rfft kernel takes weights on xi_0..xi_{n/2}.  Its last entry is
+        # +nyquist where the full order has -nyquist; even symbols agree.
+        g = make_grid(n, 0.0, length)
+        half = g.half_frequencies
+        assert half.shape == (n // 2 + 1,)
+        assert half[-1] == -g.frequencies[n // 2]
+        assert half[-1] == pytest.approx(g.nyquist, rel=1e-15)
+        for symbol in (
+            forward_multiplier, inverse_multiplier,
+            lambda xi: regularized_multiplier(xi, 0.7),
+        ):
+            assert np.array_equal(symbol(half), symbol(g.frequencies)[: n // 2 + 1])
+
     def test_forward_at_one(self):
         expected = -math.expm1(-1.0)  # 1 - e^{-1}
         assert forward_multiplier(1.0) == pytest.approx(expected, rel=1e-15)
