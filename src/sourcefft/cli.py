@@ -14,7 +14,9 @@ pipeline against the quadrature oracle; it exists for debugging and does not
 appear in the help listing.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error.  Errors are single
-lines on stderr of the form `sourcefft: error: <message>`.
+lines on stderr of the form `sourcefft: error: <message>`, and warnings
+(such as a noise level above the smoothness bound) single lines
+`sourcefft: warning: <message>`.
 
 Config files are flat `key = value` text; `#` starts a comment.  Lists are
 comma separated; `mus` additionally accepts `start:stop:count` (uniform
@@ -501,19 +503,25 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"sourcefft: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        if getattr(args, "command", None) is None:
-            raise CliError("missing command (run with --help for usage)")
-        return args.func(args)
-    except (CliError, ValueError) as exc:
-        print(f"sourcefft: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"sourcefft: error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            args = parser.parse_args(argv)
+            if getattr(args, "command", None) is None:
+                raise CliError("missing command (run with --help for usage)")
+            return args.func(args)
+        except (CliError, ValueError) as exc:
+            print(f"sourcefft: error: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:
+            print(f"sourcefft: error: {exc}", file=sys.stderr)
+            return 2
 
 
 def entry():

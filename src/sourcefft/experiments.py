@@ -7,10 +7,11 @@ delta (each mu of an explicit sweep, each p of the rule and the bound
 check) inverts that same draw, so differences between columns are paired.
 A sweep hashes the seeds of its (delta, replicate) draws, and the PCG64
 words each seed expands to, in one vectorized SeedSequence pass.  Cells run
-serially: one rfft of each delta's (replicates, n) block of noisy data, and
-one irfft per column; the drivers' workers argument is accepted and
-ignored.  Result lists are sorted by parameter values, never by position in
-the config.
+serially: one rfft of each delta's (replicates, n) block of noisy data,
+then one irfft per cache-sized group of columns, each row still bit for
+bit estimate_source_regularized; the drivers' workers argument is accepted
+and ignored.  Result lists are sorted by parameter values, never by
+position in the config.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .noise_lab import (
     discrete_l2,
 )
 from .source_models import SourceSpec, cosine_source, exact_data, sample_source
-from .spectral_core import Grid, make_grid, regularized_multiplier
+from .spectral_core import Grid, _regularized_table, make_grid
 
 __all__ = [
     "RULE_MUS",
@@ -179,37 +180,59 @@ def _cell_streams(config: SweepConfig) -> tuple:
     return seeds, _seed_words([low, high], 8)
 
 
+# Bytes of the (columns, replicates, n) float64 estimates that one group of
+# columns inverts at once.  The group's half spectra take as much again, and
+# both stay well inside a 2 MiB L2 cache: at n = 256 and 20 replicates a
+# group is 3 columns.  One group of all 81 columns of the default sweep
+# (3.3 MB of temporaries) made the sweep a third slower than 6-column
+# groups, and on the mu-sweep benchmark 6 columns raised peak RSS by
+# 0.65 MB, 3 columns by 0.35 MB.
+_GROUP_BYTES = 1 << 17
+
+
+def _group_columns(replicates: int, n: int) -> int:
+    """Columns per group: as many (replicates, n) blocks as _GROUP_BYTES
+    holds, and 1 when a single block alone reaches it."""
+    return max(1, _GROUP_BYTES // (8 * replicates * n))
+
+
 def _cells(config: SweepConfig, columns, noise_mode: str, f_true, g_exact):
-    """Run the cells in blocks, one block per (delta index i, column j).
+    """Run the cells in groups of columns, each group at one delta.
 
     columns[i][j] is a tuple whose first item is the mu of column j at delta
-    index i.  Row r of every block at delta index i is the noise draw of
+    index i.  Row r of every column at delta index i is the noise draw of
     Generator(PCG64(cell_seed(base_seed, i, 0, r))) added to g_exact, as
-    add_noise makes it.  The (replicates, n) rows of a delta get one rfft,
-    and each column one irfft of it times the column's weights, which are
-    built once per distinct mu of the run; each row's estimate is bit for
-    bit estimate_source_regularized of that row.  Yields (i, j, seeds,
-    noisy rows, array of the discrete L2 error of each row's estimate), in
-    (i, j) order; the blocks of one delta share seeds and noisy rows.  A
-    block whose noise or errors overflow raises ValueError naming its delta.
+    add_noise makes it.  The (replicates, n) rows of a delta get one rfft;
+    its columns then run in cache-sized groups (_group_columns), each one
+    irfft of the half spectrum times the group's weight rows, taken from
+    one table of every distinct mu of the run.  Each row's estimate is bit
+    for bit estimate_source_regularized of that row.  Yields (i, j, seeds,
+    noisy rows, (k, replicates) array of the discrete L2 errors of columns
+    j..j+k-1), in (i, j) order; the groups of one delta share seeds and
+    noisy rows.  A group whose noise or errors overflow raises ValueError
+    naming its delta.
     """
     grid = config.grid
     seeds, words = _cell_streams(config)
     gen = np.random.Generator(np.random.PCG64(0))
-    weights = {}
+    mus = list(dict.fromkeys(mu for row in columns for mu, *_ in row))
+    mu_rows = {mu: k for k, mu in enumerate(mus)}
+    table = _regularized_table(grid.half_frequencies, np.array(mus)[:, None])
+    size = _group_columns(config.replicates, grid.n)
     for i, (delta, row) in enumerate(zip(config.deltas, columns)):
-        noisy = np.broadcast_to(g_exact.values, (config.replicates, grid.n))
+        # C order all the way to the estimates, so _l2 takes its BLAS path.
+        noisy = np.tile(g_exact.values, (config.replicates, 1))
         if delta > 0.0:
-            noisy = noisy + _noise(grid, delta, words[i], noise_mode, gen)
+            noisy += _noise(grid, delta, words[i], noise_mode, gen)
         with np.errstate(over="ignore", invalid="ignore"):
             half = np.fft.rfft(noisy)
         row_seeds = seeds[i].tolist()
-        for j, (mu, *_) in enumerate(row):
-            if mu not in weights:
-                weights[mu] = regularized_multiplier(grid.half_frequencies, mu)
+        rows = [mu_rows[mu] for mu, *_ in row]
+        for j in range(0, len(rows), size):
             with np.errstate(over="ignore", invalid="ignore"):
-                estimates = _filter_half(half, weights[mu], grid.n)
-                errs = _l2(grid.dx, estimates - f_true.values)
+                estimates = _filter_half(half, table[rows[j:j + size], None], grid.n)
+                estimates -= f_true.values
+                errs = _l2(grid.dx, estimates)
             if not np.isfinite(errs).all():
                 raise ValueError(f"noise level delta={delta!r} overflows the estimates")
             yield i, j, row_seeds, noisy, errs
@@ -225,20 +248,20 @@ def _sweep_records(config: SweepConfig, order: str) -> list:
     for i, j, _, noisy, errs in _cells(
         config, columns, config.noise_mode, f_true, g_exact
     ):
-        mu, p, bound = columns[i][j]
         if j == 0:
             noise_norms = _l2(config.grid.dx, noisy - g_exact.values).tolist()
-        for r, (err, noise_norm) in enumerate(zip(errs.tolist(), noise_norms)):
-            records.append(SweepRecord(
-                delta=config.deltas[i],
-                mu=mu,
-                p=p,
-                replicate=r,
-                rel_error=err / f_norm,
-                abs_error=err,
-                bound=bound,
-                empirical_noise_norm=noise_norm,
-            ))
+        for (mu, p, bound), col in zip(columns[i][j:], errs.tolist()):
+            for r, (err, noise_norm) in enumerate(zip(col, noise_norms)):
+                records.append(SweepRecord(
+                    delta=config.deltas[i],
+                    mu=mu,
+                    p=p,
+                    replicate=r,
+                    rel_error=err / f_norm,
+                    abs_error=err,
+                    bound=bound,
+                    empirical_noise_norm=noise_norm,
+                ))
     return sorted(records, key=attrgetter("delta", order, "replicate"))
 
 
@@ -261,35 +284,36 @@ _SUMMARY_HEADER = ["mu", "delta", "mean_rel_error", "stderr_rel_error"]
 def _summary_rows(config: SweepConfig) -> list:
     """Sorted rows (mu, delta, mean, stderr) of summarize_rel_error over
     run_mu_sweep(config) (run_rule_comparison for mus=RULE_MUS), folded from
-    the blocks; equal (mu, delta) cells merge as the sorted records order
-    them: by p, then replicate, so duplicate columns interleave."""
+    the columns' error rows; equal (mu, delta) cells merge as the sorted
+    records order them: by p, then replicate, so duplicate columns
+    interleave."""
     f_true = sample_source(config.source, config.grid)
     g_exact = exact_data(config.source, config.grid)
     f_norm = discrete_l2(f_true)
     columns = _columns(config)
     keys: dict = {}  # (mu, delta) -> key index, in first-seen order
-    block_keys, block_ps, errors = [], [], []
+    col_keys, col_ps, errors = [], [], []
     for i, j, _, _, errs in _cells(
         config, columns, config.noise_mode, f_true, g_exact
     ):
-        mu, p, _ = columns[i][j]
-        block_keys.append(keys.setdefault((mu, config.deltas[i]), len(keys)))
-        block_ps.append(p)
+        for mu, p, _ in columns[i][j:j + len(errs)]:
+            col_keys.append(keys.setdefault((mu, config.deltas[i]), len(keys)))
+            col_ps.append(p)
         errors.append(errs)
-    # Sort the (block, replicate) values by key, p, replicate, then block:
+    # Sort the (column, replicate) values by key, p, replicate, then column:
     # each key's values come out contiguous and in the records' order.
-    p_rank = {p: k for k, p in enumerate(sorted(set(block_ps)))}
-    shape = (len(errors), config.replicates)
+    p_rank = {p: k for k, p in enumerate(sorted(set(col_ps)))}
+    shape = (len(col_keys), config.replicates)
     order = np.lexsort([
         np.broadcast_to(a, shape).ravel() for a in (
             np.arange(shape[0])[:, None],
             np.arange(shape[1]),
-            np.array([p_rank[p] for p in block_ps])[:, None],
-            np.array(block_keys)[:, None],
+            np.array([p_rank[p] for p in col_ps])[:, None],
+            np.array(col_keys)[:, None],
         )
     ])
-    values = (np.stack(errors) / f_norm).ravel()[order]
-    counts = np.bincount(block_keys) * config.replicates
+    values = (np.concatenate(errors) / f_norm).ravel()[order]
+    counts = np.bincount(col_keys) * config.replicates
     starts = np.cumsum(counts) - counts
     stats = [None] * len(keys)
     for count in set(counts.tolist()):
@@ -306,7 +330,7 @@ def run_mu_sweep(config: SweepConfig, workers: int = 1) -> list:
 
     Returns SweepRecords sorted by (delta, mu, replicate) values.  Cells run
     serially; workers is accepted for compatibility and ignored.  `sweep`
-    and fig5 summarize the same cells from their blocks, building no records.
+    and fig5 summarize the same cells from their groups, building no records.
     """
     if isinstance(config.mus, str):
         raise ValueError(
@@ -386,21 +410,21 @@ def run_bound_check(
     for i, j, seeds, _, errs in _cells(
         config, columns, "norm_calibrated", f_true, g_exact
     ):
-        mu, p, E, raw, scaled = columns[i][j]
-        for r, (seed, err) in enumerate(zip(seeds, errs.tolist())):
-            findings.append(BoundFinding(
-                delta=config.deltas[i],
-                p=p,
-                replicate=r,
-                seed=seed,
-                mu=mu,
-                E=E,
-                error=err,
-                bound_raw=raw,
-                bound_scaled=scaled,
-                violates_raw=err > raw,
-                violates_scaled=err > scaled,
-            ))
+        for (mu, p, E, raw, scaled), col in zip(columns[i][j:], errs.tolist()):
+            for r, (seed, err) in enumerate(zip(seeds, col)):
+                findings.append(BoundFinding(
+                    delta=config.deltas[i],
+                    p=p,
+                    replicate=r,
+                    seed=seed,
+                    mu=mu,
+                    E=E,
+                    error=err,
+                    bound_raw=raw,
+                    bound_scaled=scaled,
+                    violates_raw=err > raw,
+                    violates_scaled=err > scaled,
+                ))
     return sorted(findings, key=attrgetter("delta", "p", "replicate"))
 
 

@@ -127,8 +127,10 @@ def _filter_rows(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def _filter_half(half: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     """The inverse half of _filter_rows, for a half spectrum rfft(values)
-    that several weight rows share: a sweep takes one rfft per noise draw
-    and one irfft per mu."""
+    that several weight rows share.  weights may carry leading axes: a
+    sweep takes one rfft of a delta's (replicates, n) rows and one irfft
+    per group of mus, with weights of shape (mus, 1, n/2+1), and each row
+    comes out bit for bit as from _filter_rows alone."""
     return np.fft.irfft(half * weights, n)
 
 

@@ -238,13 +238,27 @@ def regularized_multiplier(xi, mu):
     """
     if not 0.0 <= mu < np.inf:
         raise ValueError(f"mu must be finite and nonnegative, got {mu}")
+    out = _regularized_table(xi, mu)
+    return out if np.ndim(out) else float(out)
+
+
+def _regularized_table(xi, mu) -> np.ndarray:
+    """regularized_multiplier's formula, with mu also an array that
+    broadcasts against xi: a column of M values gives an (M, len(xi)) table
+    whose row k is bit for bit regularized_multiplier(xi, mu[k]).  The table
+    is built in place, so it is the only array of its size.  mu is not
+    checked here: sweeps pass the mus of a SweepConfig or of select_mu,
+    which are finite and nonnegative."""
     xi = np.asarray(xi, dtype=float)
     base = inverse_multiplier(xi)
     # Factored so mu = 0 divides by exactly 1.0 and is bit-identical to the
     # unregularized symbol; an overflowing (xi mu)^2 gives the limit 0.
     with np.errstate(over="ignore"):
-        out = base / (1.0 + np.square(xi * mu))
-    return out if np.ndim(out) else float(out)
+        out = np.asarray(np.multiply(xi, mu))
+        np.square(out, out=out)
+        out += 1.0
+        np.divide(base, out, out=out)
+    return out
 
 
 def apply_multiplier(sp: Spectrum, m) -> Spectrum:

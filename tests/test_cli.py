@@ -9,6 +9,10 @@ import contextlib
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +204,18 @@ class TestInvert:
         assert float(fields["mu"]) == pytest.approx(0.24662, abs=1e-5)
         assert float(fields["bound"]) > 0
         assert "x,f_estimate" in out
+
+    def test_rule_warning_is_one_line(self, capsys, forward_file):
+        # delta > E warns; the warning is one prefixed line, beside the
+        # rule's provenance line, and the estimate is the rule mu's.
+        args = ("invert", "--input", str(forward_file))
+        code, out, err = run_cli(capsys, *args, "--rule", "1", "--delta", "2")
+        assert code == 0
+        warning, provenance = err.splitlines()
+        assert warning.startswith("sourcefft: warning: noise level delta=2 exceeds")
+        assert provenance.startswith("rule: ")
+        mu = dict(part.split("=") for part in provenance.split(" ")[1:])["mu"]
+        assert run_cli(capsys, *args, "--mu", mu) == (0, out, "")
 
     def test_rule_requires_delta(self, capsys, forward_file):
         code, _, err = run_cli(
@@ -429,6 +445,19 @@ class TestSweep:
             "sourcefft: error: noise level delta=1e+200 overflows the estimates"
         ]
 
+    def test_rule_warnings_are_one_line_each(self, capsys, tmp_path):
+        path = tmp_path / "warn.cfg"
+        path.write_text("deltas = 2\nmus = rule\nn = 16\nreplicates = 2\n")
+        # Every call reports its warnings, one prefixed line per p.
+        for _ in range(2):
+            code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+            assert code == 0
+            lines = err.splitlines()
+            assert len(lines) == 2
+            assert all(line.startswith("sourcefft: warning: ") for line in lines)
+            assert out.startswith("mu,delta,mean_rel_error,stderr_rel_error\n")
+            assert len(out.splitlines()) == 1 + 2
+
     def test_workers_match_serial(self, capsys, tiny_config):
         _, out1, _ = run_cli(capsys, "sweep", "--config", str(tiny_config))
         _, out4, _ = run_cli(
@@ -590,6 +619,21 @@ class TestTopLevel:
     def test_unknown_command_is_error(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 1
+
+    def test_python_m_runs_the_cli(self, capsys):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "sourcefft", "dump-config"],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        code, out, _ = run_cli(capsys, "dump-config")
+        assert code == 0
+        assert proc.stdout == out.encode("utf-8")
 
     def test_oracle_hidden_from_help(self, capsys):
         with pytest.raises(SystemExit):

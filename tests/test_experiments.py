@@ -3,11 +3,15 @@
 import csv
 import io
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sourcefft import experiments
 from sourcefft.experiments import (
     RULE_MUS,
     BoundFinding,
@@ -22,6 +26,8 @@ from sourcefft.experiments import (
     run_rule_comparison,
     summarize_rel_error,
     write_csv,
+    _group_columns,
+    _summary_rows,
 )
 from sourcefft.inversion import (
     error_bound,
@@ -290,8 +296,65 @@ def per_cell_reference(config, columns):
                 yield i, j, r, seed, err, noise
 
 
+def reference_records(cfg):
+    """run_mu_sweep (explicit mus) or run_rule_comparison (mus=RULE_MUS) of
+    cfg, built cell by cell through per_cell_reference."""
+    f_norm = discrete_l2(sample_source(cfg.source, cfg.grid))
+    if cfg.mus == RULE_MUS:
+        columns = [[select_mu(d, 1.0, p) for p in cfg.p_values] for d in cfg.deltas]
+        ps, order = cfg.p_values, "p"
+    else:
+        columns = [cfg.mus] * len(cfg.deltas)
+        ps, order = [None] * len(cfg.mus), "mu"
+    records = []
+    for i, j, r, _, err, noise in per_cell_reference(cfg, columns):
+        delta, p, mu = cfg.deltas[i], ps[j], columns[i][j]
+        records.append(SweepRecord(
+            delta=delta, mu=mu, p=p, replicate=r,
+            rel_error=err / f_norm, abs_error=err,
+            bound=None if p is None else error_bound(delta, p, mu),
+            empirical_noise_norm=noise,
+        ))
+    records.sort(key=lambda rec: (rec.delta, getattr(rec, order), rec.replicate))
+    return records
+
+
+def reference_findings(cfg):
+    """run_bound_check(cfg), built cell by cell through per_cell_reference."""
+    f_true = sample_source(cfg.source, cfg.grid)
+    E = [sobolev_norm(f_true, p) for p in cfg.p_values]
+    columns = [
+        [select_mu(d, e, p) for p, e in zip(cfg.p_values, E)] for d in cfg.deltas
+    ]
+    findings = []
+    for i, j, r, seed, err, _ in per_cell_reference(cfg, columns):
+        delta, p, e, mu = cfg.deltas[i], cfg.p_values[j], E[j], columns[i][j]
+        raw = error_bound(delta, p, mu)
+        scaled = e * error_bound(delta / e, p, mu)
+        findings.append(BoundFinding(
+            delta=delta, p=p, replicate=r, seed=seed, mu=mu, E=e,
+            error=err, bound_raw=raw, bound_scaled=scaled,
+            violates_raw=err > raw, violates_scaled=err > scaled,
+        ))
+    findings.sort(key=lambda f: (f.delta, f.p, f.replicate))
+    return findings
+
+
+def record_summary_rows(records):
+    """The rows of _summary_rows, from summarize_rel_error of the records."""
+    summary = summarize_rel_error(records)
+    return sorted(key + summary[key] for key in summary)
+
+
+def split_groups(monkeypatch, cfg, columns_per_group):
+    """Size the column groups of cfg's sweeps to columns_per_group."""
+    block = 8 * cfg.replicates * cfg.grid.n
+    monkeypatch.setattr(experiments, "_GROUP_BYTES", block * columns_per_group)
+    assert _group_columns(cfg.replicates, cfg.grid.n) == columns_per_group
+
+
 class TestBatchedCellsMatchPerCell:
-    """The block-batched drivers against a naive cell-by-cell evaluation.
+    """The group-batched drivers against a naive cell-by-cell evaluation.
 
     Equality is exact (==): batching must not move a single bit.
     """
@@ -303,18 +366,7 @@ class TestBatchedCellsMatchPerCell:
             deltas=(0.1, 0.0, 0.05), mus=(3.0, 0.0, 0.5), replicates=3,
             noise_mode=mode,
         )
-        f_norm = discrete_l2(sample_source(cfg.source, cfg.grid))
-        columns = [cfg.mus] * len(cfg.deltas)
-        expected = [
-            SweepRecord(
-                delta=cfg.deltas[i], mu=cfg.mus[j], p=None, replicate=r,
-                rel_error=err / f_norm, abs_error=err, bound=None,
-                empirical_noise_norm=noise,
-            )
-            for i, j, r, _, err, noise in per_cell_reference(cfg, columns)
-        ]
-        expected.sort(key=lambda rec: (rec.delta, rec.mu, rec.replicate))
-        assert run_mu_sweep(cfg) == expected
+        assert run_mu_sweep(cfg) == reference_records(cfg)
 
     @pytest.mark.parametrize("mode", ["iid", "norm_calibrated"])
     def test_rule_comparison(self, mode):
@@ -322,42 +374,85 @@ class TestBatchedCellsMatchPerCell:
             deltas=(0.1, 0.015, 0.05), mus=RULE_MUS, p_values=(2.0, 1.0),
             replicates=3, noise_mode=mode,
         )
-        f_norm = discrete_l2(sample_source(cfg.source, cfg.grid))
-        columns = [[select_mu(d, 1.0, p) for p in cfg.p_values] for d in cfg.deltas]
-        expected = []
-        for i, j, r, _, err, noise in per_cell_reference(cfg, columns):
-            delta, p, mu = cfg.deltas[i], cfg.p_values[j], columns[i][j]
-            expected.append(SweepRecord(
-                delta=delta, mu=mu, p=p, replicate=r,
-                rel_error=err / f_norm, abs_error=err,
-                bound=error_bound(delta, p, mu), empirical_noise_norm=noise,
-            ))
-        expected.sort(key=lambda rec: (rec.delta, rec.p, rec.replicate))
-        assert run_rule_comparison(cfg) == expected
+        assert run_rule_comparison(cfg) == reference_records(cfg)
 
     def test_bound_check(self):
         cfg = small_config(
             deltas=(0.1, 0.015, 0.05), mus=RULE_MUS, p_values=(2.0, 1.0),
             replicates=3, noise_mode="norm_calibrated",
         )
-        f_true = sample_source(cfg.source, cfg.grid)
-        E = [sobolev_norm(f_true, p) for p in cfg.p_values]
-        columns = [
-            [select_mu(d, e, p) for p, e in zip(cfg.p_values, E)]
-            for d in cfg.deltas
-        ]
-        expected = []
-        for i, j, r, seed, err, _ in per_cell_reference(cfg, columns):
-            delta, p, e, mu = cfg.deltas[i], cfg.p_values[j], E[j], columns[i][j]
-            raw = error_bound(delta, p, mu)
-            scaled = e * error_bound(delta / e, p, mu)
-            expected.append(BoundFinding(
-                delta=delta, p=p, replicate=r, seed=seed, mu=mu, E=e,
-                error=err, bound_raw=raw, bound_scaled=scaled,
-                violates_raw=err > raw, violates_scaled=err > scaled,
-            ))
-        expected.sort(key=lambda f: (f.delta, f.p, f.replicate))
-        assert run_bound_check(cfg) == expected
+        assert run_bound_check(cfg) == reference_findings(cfg)
+
+    # Groups of 2 columns: 5 columns split 2, 2, 1; 3 columns split 2, 1.
+    @pytest.mark.parametrize("mode", ["iid", "norm_calibrated"])
+    @pytest.mark.parametrize("replicates", [1, 3])
+    def test_split_groups_mu_sweep(self, monkeypatch, mode, replicates):
+        # A repeated mu, mu = 0 and the noiseless delta = 0.
+        cfg = small_config(
+            deltas=(0.1, 0.0, 0.05), mus=(3.0, 0.0, 0.5, 3.0, 1.0),
+            replicates=replicates, noise_mode=mode,
+        )
+        split_groups(monkeypatch, cfg, 2)
+        records = reference_records(cfg)
+        assert run_mu_sweep(cfg) == records
+        assert _summary_rows(cfg) == record_summary_rows(records)
+
+    @pytest.mark.parametrize("replicates", [1, 3])
+    def test_split_groups_rule(self, monkeypatch, replicates):
+        # At delta = 1 the rule gives mu = 1 for every p: three equal
+        # (mu, delta) columns across two groups.
+        cfg = small_config(
+            deltas=(0.05, 1.0), mus=RULE_MUS, p_values=(2.0, 0.0, 1.0),
+            replicates=replicates,
+        )
+        split_groups(monkeypatch, cfg, 2)
+        assert {select_mu(1.0, 1.0, p) for p in cfg.p_values} == {1.0}
+        records = reference_records(cfg)
+        assert run_rule_comparison(cfg) == records
+        assert _summary_rows(cfg) == record_summary_rows(records)
+        bound_cfg = replace(cfg, noise_mode="norm_calibrated")
+        assert run_bound_check(bound_cfg) == reference_findings(bound_cfg)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(4, 256).map(lambda k: 2 * k),
+        replicates=st.integers(1, 4),
+        mus=st.lists(
+            st.sampled_from([0.0, 0.5, 1.0, 3.0]) | st.floats(0.0, 50.0),
+            min_size=1, max_size=7,
+        ),
+        p_values=st.lists(st.sampled_from([0.0, 1.0, 2.0, 0.5]), min_size=1,
+                          max_size=3),
+        deltas=st.lists(st.sampled_from([0.015, 0.1, 1.0, 2.5]), min_size=1,
+                        max_size=2),
+        noiseless=st.booleans(),
+        mode=st.sampled_from(["iid", "norm_calibrated"]),
+        columns_per_group=st.integers(1, 3),
+        base_seed=st.integers(0, 2**64 - 1),
+    )
+    def test_property_matches_per_cell(
+        self, n, replicates, mus, p_values, deltas, noiseless, mode,
+        columns_per_group, base_seed,
+    ):
+        # The rule needs delta > 0; an explicit sweep may add delta = 0.
+        rule_cfg = small_config(
+            grid=make_grid(n, 0.0, TWO_PI), deltas=deltas, mus=RULE_MUS,
+            p_values=p_values, replicates=replicates, noise_mode=mode,
+            base_seed=base_seed,
+        )
+        cfg = replace(rule_cfg, mus=mus, deltas=deltas + [0.0] * noiseless)
+        bound_cfg = replace(rule_cfg, noise_mode="norm_calibrated")
+        with pytest.MonkeyPatch.context() as monkeypatch, \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # delta > E
+            split_groups(monkeypatch, cfg, columns_per_group)
+            records = reference_records(cfg)
+            assert run_mu_sweep(cfg) == records
+            assert _summary_rows(cfg) == record_summary_rows(records)
+            rule_records = reference_records(rule_cfg)
+            assert run_rule_comparison(rule_cfg) == rule_records
+            assert _summary_rows(rule_cfg) == record_summary_rows(rule_records)
+            assert run_bound_check(bound_cfg) == reference_findings(bound_cfg)
 
     @pytest.mark.parametrize("base_seed", [2**32, 2**64 - 1])
     @pytest.mark.parametrize("mode", ["iid", "norm_calibrated"])
@@ -408,6 +503,31 @@ class TestBatchedCellsMatchPerCell:
             entropy = (cfg.base_seed, 0, 0, finding.replicate)
             state = np.random.SeedSequence(entropy).generate_state(1, np.uint64)
             assert finding.seed == int(state[0])
+
+
+class TestGroupColumns:
+    """A group of columns never holds more than _GROUP_BYTES of estimates,
+    unless one (replicates, n) block alone reaches it: then it holds one."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        replicates=st.integers(1, 10_000),
+        n=st.integers(4, 2**21).map(lambda k: 2 * k),
+    )
+    def test_bounded_by_budget(self, replicates, n):
+        block = 8 * replicates * n
+        size = _group_columns(replicates, n)
+        if block >= experiments._GROUP_BYTES:
+            assert size == 1
+        else:
+            assert size * block <= experiments._GROUP_BYTES < (size + 1) * block
+
+    def test_sizes(self):
+        cfg = default_config()
+        assert _group_columns(cfg.replicates, cfg.grid.n) == 3
+        # At large n a group is one column, as many values as before grouping.
+        assert _group_columns(cfg.replicates, 2**20) == 1
+        assert _group_columns(1, experiments._GROUP_BYTES // 8) == 1
 
 
 class TestSharedDraw:
