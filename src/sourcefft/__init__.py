@@ -28,7 +28,6 @@ from .spectral_core import (
 from .source_models import SourceSpec, cosine_source, hat_source, sample_source, exact_data
 from .noise_lab import NoiseSpec, add_noise, discrete_l2, relative_l2_error
 from .inversion import (
-    RegParams,
     solve_forward,
     estimate_source_unregularized,
     estimate_source_regularized,
@@ -53,7 +52,6 @@ from .experiments import (
 from .quadrature_oracle import (
     QuadratureSpec,
     aligned_spec,
-    default_spec,
     continuous_ft,
     invert_via_quadrature,
     sobolev_norm_via_quadrature,
@@ -67,12 +65,12 @@ __all__ = [
     "regularized_multiplier", "apply_multiplier",
     "SourceSpec", "cosine_source", "hat_source", "sample_source", "exact_data",
     "NoiseSpec", "add_noise", "discrete_l2", "relative_l2_error",
-    "RegParams", "solve_forward", "estimate_source_unregularized",
+    "solve_forward", "estimate_source_unregularized",
     "estimate_source_regularized", "select_mu", "sobolev_norm", "error_bound",
     "RULE_MUS", "SweepConfig", "SweepRecord", "BoundFinding", "cell_seed",
     "default_mu_grid", "default_config", "run_mu_sweep", "run_rule_comparison",
     "run_bound_check", "summarize_rel_error", "reproduce_figures",
-    "QuadratureSpec", "aligned_spec", "default_spec", "continuous_ft",
+    "QuadratureSpec", "aligned_spec", "continuous_ft",
     "invert_via_quadrature", "sobolev_norm_via_quadrature",
     "__version__",
 ]

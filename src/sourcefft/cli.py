@@ -11,7 +11,9 @@ dump-config  print the effective default configuration
 
 There is also an undocumented `oracle` subcommand that cross-checks the
 pipeline against the quadrature oracle; it exists for debugging and does not
-appear in the help listing.
+appear in the help listing.  Its nodes sit on the grid frequencies
+(aligned_spec) unless --xi-max and --nodes, given together, set the span
+and the node count.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error.  Errors are single
 lines on stderr of the form `sourcefft: error: <message>`, and warnings
@@ -52,12 +54,7 @@ from .inversion import (
     solve_forward,
 )
 from .noise_lab import NOISE_MODES, NoiseSpec, add_noise, discrete_l2
-from .quadrature_oracle import (
-    QuadratureSpec,
-    aligned_spec,
-    default_spec,
-    invert_via_quadrature,
-)
+from .quadrature_oracle import QuadratureSpec, aligned_spec, invert_via_quadrature
 from .source_models import cosine_source, exact_data, hat_source, sample_source
 from .spectral_core import Grid, RealSignal, make_grid
 
@@ -136,6 +133,8 @@ def _parse_mus(text: str) -> Union[tuple, str]:
             raise CliError(f"range form must be start:stop:count, got {text!r}")
         if count < 1:
             raise CliError(f"range count must be >= 1, got {count}")
+        if not math.isfinite(stop - start):
+            raise CliError(f"range endpoints must be finite, got {text!r}")
         return tuple(float(v) for v in np.linspace(start, stop, count))
     return _parse_float_list(text)
 
@@ -216,8 +215,10 @@ def serialize_config(cfg: RunConfig) -> str:
 def _load_config(path: Optional[str]) -> RunConfig:
     if path is None:
         return RunConfig()
-    cfg_text = Path(path).read_text(encoding="utf-8")
-    return parse_config(cfg_text)
+    try:
+        return parse_config(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +230,10 @@ def _emit_csv(out_path: Optional[str], header, rows) -> None:
 
 def _read_csv_columns(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
+        try:
+            first = fh.readline()
+        except UnicodeDecodeError as exc:
+            raise CliError(f"{path}: {exc}")
         if not first:
             raise CliError(f"{path}: empty CSV")
         header = [name.strip() for name in next(csv.reader([first]), [])]
@@ -376,18 +380,13 @@ def cmd_oracle(args) -> int:
     grid, g, _ = _signal_from_csv(args.input, ("g_delta", "g"))
     if not 0.0 <= args.mu < math.inf:
         raise CliError(f"--mu must be finite and nonnegative, got {args.mu}")
-    try:
-        if args.xi_max is not None or args.nodes is not None:
-            if args.xi_max is None or args.nodes is None:
-                raise CliError("--xi-max and --nodes must be given together")
-            spec = QuadratureSpec(args.xi_max, args.nodes)
-        elif args.aligned:
-            spec = aligned_spec(grid)
-        else:
-            spec = default_spec(grid)
-        oracle = invert_via_quadrature(g, args.mu, spec)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    if args.xi_max is not None or args.nodes is not None:
+        if args.xi_max is None or args.nodes is None:
+            raise CliError("--xi-max and --nodes must be given together")
+        spec = QuadratureSpec(args.xi_max, args.nodes)
+    else:
+        spec = aligned_spec(grid)
+    oracle = invert_via_quadrature(g, args.mu, spec)
     pipeline = estimate_source_regularized(g, args.mu)
     diff = discrete_l2(RealSignal(grid, oracle.values - pipeline.values))
     denom = discrete_l2(pipeline)
@@ -493,10 +492,6 @@ def build_parser() -> _Parser:
     sub.add_argument("--mu", type=float, default=0.0)
     sub.add_argument("--xi-max", type=float, help="frequency truncation")
     sub.add_argument("--nodes", type=int, help="quadrature node count")
-    sub.add_argument(
-        "--aligned", action=argparse.BooleanOptionalAction, default=True,
-        help="place nodes exactly on the grid frequencies",
-    )
     sub.add_argument("--out", help="output CSV path (default: stdout)")
     sub.set_defaults(func=cmd_oracle)
 
@@ -515,9 +510,11 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
             if getattr(args, "command", None) is None:
                 raise CliError("missing command (run with --help for usage)")
-            return args.func(args)
-        except (CliError, ValueError) as exc:
-            print(f"sourcefft: error: {exc}", file=sys.stderr)
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return args.func(args)
+        except (CliError, ValueError, FloatingPointError, MemoryError) as exc:
+            # numpy's MemoryError names the allocation; Python's own is empty.
+            print(f"sourcefft: error: {str(exc) or 'out of memory'}", file=sys.stderr)
             return 1
         except OSError as exc:
             print(f"sourcefft: error: {exc}", file=sys.stderr)

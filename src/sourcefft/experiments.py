@@ -196,16 +196,16 @@ def _group_columns(replicates: int, n: int) -> int:
     return max(1, _GROUP_BYTES // (8 * replicates * n))
 
 
-def _cells(config: SweepConfig, columns, noise_mode: str, f_true, g_exact):
+def _cells(config: SweepConfig, columns, f_true, g_exact):
     """Run the cells in groups of columns, each group at one delta.
 
     columns[i][j] is a tuple whose first item is the mu of column j at delta
-    index i.  Row r of every column at delta index i is the noise draw of
-    Generator(PCG64(cell_seed(base_seed, i, 0, r))) added to g_exact, as
-    add_noise makes it.  The (replicates, n) rows of a delta get one rfft;
-    its columns then run in cache-sized groups (_group_columns), each one
-    irfft of the half spectrum times the group's weight rows, taken from
-    one table of every distinct mu of the run.  Each row's estimate is bit
+    index i.  Row r of every column at delta index i is the config.noise_mode
+    draw of Generator(PCG64(cell_seed(base_seed, i, 0, r))) added to
+    g_exact, as add_noise makes it.  The (replicates, n) rows of a delta get
+    one rfft; its columns then run in cache-sized groups (_group_columns),
+    each one irfft of the half spectrum times the group's weight rows, taken
+    from one table of every distinct mu of the run.  Each row's estimate is bit
     for bit estimate_source_regularized of that row.  Yields (i, j, seeds,
     noisy rows, (k, replicates) array of the discrete L2 errors of columns
     j..j+k-1), in (i, j) order; the groups of one delta share seeds and
@@ -223,7 +223,7 @@ def _cells(config: SweepConfig, columns, noise_mode: str, f_true, g_exact):
         # C order all the way to the estimates, so _l2 takes its BLAS path.
         noisy = np.tile(g_exact.values, (config.replicates, 1))
         if delta > 0.0:
-            noisy += _noise(grid, delta, words[i], noise_mode, gen)
+            noisy += _noise(grid, delta, words[i], config.noise_mode, gen)
         with np.errstate(over="ignore", invalid="ignore"):
             half = np.fft.rfft(noisy)
         row_seeds = seeds[i].tolist()
@@ -245,12 +245,10 @@ def _sweep_records(config: SweepConfig, order: str) -> list:
     f_norm = discrete_l2(f_true)
     columns = _columns(config)
     records = []
-    for i, j, _, noisy, errs in _cells(
-        config, columns, config.noise_mode, f_true, g_exact
-    ):
+    for i, j, _, noisy, errs in _cells(config, columns, f_true, g_exact):
         if j == 0:
             noise_norms = _l2(config.grid.dx, noisy - g_exact.values).tolist()
-        for (mu, p, bound), col in zip(columns[i][j:], errs.tolist()):
+        for (mu, p, _, bound, _), col in zip(columns[i][j:], errs.tolist()):
             for r, (err, noise_norm) in enumerate(zip(col, noise_norms)):
                 records.append(SweepRecord(
                     delta=config.deltas[i],
@@ -266,15 +264,29 @@ def _sweep_records(config: SweepConfig, order: str) -> list:
 
 
 def _columns(config: SweepConfig) -> list:
-    """columns[i][j] = (mu, p, bound): one column per mu (p and bound None),
-    or for mus=RULE_MUS one per p, with the rule's mu (E=1) and its bound."""
+    """columns[i][j] = (mu, p, E, bound, scaled): one column per mu (the
+    rest None), or for mus=RULE_MUS the rule's columns at E = 1."""
     if not isinstance(config.mus, str):
-        return [[(mu, None, None) for mu in config.mus]] * len(config.deltas)
-    if any(d <= 0 for d in config.deltas):
+        row = [(mu, None, None, None, None) for mu in config.mus]
+        return [row] * len(config.deltas)
+    return _rule_columns(config.deltas, [(p, 1.0) for p in config.p_values])
+
+
+def _rule_columns(deltas, smoothness) -> list:
+    """The a-priori rule's columns: columns[i][j] = (mu, p, E, bound,
+    scaled) at deltas[i] and the j-th (p, E) pair of smoothness, with
+    mu = select_mu(delta, E, p), bound = error_bound(delta, p, mu) and
+    scaled = E * error_bound(delta / E, p, mu)."""
+    if any(d <= 0 for d in deltas):
         raise ValueError("the rule needs delta > 0 for every delta")
-    rule = [[(select_mu(d, 1.0, p), p) for p in config.p_values] for d in config.deltas]
-    return [[(mu, p, error_bound(d, p, mu)) for mu, p in row]
-            for d, row in zip(config.deltas, rule)]
+    columns = []
+    for d in deltas:
+        mus = [select_mu(d, E, p) for p, E in smoothness]
+        columns.append([
+            (mu, p, E, error_bound(d, p, mu), E * error_bound(d / E, p, mu))
+            for mu, (p, E) in zip(mus, smoothness)
+        ])
+    return columns
 
 
 # The columns of the sweep CSV and of fig5.csv.
@@ -293,10 +305,8 @@ def _summary_rows(config: SweepConfig) -> list:
     columns = _columns(config)
     keys: dict = {}  # (mu, delta) -> key index, in first-seen order
     col_keys, col_ps, errors = [], [], []
-    for i, j, _, _, errs in _cells(
-        config, columns, config.noise_mode, f_true, g_exact
-    ):
-        for mu, p, _ in columns[i][j:j + len(errs)]:
+    for i, j, _, _, errs in _cells(config, columns, f_true, g_exact):
+        for mu, p, *_ in columns[i][j:j + len(errs)]:
             col_keys.append(keys.setdefault((mu, config.deltas[i]), len(keys)))
             col_ps.append(p)
         errors.append(errs)
@@ -393,23 +403,12 @@ def run_bound_check(
         )
     if config.noise_mode != "norm_calibrated":
         raise ValueError("the bound check requires norm_calibrated noise")
-    if any(d <= 0 for d in config.deltas):
-        raise ValueError("the bound check needs delta > 0")
     f_true = sample_source(config.source, config.grid)
     g_exact = exact_data(config.source, config.grid)
     smoothness = [(p, sobolev_norm(f_true, p)) for p in config.p_values]
-    columns = []
-    for d in config.deltas:
-        row = []
-        for p, E in smoothness:
-            mu = select_mu(d, E, p)
-            scaled = E * error_bound(d / E, p, mu)
-            row.append((mu, p, E, error_bound(d, p, mu), scaled))
-        columns.append(row)
+    columns = _rule_columns(config.deltas, smoothness)
     findings = []
-    for i, j, seeds, _, errs in _cells(
-        config, columns, "norm_calibrated", f_true, g_exact
-    ):
+    for i, j, seeds, _, errs in _cells(config, columns, f_true, g_exact):
         for (mu, p, E, raw, scaled), col in zip(columns[i][j:], errs.tolist()):
             for r, (seed, err) in enumerate(zip(seeds, col)):
                 findings.append(BoundFinding(

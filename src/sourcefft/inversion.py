@@ -10,7 +10,6 @@ the corresponding worst-case reconstruction error guarantee.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 
@@ -25,7 +24,6 @@ from .spectral_core import (
 )
 
 __all__ = [
-    "RegParams",
     "solve_forward",
     "estimate_source_unregularized",
     "estimate_source_regularized",
@@ -35,40 +33,6 @@ __all__ = [
 ]
 
 _MEAN_TOL = 1e-10
-
-
-@dataclasses.dataclass(frozen=True)
-class RegParams:
-    """Bundle of regularization inputs: noise level delta, smoothness bound E,
-    smoothness order p, and the parameter mu itself."""
-
-    delta: float
-    E: float
-    p: float
-    mu: float
-
-    def __post_init__(self):
-        _check_finite(delta=self.delta, E=self.E, p=self.p, mu=self.mu)
-        if self.delta < 0:
-            raise ValueError(f"delta must be nonnegative, got {self.delta}")
-        if self.E <= 0:
-            raise ValueError(f"E must be positive, got {self.E}")
-        if self.p < 0:
-            raise ValueError(f"p must be nonnegative, got {self.p}")
-        if self.mu < 0:
-            raise ValueError(f"mu must be nonnegative, got {self.mu}")
-
-    @classmethod
-    def from_rule(cls, delta: float, E: float = 1.0, p: float = 1.0) -> "RegParams":
-        """Construct with mu chosen by the a-priori rule.
-
-        For 0 < delta <= E the result satisfies delta/E <= mu^2 <= 1.
-        """
-        mu = select_mu(delta, E, p)
-        params = cls(delta=delta, E=E, p=p, mu=mu)
-        if delta <= E:
-            assert delta / E <= mu * mu <= 1.0
-        return params
 
 
 def solve_forward(f: RealSignal, demean: bool = False) -> RealSignal:

@@ -26,8 +26,9 @@ comb of Dirichlet peaks centered on the grid frequencies k*dxi.  Two regimes:
   xi^2-growing kernel pushes far from the periodic reconstruction.  Useful
   for studying the windowed object, wrong for checking the pipeline.
 
-The wide default (default_spec, 4x Nyquist) exists for kernel-tail
-exploration; pass aligned_spec(grid) when comparing against the pipeline.
+Pass aligned_spec(grid) when comparing against the pipeline, and build a
+QuadratureSpec(xi_max, m) directly to study the windowed object or the
+kernel's tails.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .spectral_core import Grid, RealSignal
 __all__ = [
     "QuadratureSpec",
     "aligned_spec",
-    "default_spec",
     "continuous_ft",
     "invert_via_quadrature",
     "sobolev_norm_via_quadrature",
@@ -92,11 +92,6 @@ def aligned_spec(grid: Grid) -> QuadratureSpec:
             "aligned nodes need n >= 64 to satisfy the 64-node minimum"
         )
     return QuadratureSpec(xi_max=grid.nyquist, m=grid.n + 1)
-
-
-def default_spec(grid: Grid) -> QuadratureSpec:
-    """Wide span (4x Nyquist) at grid-frequency spacing, for tail studies."""
-    return QuadratureSpec(xi_max=4.0 * grid.nyquist, m=max(4 * grid.n + 1, 65))
 
 
 def continuous_ft(s: RealSignal, xi_nodes) -> np.ndarray:

@@ -57,6 +57,8 @@ class SourceSpec:
         if self.kind == "hat":
             if self.center is None or self.half_width is None or self.height is None:
                 raise ValueError("hat source needs center, half_width and height")
+            if not all(map(math.isfinite, (self.center, self.half_width, self.height))):
+                raise ValueError("hat center, half_width and height must be finite")
             if self.half_width <= 0:
                 raise ValueError(
                     f"hat half_width must be positive, got {self.half_width}"

@@ -60,8 +60,8 @@ class Grid:
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "x_min", float(self.x_min))
         object.__setattr__(self, "x_max", float(self.x_max))
-        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
-            raise ValueError("grid endpoints must be finite")
+        if not np.isfinite(self.x_max - self.x_min):
+            raise ValueError("grid endpoints and length must be finite")
         if self.x_max <= self.x_min:
             raise ValueError(
                 f"x_max must exceed x_min, got [{self.x_min}, {self.x_max}]"
@@ -264,12 +264,9 @@ def _regularized_table(xi, mu) -> np.ndarray:
 def apply_multiplier(sp: Spectrum, m) -> Spectrum:
     """Multiply each coefficient by m(xi_k).
 
-    m must be real-valued and even in xi so that conjugate symmetry of the
-    input survives.  m may be vectorized (preferred) or scalar-only.
+    m is called once, on the array Grid.frequencies, and returns the real
+    weights; a multiplier that only takes scalars fails.  m must be even in
+    xi so that the conjugate symmetry of the input survives.
     """
-    xi = sp.grid.frequencies
-    try:
-        weights = np.asarray(m(xi), dtype=float)
-    except (TypeError, ValueError):
-        weights = np.array([float(m(v)) for v in xi])
+    weights = np.asarray(m(sp.grid.frequencies), dtype=float)
     return Spectrum(sp.grid, sp.coeffs * weights)

@@ -385,7 +385,11 @@ class TestSweep:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "text",
-        ["mus = inf", "mus = 1.0, nan", "deltas = inf", "mus = rule\np_values = inf"],
+        [
+            "mus = inf", "mus = 1.0, nan", "deltas = inf", "mus = rule\np_values = inf",
+            "mus = 0:1e400:3", "mus = -1e308:1e308:3", "x_min = -1e308\nx_max = 1e308",
+            "source = hat\nhat_height = inf",
+        ],
     )
     def test_non_finite_parameter_is_one_error_line(self, capsys, tmp_path, text):
         path = tmp_path / "bad.cfg"
@@ -644,6 +648,50 @@ class TestTopLevel:
             assert cmd in out
 
 
+class TestErrorLines:
+    # Callees that stand in for an allocation too large for the machine,
+    # such as `forward --n 200000000000` or `mus = 0:1:100000000000`.
+    @pytest.mark.parametrize("message", ["Unable to allocate 745. GiB", ""])
+    @pytest.mark.parametrize(
+        "callee, argv",
+        [
+            ("make_grid", ["forward"]),
+            ("_summary_rows", ["sweep"]),
+            ("invert_via_quadrature", ["oracle", "--mu", "1"]),
+        ],
+    )
+    def test_memory_error_is_one_line(
+        self, capsys, monkeypatch, tmp_path, callee, argv, message
+    ):
+        data = tmp_path / "data.csv"
+        assert run_cli(capsys, "forward", "--n", "64", "--out", str(data))[0] == 0
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(f"sourcefft.cli.{callee}", exhausted)
+        if argv[0] == "oracle":
+            argv = argv + ["--input", str(data)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"sourcefft: error: {message or 'out of memory'}"
+        ]
+
+    @pytest.mark.parametrize("flag, command", [
+        ("--input", "invert"), ("--input", "forward"), ("--config", "sweep"),
+    ])
+    def test_non_utf8_file_is_named(self, capsys, tmp_path, flag, command):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"x,g\n0.0,\xff\n")
+        code, out, err = run_cli(capsys, command, flag, str(path))
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"sourcefft: error: {path}: ")
+        assert "utf-8" in lines[0]
+
+
 class TestOracleCommand:
     @pytest.fixture
     def forward_file(self, capsys, tmp_path):
@@ -673,9 +721,87 @@ class TestOracleCommand:
             "oracle",
             "--input", str(forward_file),
             "--mu", "1",
-            "--no-aligned",
             "--xi-max", "32",
             "--nodes", "257",
         )
         assert code == 0
         assert "nodes=257" in err
+
+
+# Valid and junk values for every config key, small enough that no run
+# allocates much: n <= 64, replicates <= 3, range counts <= 50.
+_JUNK = ["", "nan", "inf", "-inf", "-1", "1e400", "abc"]
+
+
+def _valid_or_junk(*valid):
+    """One of the valid values or of the junk, each half the time."""
+    return st.one_of(st.sampled_from(valid), st.sampled_from(_JUNK))
+
+
+_FUZZ_NUMBER = _valid_or_junk("0", "0.05", "1", "3", "1e-300", "1e308", "-1e308")
+_FUZZ_LIST = st.lists(_FUZZ_NUMBER, max_size=4).map(", ".join)
+_FUZZ_VALUES = {
+    "n": st.sampled_from(["8", "16", "64", "7", "nan"]),
+    "x_min": _FUZZ_NUMBER,
+    "x_max": _FUZZ_NUMBER,
+    "source": _valid_or_junk("cosine", "hat", "square"),
+    "hat_center": _FUZZ_NUMBER,
+    "hat_half_width": _FUZZ_NUMBER,
+    "hat_height": _FUZZ_NUMBER,
+    "deltas": _FUZZ_LIST,
+    "mus": st.one_of(
+        st.just("rule"),
+        _FUZZ_LIST,
+        st.builds(
+            "{}:{}:{}".format,
+            _FUZZ_NUMBER, _FUZZ_NUMBER, _valid_or_junk("1", "3", "50", "2.5"),
+        ),
+        st.sampled_from(["1:2", "::", "0:1:2:3"]),
+    ),
+    "p_values": st.lists(_valid_or_junk("0", "1", "2", "50"), max_size=4).map(", ".join),
+    "replicates": st.sampled_from(["1", "2", "3", "0"]),
+    "base_seed": _valid_or_junk("0", "42", str(2**64)),
+    "noise_mode": _valid_or_junk("iid", "norm_calibrated", "norm-calibrated"),
+}
+
+
+@st.composite
+def junk_configs(draw):
+    """Config text over a subset of the known keys; n and replicates are
+    always set, so the defaults (n = 256, 20 replicates) never apply."""
+    keys = draw(st.lists(st.sampled_from(sorted(_FUZZ_VALUES)), unique=True))
+    keys = ["n", "replicates"] + [k for k in keys if k not in ("n", "replicates")]
+    return "".join(f"{key} = {draw(_FUZZ_VALUES[key])}\n" for key in keys)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(text=junk_configs(), command=st.sampled_from(["sweep", "figures"]))
+    @example(text="n = 8\nreplicates = 1\nmus = 0:1e400:3\n", command="sweep")
+    @example(text="n = 8\nreplicates = 1\nx_min = -1e308\nx_max = 1e308\n",
+             command="figures")
+    # Frequencies whose squares overflow, and a zero source under relative
+    # errors: numpy faults that no parameter check names.
+    @example(text="n = 8\nreplicates = 1\nx_max = 1e-300\n", command="sweep")
+    @example(text="n = 8\nreplicates = 1\nsource = hat\nhat_height = 0\n",
+             command="sweep")
+    def test_one_error_line_never_a_traceback(self, tmp_path_factory, text, command):
+        folder = tmp_path_factory.mktemp("fuzz")
+        path = folder / "fuzz.cfg"
+        path.write_text(text)
+        argv = [command, "--config", str(path), "--out", str(folder / "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2)
+        assert all(line.startswith("sourcefft: ") for line in lines)
+        errors = [line for line in lines if line.startswith("sourcefft: error: ")]
+        if code:
+            assert len(errors) == 1 and errors[0] == lines[-1]
+        else:
+            assert not errors
+        # A numpy floating-point warning is noise before, or instead of, the
+        # one line that says what is wrong.
+        warned = [line for line in lines if line.startswith("sourcefft: warning: ")]
+        assert not any("encountered in" in line for line in warned)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sourcefft.inversion import (
-    RegParams,
     _filter_rows,
     error_bound,
     estimate_source_regularized,
@@ -243,8 +242,8 @@ class TestSelectMu:
     def test_range_law_with_general_bound(self):
         for delta, E in ((2e-3, 0.5), (0.03, 3.0), (0.9, 1.1)):
             for p in (0.0, 1.0, 2.0):
-                params = RegParams.from_rule(delta, E, p)
-                assert delta / E <= params.mu**2 <= 1.0
+                mu = select_mu(delta, E, p)
+                assert delta / E <= mu * mu <= 1.0
 
     def test_monotone_in_p(self):
         delta = 0.05
@@ -331,28 +330,3 @@ class TestErrorBound:
     def test_rejects_non_finite(self, name, args):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             error_bound(*args)
-
-
-class TestRegParams:
-    def test_field_validation(self):
-        with pytest.raises(ValueError, match="delta"):
-            RegParams(delta=-0.1, E=1.0, p=1.0, mu=0.5)
-        with pytest.raises(ValueError, match="E"):
-            RegParams(delta=0.1, E=0.0, p=1.0, mu=0.5)
-        with pytest.raises(ValueError, match="p"):
-            RegParams(delta=0.1, E=1.0, p=-1.0, mu=0.5)
-        with pytest.raises(ValueError, match="mu"):
-            RegParams(delta=0.1, E=1.0, p=1.0, mu=-0.5)
-
-    @pytest.mark.parametrize("field", ["delta", "E", "p", "mu"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite(self, field, value):
-        fields = {"delta": 0.1, "E": 1.0, "p": 1.0, "mu": 0.5}
-        fields[field] = value
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
-            RegParams(**fields)
-
-    def test_from_rule_carries_inputs(self):
-        params = RegParams.from_rule(0.05, 1.0, 2.0)
-        assert params.mu == select_mu(0.05, 1.0, 2.0)
-        assert (params.delta, params.E, params.p) == (0.05, 1.0, 2.0)

@@ -20,7 +20,6 @@ from sourcefft.quadrature_oracle import (
     QuadratureSpec,
     aligned_spec,
     continuous_ft,
-    default_spec,
     invert_via_quadrature,
     sobolev_norm_via_quadrature,
 )
@@ -72,12 +71,6 @@ class TestSpecFactories:
     def test_aligned_rejects_coarse_grids(self):
         with pytest.raises(ValueError, match="64"):
             aligned_spec(make_grid(32, 0.0, TWO_PI))
-
-    def test_default_covers_tails(self):
-        grid = make_grid(64, 0.0, TWO_PI)
-        spec = default_spec(grid)
-        assert spec.xi_max == 4.0 * grid.nyquist
-        assert spec.node_count >= 4 * grid.n + 1
 
 
 class TestContinuousFt:

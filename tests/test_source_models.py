@@ -32,6 +32,13 @@ class TestSourceSpec:
         with pytest.raises(ValueError, match="half_width"):
             hat_source(center=3.0, half_width=0.0)
 
+    @pytest.mark.parametrize("field", ["center", "half_width", "height"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_hat_rejects_non_finite(self, field, value):
+        params = {"center": 3.0, "half_width": 1.0, "height": 1.0, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            hat_source(**params)
+
     def test_cosine_takes_no_parameters(self):
         with pytest.raises(ValueError, match="no shape parameters"):
             SourceSpec(kind="cosine", center=1.0)
