@@ -28,7 +28,6 @@ import numpy as np
 
 from ._floatfmt import format_rows
 from .inversion import (
-    _filter_half,
     error_bound,
     estimate_source_regularized,
     estimate_source_unregularized,
@@ -196,70 +195,64 @@ def _group_columns(replicates: int, n: int) -> int:
     return max(1, _GROUP_BYTES // (8 * replicates * n))
 
 
-def _cells(config: SweepConfig, columns, f_true, g_exact):
-    """Run the cells in groups of columns, each group at one delta.
+def _cells(config: SweepConfig, columns, f_true) -> tuple:
+    """Every cell of the sweep as arrays: (seeds, noise_norms, errors).
 
-    columns[i][j] is a tuple whose first item is the mu of column j at delta
-    index i.  Row r of every column at delta index i is the config.noise_mode
-    draw of Generator(PCG64(cell_seed(base_seed, i, 0, r))) added to
-    g_exact, as add_noise makes it.  The (replicates, n) rows of a delta get
-    one rfft; its columns then run in cache-sized groups (_group_columns),
-    each one irfft of the half spectrum times the group's weight rows, taken
-    from one table of every distinct mu of the run.  Each row's estimate is bit
-    for bit estimate_source_regularized of that row.  Yields (i, j, seeds,
-    noisy rows, (k, replicates) array of the discrete L2 errors of columns
-    j..j+k-1), in (i, j) order; the groups of one delta share seeds and
-    noisy rows.  A group whose noise or errors overflow raises ValueError
-    naming its delta.
+    columns[i][j] starts with the mu of column j at delta index i; every
+    delta has as many columns.  Row r at delta index i is the exact data
+    plus the config.noise_mode draw of seed seeds[i][r] = cell_seed(base_seed,
+    i, 0, r), as add_noise makes it; noise_norms[i, r] is that noise's
+    discrete L2 norm and errors[i, j, r] the one of column j's estimate
+    minus f_true.  A delta's rows get one rfft, then one irfft per
+    cache-sized group of columns (_group_columns), with weights from one
+    table of the run's distinct mus.  A delta whose noise or errors
+    overflow raises ValueError naming it.
     """
     grid = config.grid
+    g_exact = exact_data(config.source, grid)
     seeds, words = _cell_streams(config)
     gen = np.random.Generator(np.random.PCG64(0))
     mus = list(dict.fromkeys(mu for row in columns for mu, *_ in row))
     mu_rows = {mu: k for k, mu in enumerate(mus)}
     table = _regularized_table(grid.half_frequencies, np.array(mus)[:, None])
     size = _group_columns(config.replicates, grid.n)
+    noise_norms = np.empty((len(columns), config.replicates))
+    errors = np.empty((len(columns), len(columns[0]), config.replicates))
     for i, (delta, row) in enumerate(zip(config.deltas, columns)):
         # C order all the way to the estimates, so _l2 takes its BLAS path.
         noisy = np.tile(g_exact.values, (config.replicates, 1))
         if delta > 0.0:
             noisy += _noise(grid, delta, words[i], config.noise_mode, gen)
-        with np.errstate(over="ignore", invalid="ignore"):
-            half = np.fft.rfft(noisy)
-        row_seeds = seeds[i].tolist()
         rows = [mu_rows[mu] for mu, *_ in row]
-        for j in range(0, len(rows), size):
-            with np.errstate(over="ignore", invalid="ignore"):
-                estimates = _filter_half(half, table[rows[j:j + size], None], grid.n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            noise_norms[i] = _l2(grid.dx, noisy - g_exact.values)
+            half = np.fft.rfft(noisy)
+            for j in range(0, len(rows), size):
+                # Each row comes out bit for bit as the single-row
+                # estimate_source_regularized of it.
+                estimates = np.fft.irfft(half * table[rows[j:j + size], None], grid.n)
                 estimates -= f_true.values
-                errs = _l2(grid.dx, estimates)
-            if not np.isfinite(errs).all():
-                raise ValueError(f"noise level delta={delta!r} overflows the estimates")
-            yield i, j, row_seeds, noisy, errs
+                errors[i, j:j + size] = _l2(grid.dx, estimates)
+        if not np.isfinite(errors[i]).all():
+            raise ValueError(f"noise level delta={delta!r} overflows the estimates")
+    return seeds.tolist(), noise_norms, errors
 
 
 def _sweep_records(config: SweepConfig, order: str) -> list:
     """One SweepRecord per cell, sorted by (delta, order, replicate) values."""
     f_true = sample_source(config.source, config.grid)
-    g_exact = exact_data(config.source, config.grid)
     f_norm = discrete_l2(f_true)
     columns = _columns(config)
-    records = []
-    for i, j, _, noisy, errs in _cells(config, columns, f_true, g_exact):
-        if j == 0:
-            noise_norms = _l2(config.grid.dx, noisy - g_exact.values).tolist()
-        for (mu, p, _, bound, _), col in zip(columns[i][j:], errs.tolist()):
-            for r, (err, noise_norm) in enumerate(zip(col, noise_norms)):
-                records.append(SweepRecord(
-                    delta=config.deltas[i],
-                    mu=mu,
-                    p=p,
-                    replicate=r,
-                    rel_error=err / f_norm,
-                    abs_error=err,
-                    bound=bound,
-                    empirical_noise_norm=noise_norm,
-                ))
+    _, noise_norms, errors = _cells(config, columns, f_true)
+    records = [
+        SweepRecord(delta=delta, mu=mu, p=p, replicate=r, rel_error=err / f_norm,
+                    abs_error=err, bound=bound, empirical_noise_norm=noise_norm)
+        for delta, row, row_errs, row_norms in zip(
+            config.deltas, columns, errors.tolist(), noise_norms.tolist()
+        )
+        for (mu, p, _, bound, _), col in zip(row, row_errs)
+        for r, (err, noise_norm) in enumerate(zip(col, row_norms))
+    ]
     return sorted(records, key=attrgetter("delta", order, "replicate"))
 
 
@@ -300,29 +293,28 @@ def _summary_rows(config: SweepConfig) -> list:
     records order them: by p, then replicate, so duplicate columns
     interleave."""
     f_true = sample_source(config.source, config.grid)
-    g_exact = exact_data(config.source, config.grid)
     f_norm = discrete_l2(f_true)
     columns = _columns(config)
+    _, _, errors = _cells(config, columns, f_true)
     keys: dict = {}  # (mu, delta) -> key index, in first-seen order
-    col_keys, col_ps, errors = [], [], []
-    for i, j, _, _, errs in _cells(config, columns, f_true, g_exact):
-        for mu, p, *_ in columns[i][j:j + len(errs)]:
-            col_keys.append(keys.setdefault((mu, config.deltas[i]), len(keys)))
-            col_ps.append(p)
-        errors.append(errs)
-    # Sort the (column, replicate) values by key, p, replicate, then column:
-    # each key's values come out contiguous and in the records' order.
+    col_keys = [
+        keys.setdefault((mu, delta), len(keys))
+        for delta, row in zip(config.deltas, columns) for mu, *_ in row
+    ]
+    col_ps = [p for row in columns for _, p, *_ in row]
+    # Sort the (column, replicate) values by key, p, then replicate; the
+    # sort is stable, so ties keep column order and each key's values come
+    # out contiguous and in the records' order.
     p_rank = {p: k for k, p in enumerate(sorted(set(col_ps)))}
     shape = (len(col_keys), config.replicates)
     order = np.lexsort([
         np.broadcast_to(a, shape).ravel() for a in (
-            np.arange(shape[0])[:, None],
             np.arange(shape[1]),
             np.array([p_rank[p] for p in col_ps])[:, None],
             np.array(col_keys)[:, None],
         )
     ])
-    values = (np.concatenate(errors) / f_norm).ravel()[order]
+    values = (errors / f_norm).ravel()[order]
     counts = np.bincount(col_keys) * config.replicates
     starts = np.cumsum(counts) - counts
     stats = [None] * len(keys)
@@ -404,26 +396,19 @@ def run_bound_check(
     if config.noise_mode != "norm_calibrated":
         raise ValueError("the bound check requires norm_calibrated noise")
     f_true = sample_source(config.source, config.grid)
-    g_exact = exact_data(config.source, config.grid)
     smoothness = [(p, sobolev_norm(f_true, p)) for p in config.p_values]
     columns = _rule_columns(config.deltas, smoothness)
-    findings = []
-    for i, j, seeds, _, errs in _cells(config, columns, f_true, g_exact):
-        for (mu, p, E, raw, scaled), col in zip(columns[i][j:], errs.tolist()):
-            for r, (seed, err) in enumerate(zip(seeds, col)):
-                findings.append(BoundFinding(
-                    delta=config.deltas[i],
-                    p=p,
-                    replicate=r,
-                    seed=seed,
-                    mu=mu,
-                    E=E,
-                    error=err,
-                    bound_raw=raw,
-                    bound_scaled=scaled,
-                    violates_raw=err > raw,
-                    violates_scaled=err > scaled,
-                ))
+    seeds, _, errors = _cells(config, columns, f_true)
+    findings = [
+        BoundFinding(delta=delta, p=p, replicate=r, seed=seed, mu=mu, E=E,
+                     error=err, bound_raw=raw, bound_scaled=scaled,
+                     violates_raw=err > raw, violates_scaled=err > scaled)
+        for delta, row, row_seeds, row_errs in zip(
+            config.deltas, columns, seeds, errors.tolist()
+        )
+        for (mu, p, E, raw, scaled), col in zip(row, row_errs)
+        for r, (seed, err) in enumerate(zip(row_seeds, col))
+    ]
     return sorted(findings, key=attrgetter("delta", "p", "replicate"))
 
 
