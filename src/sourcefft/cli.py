@@ -217,7 +217,7 @@ def _load_config(path: Optional[str]) -> RunConfig:
         return RunConfig()
     try:
         return parse_config(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
+    except (UnicodeDecodeError, CliError) as exc:
         raise CliError(f"{path}: {exc}")
 
 

@@ -6,12 +6,13 @@ Generator(PCG64(cell_seed(base_seed, i, 0, r))), and every column at that
 delta (each mu of an explicit sweep, each p of the rule and the bound
 check) inverts that same draw, so differences between columns are paired.
 A sweep hashes the seeds of its (delta, replicate) draws, and the PCG64
-words each seed expands to, in one vectorized SeedSequence pass.  Cells run
-serially: one rfft of each delta's (replicates, n) block of noisy data,
-then one irfft per cache-sized group of columns, each row still bit for
-bit estimate_source_regularized; the drivers' workers argument is accepted
-and ignored.  Result lists are sorted by parameter values, never by
-position in the config.
+words each seed expands to, in one vectorized SeedSequence pass.  One
+function, _cells, runs every cell serially and returns arrays: the seeds,
+the noise norm of each draw and the (deltas, columns, replicates) errors,
+each estimate still bit for bit estimate_source_regularized; records,
+findings and summary rows are read from those arrays.  The drivers'
+workers argument is accepted and ignored.  Result lists are sorted by
+parameter values, never by position in the config.
 """
 
 from __future__ import annotations
@@ -238,10 +239,19 @@ def _cells(config: SweepConfig, columns, f_true) -> tuple:
     return seeds.tolist(), noise_norms, errors
 
 
-def _sweep_records(config: SweepConfig, order: str) -> list:
-    """One SweepRecord per cell, sorted by (delta, order, replicate) values."""
+def _source_norm(config: SweepConfig) -> tuple:
+    """(f_true, discrete_l2(f_true)): the sampled source and the denominator
+    of every relative error, which a zero source does not have."""
     f_true = sample_source(config.source, config.grid)
     f_norm = discrete_l2(f_true)
+    if f_norm == 0.0:
+        raise ValueError("relative error is undefined against a zero source")
+    return f_true, f_norm
+
+
+def _sweep_records(config: SweepConfig, order: str) -> list:
+    """One SweepRecord per cell, sorted by (delta, order, replicate) values."""
+    f_true, f_norm = _source_norm(config)
     columns = _columns(config)
     _, noise_norms, errors = _cells(config, columns, f_true)
     records = [
@@ -292,8 +302,7 @@ def _summary_rows(config: SweepConfig) -> list:
     the columns' error rows; equal (mu, delta) cells merge as the sorted
     records order them: by p, then replicate, so duplicate columns
     interleave."""
-    f_true = sample_source(config.source, config.grid)
-    f_norm = discrete_l2(f_true)
+    f_true, f_norm = _source_norm(config)
     columns = _columns(config)
     _, _, errors = _cells(config, columns, f_true)
     keys: dict = {}  # (mu, delta) -> key index, in first-seen order
@@ -332,7 +341,7 @@ def run_mu_sweep(config: SweepConfig, workers: int = 1) -> list:
 
     Returns SweepRecords sorted by (delta, mu, replicate) values.  Cells run
     serially; workers is accepted for compatibility and ignored.  `sweep`
-    and fig5 summarize the same cells from their groups, building no records.
+    and fig5 summarize the same cells' error array, building no records.
     """
     if isinstance(config.mus, str):
         raise ValueError(
@@ -521,7 +530,7 @@ def reproduce_figures(out_dir, config: Optional[SweepConfig] = None,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid = config.grid
-    f_true = sample_source(config.source, grid)
+    f_true, _ = _source_norm(config)
     g_exact = exact_data(config.source, grid)
     created = []
 

@@ -43,7 +43,9 @@ class Grid:
 
     The frequency set is the symmetric one, k in {-n/2, ..., n/2 - 1}, with
     physical frequencies xi_k = 2*pi*k / (x_max - x_min).  n must be even so
-    that set exists.
+    that set exists, and the squares of the lowest nonzero and the highest
+    frequency must neither underflow to 0 nor overflow: the multipliers
+    divide by and multiply with them.
     """
 
     n: int
@@ -65,6 +67,12 @@ class Grid:
         if self.x_max <= self.x_min:
             raise ValueError(
                 f"x_max must exceed x_min, got [{self.x_min}, {self.x_max}]"
+            )
+        low = 2.0 * np.pi / self.length
+        if low * low == 0.0 or self.nyquist * self.nyquist == np.inf:
+            raise ValueError(
+                f"grid of n={self.n} on [{self.x_min}, {self.x_max}) has "
+                "frequencies whose squares leave the float64 range"
             )
 
     @property

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sourcefft.cli import RunConfig, main, parse_config, serialize_config
+from sourcefft.cli import CliError, RunConfig, main, parse_config, serialize_config
 from sourcefft.experiments import (
     RULE_MUS,
     run_mu_sweep,
@@ -449,6 +449,60 @@ class TestSweep:
             "sourcefft: error: noise level delta=1e+200 overflows the estimates"
         ]
 
+    # The finiteness check runs once per delta, after all its columns; an
+    # overflowing first delta is still the one named.
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_first_delta_is_named(self, capsys, tmp_path):
+        path = tmp_path / "overflow.cfg"
+        path.write_text("n = 8\ndeltas = 1e200, 0.1\nnoise_mode = norm_calibrated\n"
+                        "mus = 0, 1\nreplicates = 2\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "sourcefft: error: noise level delta=1e+200 overflows the estimates"
+        ]
+
+    # Squared frequencies that overflow (x_max = 1e-300) or underflow to 0
+    # (x_max = 1e308) are named by the grid, not by the numpy fault.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["sweep", "figures"])
+    @pytest.mark.parametrize("text, interval", [
+        ("x_max = 1e-300", "[0.0, 1e-300)"),
+        ("source = hat\nx_max = 1e308", "[0.0, 1e+308)"),
+        ("x_max = 1e308", "[0.0, 1e+308)"),
+    ])
+    def test_degenerate_grid_is_one_error_line(
+        self, capsys, tmp_path, command, text, interval
+    ):
+        path = tmp_path / "grid.cfg"
+        path.write_text(f"n = 8\nreplicates = 1\n{text}\n")
+        out_path = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, command, "--config", str(path), "--out", str(out_path)
+        )
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"sourcefft: error: grid of n=8 on {interval} ")
+        assert "float64 range" in lines[0]
+        assert not out_path.exists()
+
+    # Every sweep and fig5 value is relative to the source's norm.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["sweep", "figures"])
+    def test_zero_source_is_one_error_line(self, capsys, tmp_path, command):
+        path = tmp_path / "zero.cfg"
+        path.write_text("n = 8\nreplicates = 1\nsource = hat\nhat_height = 0\n")
+        out_path = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, command, "--config", str(path), "--out", str(out_path)
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "sourcefft: error: relative error is undefined against a zero source"
+        ]
+        assert not list(tmp_path.glob("out/*.csv"))
+
     def test_rule_warnings_are_one_line_each(self, capsys, tmp_path):
         path = tmp_path / "warn.cfg"
         path.write_text("deltas = 2\nmus = rule\nn = 16\nreplicates = 2\n")
@@ -609,6 +663,28 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "sweep", "--config", str(path))
         assert code == 1
         assert "duplicate" in err.lower()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["sweep", "figures"])
+    @pytest.mark.parametrize("text, message", [
+        ("n = nan", "config line 1: bad value for n: "),
+        ("n = 8\nnoise_mode = loud", "noise mode must be one of "),
+        ("n = 8\nn = 16", "config line 2: duplicate key 'n'"),
+        ("mus = 1:2", "range form must be start:stop:count"),
+    ])
+    def test_config_error_names_the_file(self, capsys, tmp_path, command, text, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text + "\n")
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"sourcefft: error: {path}: {message}")
+
+    def test_parse_config_error_has_no_path(self):
+        with pytest.raises(CliError) as info:
+            parse_config("n = nan\n")
+        assert str(info.value).startswith("config line 1: bad value for n: ")
 
     def test_comments_and_blanks_ignored(self):
         text = "# leading comment\n\n" + serialize_config(RunConfig())

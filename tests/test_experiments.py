@@ -36,7 +36,7 @@ from sourcefft.inversion import (
     sobolev_norm,
 )
 from sourcefft.noise_lab import NoiseSpec, add_noise, discrete_l2
-from sourcefft.source_models import cosine_source, exact_data, sample_source
+from sourcefft.source_models import cosine_source, exact_data, hat_source, sample_source
 from sourcefft.spectral_core import RealSignal, make_grid
 
 TWO_PI = 2.0 * math.pi
@@ -589,6 +589,36 @@ class TestNonFiniteParameters:
     def test_config_rejects(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             small_config(**{field: value})
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize("run", [
+        run_mu_sweep,
+        lambda cfg: run_rule_comparison(replace(cfg, mus=RULE_MUS)),
+        _summary_rows,
+        lambda cfg: _summary_rows(replace(cfg, mus=RULE_MUS)),
+    ])
+    def test_zero_source_has_no_relative_error(self, run):
+        cfg = small_config(source=hat_source(3.0, 1.0, 0.0))
+        with pytest.raises(ValueError, match="^relative error is undefined "
+                           "against a zero source$"):
+            run(cfg)
+
+    def test_zero_source_figures_write_no_csv(self, tmp_path):
+        cfg = small_config(source=hat_source(3.0, 1.0, 0.0))
+        with pytest.raises(ValueError, match="zero source"):
+            reproduce_figures(tmp_path, cfg)
+        assert not list(tmp_path.glob("*.csv"))
+
+    # The finiteness check runs once per delta, after all of its columns.
+    @pytest.mark.parametrize("run", [run_mu_sweep, _summary_rows])
+    def test_overflowing_first_delta_is_named(self, run):
+        cfg = small_config(
+            grid=make_grid(8, 0.0, TWO_PI), deltas=(1e200, 0.1),
+            noise_mode="norm_calibrated", replicates=2,
+        )
+        with pytest.raises(ValueError, match=r"^noise level delta=1e\+200 "):
+            run(cfg)
 
 
 @pytest.fixture(scope="module")

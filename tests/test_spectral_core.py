@@ -1,6 +1,7 @@
 """Grid, transform pair, and multiplier contracts."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,24 @@ class TestGrid:
     def test_rejects_non_finite_length(self, x_min, x_max):
         with pytest.raises(ValueError, match="finite"):
             make_grid(8, x_min, x_max)
+
+    @pytest.mark.parametrize("n, x_min, x_max, interval", [
+        (8, 0.0, 1e-300, "[0.0, 1e-300)"),  # nyquist^2 overflows
+        (8, 0.0, 1e308, "[0.0, 1e+308)"),  # (2 pi / length)^2 underflows to 0
+        (256, -1e307, 1e307, "[-1e+307, 1e+307)"),
+        (2**20, 0.0, 1e-150, "[0.0, 1e-150)"),
+    ])
+    def test_rejects_frequency_squares_out_of_range(self, n, x_min, x_max, interval):
+        with pytest.raises(ValueError, match=re.escape(f"grid of n={n} on {interval} ")):
+            make_grid(n, x_min, x_max)
+
+    @pytest.mark.parametrize("n, x_min, x_max", [
+        (8, 0.0, 1e-150), (8, 0.0, 1e150), (256, -1e150, 1e150),
+    ])
+    def test_accepts_extreme_but_representable_grids(self, n, x_min, x_max):
+        g = make_grid(n, x_min, x_max)
+        assert np.isfinite(g.frequencies ** 2).all()
+        assert g.frequencies[1] ** 2 > 0.0
 
     def test_points_are_read_only(self):
         g = make_grid(8, 0.0, 1.0)
