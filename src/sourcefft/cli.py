@@ -9,12 +9,6 @@ sweep        run a mu sweep from a config file, write the summary CSV
 figures      write the five demonstration CSVs and their gnuplot scripts
 dump-config  print the effective default configuration
 
-There is also an undocumented `oracle` subcommand that cross-checks the
-pipeline against the quadrature oracle; it exists for debugging and does not
-appear in the help listing.  Its nodes sit on the grid frequencies
-(aligned_spec) unless --xi-max and --nodes, given together, set the span
-and the node count.
-
 Exit codes: 0 success, 1 validation error, 2 I/O error.  Errors are single
 lines on stderr of the form `sourcefft: error: <message>`, and warnings
 (such as a noise level above the smoothness bound) single lines
@@ -53,8 +47,7 @@ from .inversion import (
     select_mu,
     solve_forward,
 )
-from .noise_lab import NOISE_MODES, NoiseSpec, add_noise, discrete_l2
-from .quadrature_oracle import QuadratureSpec, aligned_spec, invert_via_quadrature
+from .noise_lab import NOISE_MODES, NoiseSpec, add_noise
 from .source_models import cosine_source, exact_data, hat_source, sample_source
 from .spectral_core import Grid, RealSignal, make_grid
 
@@ -376,34 +369,6 @@ def cmd_dump_config(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
-    grid, g, _ = _signal_from_csv(args.input, ("g_delta", "g"))
-    if not 0.0 <= args.mu < math.inf:
-        raise CliError(f"--mu must be finite and nonnegative, got {args.mu}")
-    if args.xi_max is not None or args.nodes is not None:
-        if args.xi_max is None or args.nodes is None:
-            raise CliError("--xi-max and --nodes must be given together")
-        spec = QuadratureSpec(args.xi_max, args.nodes)
-    else:
-        spec = aligned_spec(grid)
-    oracle = invert_via_quadrature(g, args.mu, spec)
-    pipeline = estimate_source_regularized(g, args.mu)
-    diff = discrete_l2(RealSignal(grid, oracle.values - pipeline.values))
-    denom = discrete_l2(pipeline)
-    rel = diff / denom if denom > 0 else float("inf")
-    print(
-        f"oracle: xi_max={spec.xi_max!r} nodes={spec.node_count} "
-        f"rel_l2_vs_pipeline={rel!r}",
-        file=sys.stderr,
-    )
-    _emit_csv(
-        args.out,
-        ["x", "f_oracle", "f_pipeline"],
-        np.column_stack((grid.points, oracle.values, pipeline.values)),
-    )
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Parser wiring
 
@@ -437,8 +402,7 @@ def build_parser() -> _Parser:
         prog="sourcefft",
         description="Recover a 1-D source term from noisy line measurements.",
     )
-    visible = "{forward,simulate,invert,sweep,figures,dump-config}"
-    subs = parser.add_subparsers(dest="command", metavar=visible)
+    subs = parser.add_subparsers(dest="command")
 
     sub = subs.add_parser("forward", help="write exact data for a source")
     _add_grid_and_source_flags(sub)
@@ -485,15 +449,6 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("dump-config", help="print the default config file")
     sub.add_argument("--out", help="write to a file instead of stdout")
     sub.set_defaults(func=cmd_dump_config)
-
-    # Debugging aid, deliberately absent from the visible command list.
-    sub = subs.add_parser("oracle")
-    sub.add_argument("--input", required=True, help="CSV with x and g or g_delta")
-    sub.add_argument("--mu", type=float, default=0.0)
-    sub.add_argument("--xi-max", type=float, help="frequency truncation")
-    sub.add_argument("--nodes", type=int, help="quadrature node count")
-    sub.add_argument("--out", help="output CSV path (default: stdout)")
-    sub.set_defaults(func=cmd_oracle)
 
     return parser
 

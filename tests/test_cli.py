@@ -5,6 +5,7 @@ captured cheaply; exit codes follow the documented contract
 (0 success, 1 validation, 2 I/O).
 """
 
+import argparse
 import contextlib
 import csv
 import io
@@ -19,7 +20,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sourcefft.cli import CliError, RunConfig, main, parse_config, serialize_config
+from sourcefft.cli import (
+    CliError,
+    RunConfig,
+    build_parser,
+    main,
+    parse_config,
+    serialize_config,
+)
 from sourcefft.experiments import (
     RULE_MUS,
     run_mu_sweep,
@@ -30,6 +38,7 @@ from sourcefft.experiments import (
 from sourcefft.noise_lab import NOISE_MODES
 
 TWO_PI = 2.0 * math.pi
+COMMANDS = ["forward", "simulate", "invert", "sweep", "figures", "dump-config"]
 
 
 def run_cli(capsys, *argv):
@@ -715,13 +724,27 @@ class TestTopLevel:
         assert code == 0
         assert proc.stdout == out.encode("utf-8")
 
-    def test_oracle_hidden_from_help(self, capsys):
+    def test_parser_registers_the_documented_commands(self, capsys):
+        (subs,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert list(subs.choices) == COMMANDS
         with pytest.raises(SystemExit):
             main(["--help"])
         out = capsys.readouterr().out
-        assert "oracle" not in out
-        for cmd in ("forward", "simulate", "invert", "sweep", "figures"):
-            assert cmd in out
+        assert "{" + ",".join(COMMANDS) + "}" in out
+        for cmd in COMMANDS:
+            assert f"\n    {cmd} " in out
+
+    # The quadrature cross-check is a library reference, not a command.
+    def test_oracle_is_an_unknown_command(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "--mu", "1")
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert line.startswith(
+            "sourcefft: error: argument command: invalid choice: 'oracle' "
+        )
 
 
 class TestErrorLines:
@@ -733,7 +756,7 @@ class TestErrorLines:
         [
             ("make_grid", ["forward"]),
             ("_summary_rows", ["sweep"]),
-            ("invert_via_quadrature", ["oracle", "--mu", "1"]),
+            ("estimate_source_regularized", ["invert", "--mu", "1"]),
         ],
     )
     def test_memory_error_is_one_line(
@@ -746,7 +769,7 @@ class TestErrorLines:
             raise MemoryError(message)
 
         monkeypatch.setattr(f"sourcefft.cli.{callee}", exhausted)
-        if argv[0] == "oracle":
+        if argv[0] == "invert":
             argv = argv + ["--input", str(data)]
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
@@ -766,42 +789,6 @@ class TestErrorLines:
         assert len(lines) == 1
         assert lines[0].startswith(f"sourcefft: error: {path}: ")
         assert "utf-8" in lines[0]
-
-
-class TestOracleCommand:
-    @pytest.fixture
-    def forward_file(self, capsys, tmp_path):
-        dest = tmp_path / "data.csv"
-        code, _, _ = run_cli(
-            capsys,
-            "forward", "--source", "cosine", "--n", "64", "--out", str(dest),
-        )
-        assert code == 0
-        return dest
-
-    def test_aligned_run_agrees_with_pipeline(self, capsys, forward_file):
-        code, out, err = run_cli(
-            capsys, "oracle", "--input", str(forward_file), "--mu", "1"
-        )
-        assert code == 0
-        assert err.startswith("oracle:")
-        rel = float(err.strip().rsplit("=", 1)[1])
-        assert rel < 1e-6
-        header, cols = parse_csv(out)
-        assert header == ["x", "f_oracle", "f_pipeline"]
-        assert np.allclose(cols[1], cols[2], atol=1e-6)
-
-    def test_explicit_truncation_flags(self, capsys, forward_file):
-        code, _, err = run_cli(
-            capsys,
-            "oracle",
-            "--input", str(forward_file),
-            "--mu", "1",
-            "--xi-max", "32",
-            "--nodes", "257",
-        )
-        assert code == 0
-        assert "nodes=257" in err
 
 
 # Valid and junk values for every config key, small enough that no run
