@@ -253,10 +253,16 @@ def _grid_from_x(x: np.ndarray, context: str) -> Grid:
     n = x.size
     if n < 2:
         raise CliError(f"{context}: need at least two samples")
-    dx = (x[-1] - x[0]) / (n - 1)
+    if not np.all(np.isfinite(x)):
+        raise CliError(f"{context}: column 'x': non-finite entries")
+    # Python floats: a span past the float64 range is inf, not a numpy fault.
+    dx = (float(x[-1]) - float(x[0])) / (n - 1)
     if dx <= 0:
         raise CliError(f"{context}: x must be strictly increasing")
-    deviation = float(np.max(np.abs(x - (x[0] + dx * np.arange(n)))))
+    if dx == math.inf:
+        raise CliError(f"{context}: x spans more than the float64 range")
+    with np.errstate(over="ignore"):
+        deviation = float(np.max(np.abs(x - (x[0] + dx * np.arange(n)))))
     tol = 1e-8 * max(1.0, abs(float(x[0])), abs(float(x[-1])))
     if deviation > tol:
         raise CliError(
@@ -275,7 +281,10 @@ def _signal_from_csv(path: str, column_names) -> tuple:
     grid = _grid_from_x(cols["x"], path)
     for name in column_names:
         if name in cols:
-            return grid, RealSignal(grid, cols[name]), name
+            try:
+                return grid, RealSignal(grid, cols[name]), name
+            except ValueError as exc:
+                raise CliError(f"{path}: column {name!r}: {exc}")
     raise CliError(
         f"{path}: none of the columns {list(column_names)} present "
         f"(found {sorted(cols)})"
@@ -290,7 +299,12 @@ def _forward_data(args):
     if args.input is not None:
         grid, f, _ = _signal_from_csv(args.input, ("f",))
         mean = float(np.mean(f.values))
-        if args.demean and abs(mean) >= 1e-10:
+        if abs(mean) >= 1e-10:
+            if not args.demean:
+                raise CliError(
+                    f"{args.input}: source has discrete mean {mean:.6e}, not zero; "
+                    "pass --demean to subtract it"
+                )
             f = RealSignal(grid, f.values - mean)
         g = solve_forward(f, demean=args.demean)
         return grid, f, g
@@ -333,7 +347,10 @@ def cmd_invert(args) -> int:
         mu = args.mu
         if not 0.0 <= mu < math.inf:
             raise CliError(f"--mu must be finite and nonnegative, got {mu}")
-    estimate = estimate_source_regularized(g, mu)
+    try:
+        estimate = estimate_source_regularized(g, mu)
+    except FloatingPointError:
+        raise CliError(f"{args.input}: the estimate at mu={mu!r} overflows float64")
     rows = np.column_stack((grid.points, estimate.values))
     _emit_csv(args.out, ["x", "f_estimate"], rows)
     return 0

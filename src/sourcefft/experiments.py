@@ -241,11 +241,17 @@ def _cells(config: SweepConfig, columns, f_true) -> tuple:
 
 def _source_norm(config: SweepConfig) -> tuple:
     """(f_true, discrete_l2(f_true)): the sampled source and the denominator
-    of every relative error, which a zero source does not have."""
+    of every relative error, which a zero source does not have.  Only a hat
+    can be tall enough for the norm's sum of squares to overflow."""
     f_true = sample_source(config.source, config.grid)
-    f_norm = discrete_l2(f_true)
+    with np.errstate(over="ignore"):
+        f_norm = discrete_l2(f_true)
     if f_norm == 0.0:
         raise ValueError("relative error is undefined against a zero source")
+    if f_norm == math.inf:
+        raise ValueError(
+            f"hat height={config.source.height:g} overflows the source norm"
+        )
     return f_true, f_norm
 
 
@@ -301,7 +307,10 @@ def _summary_rows(config: SweepConfig) -> list:
     run_mu_sweep(config) (run_rule_comparison for mus=RULE_MUS), folded from
     the columns' error rows; equal (mu, delta) cells merge as the sorted
     records order them: by p, then replicate, so duplicate columns
-    interleave."""
+    interleave.  Every column at one delta inverts the same draws, so only
+    a repeated delta adds independent values; a repeated mu (or a p giving
+    the same mu) adds copies, and the merged stderr counts them as
+    independent."""
     f_true, f_norm = _source_norm(config)
     columns = _columns(config)
     _, _, errors = _cells(config, columns, f_true)

@@ -99,7 +99,11 @@ def sample_source(spec: SourceSpec, grid: Grid) -> RealSignal:
     tent = spec.height * np.maximum(
         0.0, 1.0 - np.abs(x - spec.center) / spec.half_width
     )
-    return RealSignal(grid, tent - float(np.mean(tent)))
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(tent))
+    if not math.isfinite(mean):
+        raise ValueError(f"hat height={spec.height:g} overflows float64")
+    return RealSignal(grid, tent - mean)
 
 
 def exact_data(spec: SourceSpec, grid: Grid) -> RealSignal:

@@ -145,6 +145,18 @@ class TestSimulate:
             "sourcefft: error: noise level delta=1e+308 overflows float64"
         ]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["forward", "simulate"])
+    @pytest.mark.parametrize("n", ["8", "256"])
+    def test_overflowing_hat_height_is_one_error_line(self, capsys, command, n):
+        code, out, err = run_cli(
+            capsys, command, "--n", n, "--source", "hat", "--hat-height", "1e308"
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "sourcefft: error: hat height=1e+308 overflows float64"
+        ]
+
     @pytest.mark.parametrize("mode", ["iid", "norm-calibrated"])
     def test_stdout_bytes_equal_file_bytes(self, capsys, tmp_path, mode):
         # stdout is a text stream, --out a file: write_csv takes a different
@@ -512,6 +524,30 @@ class TestSweep:
         ]
         assert not list(tmp_path.glob("out/*.csv"))
 
+    # The hat's samples' sum (n = 256) or its norm's sum of squares (n = 8,
+    # and 1e200 at n = 256) overflows; the line names the height.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["sweep", "figures"])
+    @pytest.mark.parametrize("n, height, message", [
+        (256, "1e308", "hat height=1e+308 overflows float64"),
+        (8, "1e308", "hat height=1e+308 overflows the source norm"),
+        (256, "1e200", "hat height=1e+200 overflows the source norm"),
+    ])
+    def test_overflowing_hat_height_is_one_error_line(
+        self, capsys, tmp_path, command, n, height, message
+    ):
+        path = tmp_path / "hat.cfg"
+        path.write_text(
+            f"n = {n}\nreplicates = 1\nsource = hat\nhat_height = {height}\n"
+        )
+        out_path = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, command, "--config", str(path), "--out", str(out_path)
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"sourcefft: error: {message}"]
+        assert not list(tmp_path.glob("out/*.csv"))
+
     def test_rule_warnings_are_one_line_each(self, capsys, tmp_path):
         path = tmp_path / "warn.cfg"
         path.write_text("deltas = 2\nmus = rule\nn = 16\nreplicates = 2\n")
@@ -789,6 +825,99 @@ class TestErrorLines:
         assert len(lines) == 1
         assert lines[0].startswith(f"sourcefft: error: {path}: ")
         assert "utf-8" in lines[0]
+
+
+# Input CSVs of at most 64 rows: an x column and a data column among junk
+# ones, extreme x ranges and scales, CRLF, quotes and blank lines, and up to
+# three faults: a bad field, a shifted value (a non-uniform x) or a short row.
+_CSV_JUNK_NAMES = ["junk", "", "x ", "X", "f", "g", "g_delta"]
+_CSV_FAULTS = [
+    "", "nan", "inf", "-inf", "1e400", "-1e400", "abc", '"1.5"', '"0.5', '""',
+    " 2 ", "1,2", "1e-400", "0x10",
+]
+
+
+def _rows_csv(header, rows):
+    return header + "\n" + "".join(f"{x!r},{v!r}\n" for x, v in rows)
+
+
+@st.composite
+def csv_inputs(draw):
+    names = [draw(st.sampled_from(["x", "x", "x", "X", "junk"])),
+             draw(st.sampled_from(["f", "g", "g_delta"]))]
+    names = draw(st.permutations(
+        names + draw(st.lists(st.sampled_from(_CSV_JUNK_NAMES), max_size=2))
+    ))
+    rows = draw(st.one_of(st.integers(4, 32).map(lambda k: 2 * k),
+                          st.integers(0, 64)))
+    start, step = draw(st.one_of(
+        st.just((0.0, TWO_PI / max(rows, 1))),
+        st.tuples(st.sampled_from([0.0, -3.0, 1e-300, 1e300, -1e308]),
+                  st.sampled_from([1.0, 1e-12, 1e-300, 1e200, 1e307])),
+    ))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e150, 1e300]))
+    table = [
+        [repr(start + k * step) if name.strip().lower() == "x"
+         else repr(scale * math.cos(TWO_PI * k / rows)) for name in names]
+        for k in range(rows)
+    ]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2, 3])) if rows else 0):
+        row = table[draw(st.integers(0, rows - 1))]
+        col = draw(st.integers(0, len(row) - 1))
+        fault = draw(st.sampled_from(["field", "shift", "short"]))
+        if fault == "field":
+            row[col] = draw(st.sampled_from(_CSV_FAULTS))
+        elif fault == "shift" and row[col] not in _CSV_FAULTS:
+            row[col] = repr(float(row[col]) * draw(st.sampled_from([1.5, -1.0, 1e-3])))
+        elif fault == "short" and len(row) > 1:
+            row.pop()
+    quote = draw(st.sampled_from(["", '"']))
+    lines = [",".join(f"{quote}{name}{quote}" for name in names)]
+    lines += [",".join(row) for row in table]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
+
+
+class TestInputCsvFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=csv_inputs(),
+        flags=st.one_of(
+            st.tuples(st.just("invert"), st.just("--mu"),
+                      st.sampled_from(["0", "1", "1e308"])),
+            st.tuples(st.just("forward"), st.sampled_from(["--demean", "--n=8"])),
+        ),
+    )
+    # Faults the fuzz found, each of which used to end in numpy's text or
+    # without the file's name: a non-finite x, an x span past the float64
+    # range, a non-finite data field, a nonzero mean without --demean and an
+    # estimate that overflows.
+    @example(text=_rows_csv("x,g", [(k, 1) for k in range(7)] + [(math.inf, 1)]),
+             flags=("invert", "--mu", "1"))
+    @example(text=_rows_csv("x,g", [(-1e308 + k * 2.8e307, 1) for k in range(8)]),
+             flags=("invert", "--mu", "1"))
+    @example(text=_rows_csv("x,g", [(k, math.nan if k == 3 else 1) for k in range(8)]),
+             flags=("invert", "--mu", "1"))
+    @example(text=_rows_csv("x,f", [(k, 1) for k in range(8)]), flags=("forward",))
+    @example(text=_rows_csv("x,g", [(k * 1e-12, (-1) ** k * 1e300) for k in range(64)]),
+             flags=("invert", "--mu", "0"))
+    def test_one_error_line_never_a_traceback(self, tmp_path_factory, text, flags):
+        path = tmp_path_factory.mktemp("csv") / "in.csv"
+        path.write_bytes(text.encode("utf-8"))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*flags, "--input", str(path)])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1)
+        if code:
+            # One line that names the file, not a numpy floating-point fault.
+            (line,) = lines
+            assert line.startswith(f"sourcefft: error: {path}: ")
+            assert "encountered in" not in line
+        else:
+            assert lines == []
 
 
 # Valid and junk values for every config key, small enough that no run

@@ -621,6 +621,62 @@ class TestDegenerateInputs:
             run(cfg)
 
 
+    # A hat tall enough that its samples' sum (n = 256) or its norm's sum of
+    # squares (n = 8, 1e200 at either n) overflows is named by its height,
+    # with no numpy RuntimeWarning first.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("run", [run_mu_sweep, _summary_rows])
+    @pytest.mark.parametrize("n, height, message", [
+        (256, 1e308, r"^hat height=1e\+308 overflows float64$"),
+        (8, 1e308, r"^hat height=1e\+308 overflows the source norm$"),
+        (256, 1e200, r"^hat height=1e\+200 overflows the source norm$"),
+    ])
+    def test_overflowing_hat_height_is_named(self, run, n, height, message):
+        cfg = small_config(
+            source=hat_source(3.0, 1.0, height), grid=make_grid(n, 0.0, TWO_PI),
+            replicates=2,
+        )
+        with pytest.raises(ValueError, match=message):
+            run(cfg)
+
+
+class TestRepeatedColumns:
+    """Every column at one delta inverts that delta's draws, so a repeated
+    mu or p copies its errors bit for bit; only a repeated delta draws anew.
+    A merged sweep row counts the copies as independent values."""
+
+    @staticmethod
+    def pairs(records):
+        cells: dict = {}
+        for rec in records:
+            cells.setdefault((rec.delta, rec.mu, rec.p, rec.replicate), []).append(rec)
+        assert all(len(pair) == 2 for pair in cells.values())
+        return list(cells.values())
+
+    @pytest.mark.parametrize("run, overrides", [
+        (run_mu_sweep, dict(mus=(1.0, 1.0))),
+        (run_rule_comparison, dict(mus=RULE_MUS, p_values=(1.0, 1.0))),
+    ])
+    def test_repeated_mu_or_p_copies_the_draws(self, run, overrides):
+        for a, b in self.pairs(run(small_config(deltas=(0.05,), **overrides))):
+            assert a == b
+
+    def test_repeated_delta_draws_anew(self):
+        records = run_mu_sweep(small_config(deltas=(0.05, 0.05), mus=(1.0,)))
+        for a, b in self.pairs(records):
+            assert a.rel_error != b.rel_error
+            assert a.empirical_noise_norm != b.empirical_noise_norm
+
+    def test_copies_shrink_the_merged_stderr(self):
+        cfg = small_config(deltas=(0.05,), mus=(1.0,))
+        ((*_, mean, stderr),) = _summary_rows(cfg)
+        ((*_, mean2, stderr2),) = _summary_rows(replace(cfg, mus=(1.0, 1.0)))
+        r = cfg.replicates
+        assert mean2 == pytest.approx(mean, rel=1e-14)
+        assert stderr2 == pytest.approx(stderr * math.sqrt((r - 1) / (2 * r - 1)),
+                                        rel=1e-12)
+
+
 @pytest.fixture(scope="module")
 def figure_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("figs")

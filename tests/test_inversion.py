@@ -144,6 +144,12 @@ grids = st.builds(
 )
 
 
+# Zero or a magnitude in [1e-3, 1e3], so no product reaches the subnormals.
+coefficients = st.one_of(
+    st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)
+)
+
+
 # Largest deviation allowed between the rfft kernel and the full complex
 # Spectrum path (to_spectrum, apply_multiplier, from_spectrum), relative to
 # the largest sample of the latter: two FFT pairs of different shape round
@@ -204,6 +210,30 @@ class TestBatchedKernel:
             assert np.array_equal(out, unregularized)
 
 
+    # Linearity holds whatever delta means: no noise model enters.  The
+    # rounding of one rfft/irfft pair is a few ulps per log2(n) of the input
+    # norm, amplified at most by the largest weight.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grid=grids,
+        mu=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+        alpha=coefficients,
+        beta=coefficients,
+        draw_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_linear_in_the_data(self, grid, mu, alpha, beta, draw_seed):
+        a, b = random_rows(draw_seed, grid, 2)
+        estimate = lambda values: estimate_source_regularized(
+            RealSignal(grid, values), mu
+        ).values
+        combined = estimate(alpha * a + beta * b)
+        separate = alpha * estimate(a) + beta * estimate(b)
+        weight = np.max(regularized_multiplier(grid.half_frequencies, mu))
+        scale = weight * (abs(alpha) * np.linalg.norm(a) + abs(beta) * np.linalg.norm(b))
+        tol = 16 * np.finfo(float).eps * math.log2(grid.n) * scale
+        assert np.linalg.norm(combined - separate) <= tol
+
+
 class TestSelectMu:
     def test_unit_ratio_gives_one(self):
         for p in (0.0, 1.0, 2.0, 7.5):
@@ -238,6 +268,18 @@ class TestSelectMu:
             for p in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0):
                 mu = select_mu(delta, 1.0, p)
                 assert delta <= mu * mu <= 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bounds=st.tuples(
+            st.floats(5e-324, 1e308), st.floats(5e-324, 1e308)
+        ).map(sorted),
+        p=st.one_of(st.floats(0.0, 50.0), st.floats(0.0, 1e300)),
+    )
+    def test_range_law_property(self, bounds, p):
+        delta, E = bounds
+        mu = select_mu(delta, E, p)
+        assert delta / E <= mu * mu <= 1.0
 
     def test_range_law_with_general_bound(self):
         for delta, E in ((2e-3, 0.5), (0.03, 3.0), (0.9, 1.1)):
