@@ -117,11 +117,9 @@ def _parse_mus(text: str) -> Union[tuple, str]:
     if text == RULE_MUS:
         return RULE_MUS
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise CliError(f"range form must be start:stop:count, got {text!r}")
         try:
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+            start, stop, count = text.split(":")
+            start, stop, count = float(start), float(stop), int(count)
         except ValueError:
             raise CliError(f"range form must be start:stop:count, got {text!r}")
         if count < 1:
@@ -177,19 +175,12 @@ def parse_config(text: str) -> RunConfig:
             raise CliError(f"config line {lineno}: duplicate key {key!r}")
         try:
             values[key] = _CONFIG_PARSERS[key](val)
-        except CliError:
-            raise
         except (TypeError, ValueError) as exc:
             raise CliError(f"config line {lineno}: bad value for {key}: {exc}")
-    try:
-        return RunConfig(**values)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad config: {exc}")
+    return RunConfig(**values)
 
 
-def _serialize_value(key: str, value) -> str:
-    if key == "mus" and isinstance(value, str):
-        return value
+def _serialize_value(value) -> str:
     if isinstance(value, tuple):
         return ", ".join(repr(float(v)) for v in value)
     if isinstance(value, float):
@@ -199,7 +190,7 @@ def _serialize_value(key: str, value) -> str:
 
 def serialize_config(cfg: RunConfig) -> str:
     lines = [
-        f"{field.name} = {_serialize_value(field.name, getattr(cfg, field.name))}"
+        f"{field.name} = {_serialize_value(getattr(cfg, field.name))}"
         for field in dataclasses.fields(cfg)
     ]
     return "\n".join(lines) + "\n"
@@ -255,8 +246,7 @@ def _grid_from_x(x: np.ndarray, context: str) -> Grid:
         raise CliError(f"{context}: need at least two samples")
     if not np.all(np.isfinite(x)):
         raise CliError(f"{context}: column 'x': non-finite entries")
-    # Python floats: a span past the float64 range is inf, not a numpy fault.
-    dx = (float(x[-1]) - float(x[0])) / (n - 1)
+    dx = (float(x[-1]) - float(x[0])) / (n - 1)  # inf past the float64 range
     if dx <= 0:
         raise CliError(f"{context}: x must be strictly increasing")
     if dx == math.inf:
@@ -358,10 +348,8 @@ def cmd_invert(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    if args.replicates is not None:
-        cfg = dataclasses.replace(cfg, replicates=args.replicates)
-    if args.base_seed is not None:
-        cfg = dataclasses.replace(cfg, base_seed=args.base_seed)
+    flags = {"replicates": args.replicates, "base_seed": args.base_seed}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     _emit_csv(args.out, _SUMMARY_HEADER, _summary_rows(cfg.to_sweep_config()))
     return 0
 
@@ -372,8 +360,7 @@ def cmd_figures(args) -> int:
     paths = reproduce_figures(
         out_dir, config=cfg.to_sweep_config(), workers=args.workers
     )
-    for path in paths:
-        print(path)
+    print(*paths, sep="\n")
     return 0
 
 

@@ -229,8 +229,8 @@ class TestBatchedKernel:
         combined = estimate(alpha * a + beta * b)
         separate = alpha * estimate(a) + beta * estimate(b)
         weight = np.max(regularized_multiplier(grid.half_frequencies, mu))
-        scale = weight * (abs(alpha) * np.linalg.norm(a) + abs(beta) * np.linalg.norm(b))
-        tol = 16 * np.finfo(float).eps * math.log2(grid.n) * scale
+        norms = abs(alpha) * np.linalg.norm(a) + abs(beta) * np.linalg.norm(b)
+        tol = 16 * np.finfo(float).eps * math.log2(grid.n) * weight * norms
         assert np.linalg.norm(combined - separate) <= tol
 
 
