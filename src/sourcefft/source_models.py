@@ -84,7 +84,8 @@ def sample_source(spec: SourceSpec, grid: Grid) -> RealSignal:
 
     The cosine needs no correction (its mean on a whole-period grid is
     already rounding-level zero); the hat is shifted down by its discrete
-    mean, roughly half_width * height / domain_length.
+    mean, roughly half_width * height / domain_length.  A hat so tall that
+    its samples' sum overflows float64 raises ValueError naming the height.
     """
     x = grid.points
     if spec.kind == "cosine":
