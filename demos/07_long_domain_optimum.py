@@ -16,7 +16,8 @@ is nearly free, and the optimum moves up and stabilizes:
     delta = 0.05   argmin mu = 2.5   (min rel error 0.052)
     delta = 0.1    argmin mu = 3.5   (min rel error 0.071)
 
-measured with the exact configuration below.  Note the optimum barely
+measured with the exact configuration below, which the acceptance check
+A5b pins (tests/test_acceptance.py).  Note the optimum barely
 moves while delta spans a factor of 7.  Scaling the domain alone does
 NOT do this (the signal-to-noise ratio is scale-free); the source's
 frequency content is what matters.

@@ -42,6 +42,7 @@ from .experiments import (
     write_csv,
 )
 from .inversion import (
+    _zero_mean,
     error_bound,
     estimate_source_regularized,
     select_mu,
@@ -288,16 +289,11 @@ def _forward_data(args):
     """Shared data path of `forward` and `simulate`: produce (grid, f, g)."""
     if args.input is not None:
         grid, f, _ = _signal_from_csv(args.input, ("f",))
-        mean = float(np.mean(f.values))
-        if abs(mean) >= 1e-10:
-            if not args.demean:
-                raise CliError(
-                    f"{args.input}: source has discrete mean {mean:.6e}, not zero; "
-                    "pass --demean to subtract it"
-                )
-            f = RealSignal(grid, f.values - mean)
-        g = solve_forward(f, demean=args.demean)
-        return grid, f, g
+        try:
+            f = _zero_mean(f, args.demean, "--demean")
+        except ValueError as exc:
+            raise CliError(f"{args.input}: {exc}")
+        return grid, f, solve_forward(f, demean=args.demean)
     grid = make_grid(args.n, args.x_min, args.x_max)
     spec = RunConfig.source_spec(args)
     f = sample_source(spec, grid)

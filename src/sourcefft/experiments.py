@@ -9,8 +9,8 @@ A sweep hashes the seeds of its (delta, replicate) draws, and the PCG64
 words each seed expands to, in one vectorized SeedSequence pass.  One
 function, _cells, runs every cell serially and returns arrays: the seeds,
 the noise norm of each draw and the (deltas, columns, replicates) errors,
-each estimate still bit for bit estimate_source_regularized; records,
-findings and summary rows are read from those arrays.  The drivers'
+read off the spectra by Parseval's identity, with no estimate formed;
+records, findings and summary rows are read from those arrays.  The drivers'
 workers argument is accepted and ignored.  Result lists are sorted by
 parameter values, never by position in the config.
 """
@@ -180,20 +180,15 @@ def _cell_streams(config: SweepConfig) -> tuple:
     return seeds, _seed_words([low, high], 8)
 
 
-# Bytes of the (columns, replicates, n) float64 estimates that one group of
-# columns inverts at once.  The group's half spectra take as much again, and
-# both stay well inside a 2 MiB L2 cache: at n = 256 and 20 replicates a
-# group is 3 columns.  One group of all 81 columns of the default sweep
-# (3.3 MB of temporaries) made the sweep a third slower than 6-column
-# groups, and on the mu-sweep benchmark 6 columns raised peak RSS by
-# 0.65 MB, 3 columns by 0.35 MB.
-_GROUP_BYTES = 1 << 17
+# _cells' cancellation guard.  The default config's smallest share (seeds
+# 42, 1, 7, both noise modes) is 0.012 in the mu sweep and 0.004 in the rule
+# sweeps and the bound check, so none of their cells is recomputed.
+_CANCEL_TOL = 1e-3
 
 
-def _group_columns(replicates: int, n: int) -> int:
-    """Columns per group: as many (replicates, n) blocks as _GROUP_BYTES
-    holds, and 1 when a single block alone reaches it."""
-    return max(1, _GROUP_BYTES // (8 * replicates * n))
+def _power(z: np.ndarray) -> np.ndarray:
+    """|z|^2, elementwise."""
+    return np.square(z.real) + np.square(z.imag)
 
 
 def _cells(config: SweepConfig, columns, f_true) -> tuple:
@@ -204,10 +199,23 @@ def _cells(config: SweepConfig, columns, f_true) -> tuple:
     plus the config.noise_mode draw of seed seeds[i][r] = cell_seed(base_seed,
     i, 0, r), as add_noise makes it; noise_norms[i, r] is that noise's
     discrete L2 norm and errors[i, j, r] the one of column j's estimate
-    minus f_true.  A delta's rows get one rfft, then one irfft per
-    cache-sized group of columns (_group_columns), with weights from one
-    table of the run's distinct mus.  A delta whose noise or errors
-    overflow raises ValueError naming it.
+    minus f_true.  A delta whose noise or errors overflow raises ValueError
+    naming it.
+
+    No estimate is formed.  With c = dx/n (1, 2, ..., 2, 1) the Parseval
+    weights of the K = n/2+1 rfft modes, F = rfft(f_true), h = rfft(row)
+    and T the multipliers of the run's distinct mus, a cell's squared error
+    is sum c |h T - F|^2 = A - 2B + C, A = (T*T) @ (c |h|^2), B = T @ (c
+    Re(h conj F)), C = c . |F|^2: per delta two (mus, K) @ (K, replicates)
+    products over the distinct mus of its columns, whose rows the columns
+    index, so a repeated mu or p is a bit-identical copy.  A and C sum K nonnegative terms of at most 4
+    roundings each and |B| <= sqrt(A C), so the computed A - 2B + C is
+    within gamma_{K+6} (sqrt(A) + sqrt(C))^2 of the exact sum over the
+    computed h, T and F (Higham 2002, section 3.1: gamma_k = k u / (1 - k
+    u), u = 2^-53).  That bound is absolute: a cell below _CANCEL_TOL
+    (sqrt(A) + sqrt(C))^2, as delta = 0 at small mu (mu = 0 would read 0.0
+    for an error near 1e-12), is recomputed as the direct sum of the
+    nonnegative c |h T - F|^2.
     """
     grid = config.grid
     g_exact = exact_data(config.source, grid)
@@ -216,26 +224,33 @@ def _cells(config: SweepConfig, columns, f_true) -> tuple:
     mus = list(dict.fromkeys(mu for row in columns for mu, *_ in row))
     mu_rows = {mu: k for k, mu in enumerate(mus)}
     table = _regularized_table(grid.half_frequencies, np.array(mus)[:, None])
-    size = _group_columns(config.replicates, grid.n)
+    weights = np.full(table.shape[1], 2.0 * grid.dx / grid.n)
+    weights[[0, -1]] = grid.dx / grid.n
+    f_half = np.fft.rfft(f_true.values)
     noise_norms = np.empty((len(columns), config.replicates))
     errors = np.empty((len(columns), len(columns[0]), config.replicates))
-    for i, (delta, row) in enumerate(zip(config.deltas, columns)):
-        # C order all the way to the estimates, so _l2 takes its BLAS path.
-        noisy = np.tile(g_exact.values, (config.replicates, 1))
-        if delta > 0.0:
-            noisy += _noise(grid, delta, words[i], config.noise_mode, gen)
-        rows = [mu_rows[mu] for mu, *_ in row]
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram_c = float(_power(f_half) @ weights)
+        for i, (delta, row) in enumerate(zip(config.deltas, columns)):
+            noisy = np.tile(g_exact.values, (config.replicates, 1))
+            if delta > 0.0:
+                noisy += _noise(grid, delta, words[i], config.noise_mode, gen)
             noise_norms[i] = _l2(grid.dx, noisy - g_exact.values)
+            own, col_rows = np.unique([mu_rows[mu] for mu, *_ in row],
+                                      return_inverse=True)
+            t = table[own]
             half = np.fft.rfft(noisy)
-            for j in range(0, len(rows), size):
-                # Each row comes out bit for bit as the single-row
-                # estimate_source_regularized of it.
-                estimates = np.fft.irfft(half * table[rows[j:j + size], None], grid.n)
-                estimates -= f_true.values
-                errors[i, j:j + size] = _l2(grid.dx, estimates)
-        if not np.isfinite(errors[i]).all():
-            raise ValueError(f"noise level delta={delta!r} overflows the estimates")
+            gram_a = (t * t) @ (weights * _power(half)).T
+            squares = gram_a - 2.0 * (t @ (weights * (half * f_half.conj()).real).T)
+            squares += gram_c
+            scale = np.square(np.sqrt(gram_a) + math.sqrt(gram_c))
+            cancelled = squares < _CANCEL_TOL * scale
+            for k in np.flatnonzero(cancelled.any(axis=1)):
+                direct = half[cancelled[k]] * t[k] - f_half
+                squares[k, cancelled[k]] = _power(direct) @ weights
+            errors[i] = np.sqrt(squares[col_rows])
+            if not np.isfinite(errors[i]).all():
+                raise ValueError(f"noise level delta={delta!r} overflows the estimates")
     return seeds.tolist(), noise_norms, errors
 
 

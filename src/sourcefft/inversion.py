@@ -32,7 +32,23 @@ __all__ = [
     "error_bound",
 ]
 
+# Largest discrete mean of a source, relative to max(1, max |f|): the
+# rounding residue of a demeaned source grows with its size.
 _MEAN_TOL = 1e-10
+
+
+def _zero_mean(f: RealSignal, demean: bool, flag: str = "demean=True") -> RealSignal:
+    """f itself when its discrete mean is below _MEAN_TOL * max(1, max |f|);
+    otherwise f minus its mean if demean is set, else ValueError, whose
+    message names flag as the way to subtract it."""
+    mean = float(np.mean(f.values))
+    if abs(mean) < _MEAN_TOL * max(1.0, float(np.max(np.abs(f.values)))):
+        return f
+    if not demean:
+        raise ValueError(
+            f"source has discrete mean {mean:.6e}, not zero; pass {flag} to subtract it"
+        )
+    return RealSignal(f.grid, f.values - mean)
 
 
 def solve_forward(f: RealSignal, demean: bool = False) -> RealSignal:
@@ -40,17 +56,10 @@ def solve_forward(f: RealSignal, demean: bool = False) -> RealSignal:
 
     Spectrally: g_hat(xi_k) = forward_multiplier(xi_k) * f_hat(xi_k).  The
     forward map carries no DC information (bounded solutions force mean-zero
-    sources), so f must have discrete mean below 1e-10 in magnitude; pass
-    demean=True to subtract the mean instead of failing.
+    sources), so f must have discrete mean below 1e-10 * max(1, max |f|) in
+    magnitude; pass demean=True to subtract the mean instead of failing.
     """
-    mean = float(np.mean(f.values))
-    if abs(mean) >= _MEAN_TOL:
-        if not demean:
-            raise ValueError(
-                f"source has discrete mean {mean:.6e}, not zero; "
-                "pass demean=True to subtract it"
-            )
-        f = RealSignal(f.grid, f.values - mean)
+    f = _zero_mean(f, demean)
     weights = forward_multiplier(f.grid.half_frequencies)
     return RealSignal(f.grid, _filter_rows(f.values, weights))
 

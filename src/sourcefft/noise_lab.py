@@ -65,8 +65,9 @@ class NoiseSpec:
 def _l2(dx: float, v: np.ndarray) -> np.ndarray:
     """sqrt(dx * v.v) over the last axis; each row's v.v is a (1, n) @ (n, 1)
     matmul, np.dot's BLAS dot, so a batch rounds as each row alone would.
-    That needs C-ordered rows: on strided rows matmul takes numpy's own loop,
-    which can round a row's sum an ulp apart from the same row alone."""
+    That needs C-ordered rows (in a sweep only the noise norms come from
+    here); on strided rows matmul takes numpy's own loop, which can round a
+    row's sum an ulp apart from the same row alone."""
     return np.sqrt(dx * np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
 
 

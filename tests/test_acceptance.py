@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per shipped guarantee, A1 through A10.
+"""Acceptance suite: one test per shipped guarantee, A1 through A10, plus
+A5b beside A5.
 
 Each test prints a single PASS/FAIL line (with the measured quantity and
 runtime) directly to the real stdout so the verdicts stay visible under
@@ -33,7 +34,12 @@ from sourcefft.inversion import (
 )
 from sourcefft.noise_lab import relative_l2_error
 from sourcefft.quadrature_oracle import aligned_spec, invert_via_quadrature
-from sourcefft.source_models import cosine_source, exact_data, sample_source
+from sourcefft.source_models import (
+    cosine_source,
+    exact_data,
+    hat_source,
+    sample_source,
+)
 from sourcefft.spectral_core import make_grid
 
 TWO_PI = 2.0 * math.pi
@@ -147,6 +153,37 @@ def test_a5_interior_optimum_near_three():
     assert in_window, f"argmin outside [1, 6] for some delta: {argmins}"
     assert stable
     assert t.elapsed < 60.0
+
+
+def test_a5b_long_domain_optimum():
+    # demos/07's configuration: a hat of half-width 32 on [0, 128 pi), whose
+    # spectrum sits below xi ~ 1/32, moves the optimum to 2-3.5.  Measured
+    # margins of the runner-up mu over the argmin: 12.6%, 2.5%, 0.71%.
+    length = 128.0 * math.pi
+    cfg = SweepConfig(
+        source=hat_source(length / 2.0, 32.0),
+        grid=make_grid(2048, 0.0, length),
+        deltas=(0.015, 0.05, 0.1),
+        mus=tuple(np.linspace(0.0, 40.0, 81)),
+        p_values=(1.0,),
+        replicates=10,
+        base_seed=42,
+    )
+    with _Timer() as t:
+        summary = summarize_rel_error(run_mu_sweep(cfg))
+        argmins = {}
+        for delta in cfg.deltas:
+            curve = {mu: m for (mu, d), (m, _) in summary.items() if d == delta}
+            argmins[delta] = min(curve, key=curve.get)
+    expected = {0.015: 2.0, 0.05: 2.5, 0.1: 3.5}
+    ok = argmins == expected and t.elapsed < 10.0
+    _report(
+        "A5b long-domain optimum",
+        ok,
+        f"argmins {argmins}, expected {expected}, {t.elapsed:.2f}s",
+    )
+    assert argmins == expected
+    assert t.elapsed < 10.0
 
 
 def test_a6_parameter_range_law():

@@ -103,6 +103,38 @@ class TestForward:
         assert abs(float(np.mean(cols[1]))) < 1e-12
 
 
+    # The mean tolerance is 1e-10 * max(1, max |f|): a demeaned tall hat or
+    # a large cosine keeps a rounding residue above 1e-10 (the hat of height
+    # 1e7 leaves -1.75e-10), which is not a mean to reject.
+    @pytest.mark.parametrize("height", ["1e7", "1e300"])
+    def test_tall_hat_runs(self, capsys, height):
+        code, _, err = run_cli(capsys, "forward", "--source", "hat",
+                               "--hat-height", height)
+        assert (code, err) == (0, "")
+
+    def test_large_input_source_runs(self, capsys, tmp_path):
+        path = tmp_path / "big.csv"
+        x = TWO_PI * np.arange(256) / 256
+        path.write_text(_rows_csv("x,f", zip(x.tolist(),
+                                              (1e150 * np.cos(x)).tolist())))
+        code, out, err = run_cli(capsys, "forward", "--input", str(path))
+        assert (code, err) == (0, "")
+        assert out.startswith("x,f,g\n")
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150])
+    def test_nonzero_mean_rejected(self, capsys, tmp_path, scale):
+        path = tmp_path / "mean.csv"
+        x = TWO_PI * np.arange(256) / 256
+        f = scale * (np.cos(x) + 1e-6)
+        path.write_text(_rows_csv("x,f", zip(x.tolist(), f.tolist())))
+        code, out, err = run_cli(capsys, "forward", "--input", str(path))
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert line.startswith(f"sourcefft: error: {path}: source has discrete mean ")
+        assert line.endswith("pass --demean to subtract it")
+        assert run_cli(capsys, "forward", "--input", str(path), "--demean")[0] == 0
+
+
 class TestSimulate:
     def test_zero_delta_copies_g(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--delta", "0")
@@ -547,6 +579,13 @@ class TestSweep:
         assert (code, out) == (1, "")
         assert err.splitlines() == [f"sourcefft: error: {message}"]
         assert not list(tmp_path.glob("out/*.csv"))
+
+    def test_tall_hat_sweep_runs(self, capsys, tmp_path):
+        path = tmp_path / "hat.cfg"
+        path.write_text("replicates = 2\nsource = hat\nhat_height = 1e7\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1 + 3 * 81
 
     def test_rule_warnings_are_one_line_each(self, capsys, tmp_path):
         path = tmp_path / "warn.cfg"

@@ -61,6 +61,17 @@ class TestSolveForward:
         with pytest.raises(ValueError, match="mean"):
             solve_forward(f)
 
+    @pytest.mark.parametrize("scale", [1e7, 1e150])
+    def test_mean_tolerance_grows_with_the_source(self, default_grid, scale):
+        # 1e-10 * max(1, max |f|): a large source's rounding residue passes,
+        # a real mean of the same relative size as at scale 1 does not.
+        x = default_grid.points
+        g = solve_forward(RealSignal(default_grid, scale * np.cos(x)))
+        assert np.max(np.abs(g.values)) == pytest.approx(
+            -math.expm1(-1.0) * scale, rel=1e-5)
+        with pytest.raises(ValueError, match="mean"):
+            solve_forward(RealSignal(default_grid, scale * (np.cos(x) + 1e-6)))
+
     def test_demean_flag_subtracts(self, default_grid):
         f0 = RealSignal(default_grid, np.cos(default_grid.points))
         f = RealSignal(default_grid, f0.values + 0.5)

@@ -1,0 +1,23 @@
+"""Smoke test of tools/compare_outputs.py: a checkout against itself."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_compare_outputs_of_one_checkout_are_identical():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "compare_outputs.py"),
+         str(ROOT), str(ROOT)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    names = {line.split(": ")[0] for line in lines}
+    for seed in ("42", "1", "7"):
+        assert {f"{seed}/sweep.csv", f"{seed}/figures/fig5.csv",
+                f"{seed}/bound_check.csv", f"{seed}/invert_rule_iid.csv.stderr",
+                f"{seed}/rule_records_norm_calibrated.csv"} <= names
+    assert lines and all(line.endswith(": identical") for line in lines)
