@@ -298,4 +298,6 @@ def format_rows(table) -> bytes:
         mask[others, 1:1 + text.shape[1]] = text != 0
     # The first value's separator is the newline ending the previous row.
     mask[0, 0] = False
-    return np.compress(mask.reshape(-1), slots.reshape(-1)).tobytes() + b"\n"
+    # A boolean index copies the kept bytes; np.compress would also build
+    # an int64 index of them, eight bytes per byte kept.
+    return slots.reshape(-1)[mask.reshape(-1)].tobytes() + b"\n"

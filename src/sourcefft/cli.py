@@ -12,7 +12,8 @@ dump-config  print the effective default configuration
 Exit codes: 0 success, 1 validation error, 2 I/O error.  Errors are single
 lines on stderr of the form `sourcefft: error: <message>`, and warnings
 (such as a noise level above the smoothness bound) single lines
-`sourcefft: warning: <message>`.
+`sourcefft: warning: <message>`.  `invert --rule` reports the mu it chose
+on one line `sourcefft: rule: p=<p> delta=<delta> E=<E> mu=<mu> bound=<b>`.
 
 Config files are flat `key = value` text; `#` starts a comment.  Lists are
 comma separated; `mus` additionally accepts `start:stop:count` (uniform
@@ -325,7 +326,7 @@ def cmd_invert(args) -> int:
         mu = select_mu(args.delta, args.E, args.rule)
         bound = error_bound(args.delta, args.rule, mu)
         print(
-            f"rule: p={args.rule:g} delta={args.delta:g} E={args.E:g} "
+            f"sourcefft: rule: p={args.rule:g} delta={args.delta:g} E={args.E:g} "
             f"mu={mu!r} bound={bound!r}",
             file=sys.stderr,
         )
@@ -380,6 +381,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 _WORKERS_HELP = "accepted and ignored: cells run serially"
+_OUT_HELP = "output CSV path (default: stdout)"
+_CONFIG_HELP = "config file (default: built-in defaults)"
 
 
 def _add_grid_and_source_flags(sub):
@@ -397,19 +400,12 @@ def _add_grid_and_source_flags(sub):
     )
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="sourcefft",
-        description="Recover a 1-D source term from noisy line measurements.",
-    )
-    subs = parser.add_subparsers(dest="command")
-
-    sub = subs.add_parser("forward", help="write exact data for a source")
+def _forward_flags(sub):
     _add_grid_and_source_flags(sub)
-    sub.add_argument("--out", help="output CSV path (default: stdout)")
-    sub.set_defaults(func=cmd_forward)
+    sub.add_argument("--out", help=_OUT_HELP)
 
-    sub = subs.add_parser("simulate", help="write data with seeded noise")
+
+def _simulate_flags(sub):
     _add_grid_and_source_flags(sub)
     sub.add_argument("--delta", type=float, default=0.05, help="noise level")
     sub.add_argument("--seed", type=int, default=42)
@@ -417,10 +413,10 @@ def build_parser() -> _Parser:
         "--noise-mode", default="iid",
         choices=tuple(mode.replace("_", "-") for mode in NOISE_MODES),
     )
-    sub.add_argument("--out", help="output CSV path (default: stdout)")
-    sub.set_defaults(func=cmd_simulate)
+    sub.add_argument("--out", help=_OUT_HELP)
 
-    sub = subs.add_parser("invert", help="estimate the source from data")
+
+def _invert_flags(sub):
     sub.add_argument("--input", required=True, help="CSV with x and g or g_delta")
     sub.add_argument("--mu", type=float, default=0.0,
                      help="regularization parameter (0 = unregularized)")
@@ -429,27 +425,50 @@ def build_parser() -> _Parser:
     sub.add_argument("--delta", type=float, help="noise level (needed by --rule)")
     sub.add_argument("--E", type=float, default=1.0,
                      help="smoothness bound for the rule (default 1)")
-    sub.add_argument("--out", help="output CSV path (default: stdout)")
-    sub.set_defaults(func=cmd_invert)
+    sub.add_argument("--out", help=_OUT_HELP)
 
-    sub = subs.add_parser("sweep", help="mu sweep from a config file")
-    sub.add_argument("--config", help="config file (default: built-in defaults)")
+
+def _sweep_flags(sub):
+    sub.add_argument("--config", help=_CONFIG_HELP)
     sub.add_argument("--replicates", type=int)
     sub.add_argument("--base-seed", type=int)
     sub.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
-    sub.add_argument("--out", help="output CSV path (default: stdout)")
-    sub.set_defaults(func=cmd_sweep)
+    sub.add_argument("--out", help=_OUT_HELP)
 
-    sub = subs.add_parser("figures", help="write demonstration CSVs and scripts")
-    sub.add_argument("--config", help="config file (default: built-in defaults)")
+
+def _figures_flags(sub):
+    sub.add_argument("--config", help=_CONFIG_HELP)
     sub.add_argument("--out", help="output directory (default: from config)")
     sub.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
-    sub.set_defaults(func=cmd_figures)
 
-    sub = subs.add_parser("dump-config", help="print the default config file")
+
+def _dump_config_flags(sub):
     sub.add_argument("--out", help="write to a file instead of stdout")
-    sub.set_defaults(func=cmd_dump_config)
 
+
+# name -> (help, function adding its flags, handler), in --help order.
+_COMMANDS = {
+    "forward": ("write exact data for a source", _forward_flags, cmd_forward),
+    "simulate": ("write data with seeded noise", _simulate_flags, cmd_simulate),
+    "invert": ("estimate the source from data", _invert_flags, cmd_invert),
+    "sweep": ("mu sweep from a config file", _sweep_flags, cmd_sweep),
+    "figures": ("write demonstration CSVs and scripts", _figures_flags, cmd_figures),
+    "dump-config": ("print the default config file", _dump_config_flags,
+                    cmd_dump_config),
+}
+
+
+def build_parser(command: Optional[str] = None) -> _Parser:
+    """The parser of every command, or of `command` (a key of _COMMANDS)
+    alone: main runs one command per call and builds only its flags."""
+    parser = _Parser(
+        prog="sourcefft",
+        description="Recover a 1-D source term from noisy line measurements.",
+    )
+    subs = parser.add_subparsers(dest="command")
+    for name, (help_text, add_flags, _) in _COMMANDS.items():
+        if command is None or name == command:
+            add_flags(subs.add_parser(name, help=help_text))
     return parser
 
 
@@ -458,15 +477,16 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
             args = parser.parse_args(argv)
-            if getattr(args, "command", None) is None:
+            if args.command is None:
                 raise CliError("missing command (run with --help for usage)")
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                return args.func(args)
+                return _COMMANDS[args.command][2](args)
         except (CliError, ValueError, FloatingPointError, MemoryError) as exc:
             # numpy's MemoryError names the allocation; Python's own is empty.
             print(f"sourcefft: error: {str(exc) or 'out of memory'}", file=sys.stderr)

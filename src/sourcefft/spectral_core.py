@@ -207,6 +207,23 @@ def from_spectrum(sp: Spectrum) -> RealSignal:
     return RealSignal(sp.grid, raw.real)
 
 
+# From here on e^{-a} < 2^-57, under half an ulp of 1, so -expm1(-a) is 1.0.
+_EXP_SATURATES = 40.0
+
+
+def _one_minus_exp(a: np.ndarray) -> np.ndarray:
+    """1 - e^{-a} for an array a = |xi| of at least one dimension, as
+    -expm1(-a), which keeps the digits of small a.  expm1 runs only where
+    a < _EXP_SATURATES; the other entries are 1.0, the value -expm1 gives
+    there.  A nan entry also reads 1.0, not nan, but both multipliers still
+    come out nan through a * a, so they are bit for bit those of -expm1
+    everywhere."""
+    out = np.ones_like(a)
+    small = a < _EXP_SATURATES
+    out[small] = -np.expm1(-a[small])
+    return out
+
+
 def forward_multiplier(xi):
     """Forward-map symbol (1 - e^{-|xi|})/xi^2, with value 0 at xi = 0.
 
@@ -216,10 +233,13 @@ def forward_multiplier(xi):
     carries no information and is pinned to 0 here and in both inverses.
     """
     xi = np.asarray(xi, dtype=float)
-    a = np.abs(xi)
-    safe = np.where(a == 0.0, 1.0, a)
-    out = np.where(a == 0.0, 0.0, -np.expm1(-a) / (safe * safe))
-    return out if out.ndim else float(out)
+    a = np.abs(np.atleast_1d(xi))
+    zero = a == 0.0
+    sq = a * a
+    sq[zero] = 1.0
+    out = np.divide(_one_minus_exp(a), sq, out=sq)
+    out[zero] = 0.0
+    return out if xi.ndim else float(out[0])
 
 
 def inverse_multiplier(xi):
@@ -230,11 +250,13 @@ def inverse_multiplier(xi):
     tame.  Near zero it behaves like |xi| + xi^2/2.
     """
     xi = np.asarray(xi, dtype=float)
-    a = np.abs(xi)
-    denom = -np.expm1(-a)
-    safe = np.where(denom == 0.0, 1.0, denom)
-    out = np.where(a == 0.0, 0.0, (a * a) / safe)
-    return out if out.ndim else float(out)
+    a = np.abs(np.atleast_1d(xi))
+    zero = a == 0.0  # exactly where 1 - e^{-a} is 0
+    denom = _one_minus_exp(a)
+    denom[zero] = 1.0
+    out = np.divide(a * a, denom, out=denom)
+    out[zero] = 0.0
+    return out if xi.ndim else float(out[0])
 
 
 def regularized_multiplier(xi, mu):

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sourcefft import cli
 from sourcefft.cli import (
     CliError,
     RunConfig,
@@ -250,9 +251,9 @@ class TestInvert:
             "--delta", "0.015",
         )
         assert code == 0
-        assert err.startswith("rule:")
+        assert err.startswith("sourcefft: rule: ")
         fields = dict(
-            part.split("=") for part in err.strip().split(" ")[1:]
+            part.split("=") for part in err.strip().split(" ")[2:]
         )
         assert float(fields["mu"]) == pytest.approx(0.24662, abs=1e-5)
         assert float(fields["bound"]) > 0
@@ -266,8 +267,8 @@ class TestInvert:
         assert code == 0
         warning, provenance = err.splitlines()
         assert warning.startswith("sourcefft: warning: noise level delta=2 exceeds")
-        assert provenance.startswith("rule: ")
-        mu = dict(part.split("=") for part in provenance.split(" ")[1:])["mu"]
+        assert provenance.startswith("sourcefft: rule: p=1 delta=2 E=1 mu=")
+        mu = dict(part.split("=") for part in provenance.split(" ")[2:])["mu"]
         assert run_cli(capsys, *args, "--mu", mu) == (0, out, "")
 
     def test_rule_requires_delta(self, capsys, forward_file):
@@ -811,6 +812,50 @@ class TestTopLevel:
         assert "{" + ",".join(COMMANDS) + "}" in out
         for cmd in COMMANDS:
             assert f"\n    {cmd} " in out
+
+    @pytest.mark.parametrize("argv", [["--help"]] + [[c, "--help"] for c in COMMANDS])
+    def test_help_matches_the_full_parser(self, capsys, argv):
+        # main builds one command's parser; its help is the full parser's.
+        with pytest.raises(SystemExit) as full:
+            build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        with pytest.raises(SystemExit) as lazy:
+            main(argv)
+        assert (lazy.value.code, full.value.code) == (0, 0)
+        assert capsys.readouterr() == expected
+        assert expected.out.startswith("usage: " + " ".join(["sourcefft"] + argv[:-1]))
+
+    def test_other_command_flags_are_an_unknown_argument(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--n", "5")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["sourcefft: error: unrecognized arguments: --n 5"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_main_builds_only_the_invoked_command(
+        self, capsys, monkeypatch, command
+    ):
+        def refuse(sub):
+            raise AssertionError(f"built the flags of {sub.prog}")
+
+        for other, (help_text, _, handler) in list(cli._COMMANDS.items()):
+            if other != command:
+                monkeypatch.setitem(cli._COMMANDS, other, (help_text, refuse, handler))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: sourcefft {command} ")
+        if command == "dump-config":
+            assert run_cli(capsys, command)[0] == 0
+
+    def test_main_without_argv_reads_sys_argv(self, capsys, monkeypatch):
+        expected = run_cli(capsys, "dump-config")
+        monkeypatch.setattr(sys, "argv", ["sourcefft", "dump-config"])
+        code = main()
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected
+        monkeypatch.setattr(sys, "argv", ["sourcefft"])
+        assert main() == 1
+        assert capsys.readouterr().err.startswith("sourcefft: error: missing command")
 
     # The quadrature cross-check is a library reference, not a command.
     def test_oracle_is_an_unknown_command(self, capsys):

@@ -22,6 +22,17 @@ from sourcefft.spectral_core import (
 TWO_PI = 2.0 * math.pi
 
 
+def _expm1_multipliers(xi):
+    """Reference forward and inverse symbols, evaluating -expm1 at every xi."""
+    xi = np.asarray(xi, dtype=float)
+    a = np.abs(xi)
+    safe = np.where(a == 0.0, 1.0, a)
+    fwd = np.where(a == 0.0, 0.0, -np.expm1(-a) / (safe * safe))
+    denom = -np.expm1(-a)
+    inv = np.where(a == 0.0, 0.0, (a * a) / np.where(denom == 0.0, 1.0, denom))
+    return fwd, inv
+
+
 class TestGrid:
     def test_small_grid_arithmetic(self):
         g = make_grid(8, 0.0, TWO_PI)
@@ -273,6 +284,41 @@ class TestMultipliers:
             cur = regularized_multiplier(xs, mu)
             assert np.all(cur <= prev)
             prev = cur
+
+    def test_exponential_saturates_from_forty(self):
+        # The multipliers skip expm1 from |xi| = 40 on and use 1.0, the value
+        # -expm1 rounds to there on this platform (e^{-40} < 2^-57).
+        a = np.concatenate([
+            [40.0, np.nextafter(40.0, np.inf)],
+            np.geomspace(np.nextafter(40.0, np.inf), 1e300, 20001),
+            np.linspace(40.0, 800.0, 20001),
+        ])
+        assert np.all(-np.expm1(-a) == 1.0)
+
+    @pytest.mark.parametrize("n", [8, 256, 1000, 4096, 2**16, 2**20])
+    @pytest.mark.parametrize("length", [1e-3, 1.0, TWO_PI, 7.5, 1e2, 1e4])
+    def test_multipliers_match_expm1_everywhere_on_grids(self, n, length):
+        xi = make_grid(n, 0.0, length).frequencies
+        for half in (xi, make_grid(n, -3.0, length - 3.0).half_frequencies):
+            fwd, inv = _expm1_multipliers(half)
+            assert np.array_equal(forward_multiplier(half), fwd)
+            assert np.array_equal(inverse_multiplier(half), inv)
+
+    def test_multipliers_match_expm1_on_scalars_and_edges(self):
+        values = [0.0, -0.0, 5e-324, 1e-300, 1e-8, 1.0, -3.5, 39.999, 40.0,
+                  np.nextafter(40.0, np.inf), -41.0, 1e6, 1e150, 1e300,
+                  np.inf, -np.inf, np.nan]
+        with np.errstate(over="ignore", divide="ignore"):
+            for v in values:
+                fwd, inv = _expm1_multipliers(v)
+                for got, want in ((forward_multiplier(v), fwd),
+                                  (inverse_multiplier(v), inv)):
+                    assert type(got) is float
+                    assert np.array_equal(got, want, equal_nan=True)
+                    assert np.signbit(got) == np.signbit(want)
+            fwd, inv = _expm1_multipliers(np.array(values))
+            assert np.array_equal(forward_multiplier(values), fwd, equal_nan=True)
+            assert np.array_equal(inverse_multiplier(values), inv, equal_nan=True)
 
     def test_regularized_high_frequency_cap(self):
         # For |xi| >= 1: reg <= 1/(mu^2 (1 - e^{-1})).

@@ -19,5 +19,6 @@ def test_compare_outputs_of_one_checkout_are_identical():
     for seed in ("42", "1", "7"):
         assert {f"{seed}/sweep.csv", f"{seed}/figures/fig5.csv",
                 f"{seed}/bound_check.csv", f"{seed}/invert_rule_iid.csv.stderr",
-                f"{seed}/rule_records_norm_calibrated.csv"} <= names
+                f"{seed}/rule_records_norm_calibrated.csv", f"{seed}/help.txt",
+                f"{seed}/help_dump-config.txt"} <= names
     assert lines and all(line.endswith(": identical") for line in lines)

@@ -9,7 +9,8 @@ process, the byte-identity list: the default `sweep`, `mus = rule` sweeps
 with p = 0, 1, 2, 3 in both noise modes, the whole `figures` directory,
 `forward` (cosine and hat), `simulate` in both noise modes, `invert --mu
 0.3` and `invert --rule 1 --delta 0.05` of it (stderr included), the
-findings of `run_bound_check()`, and the records of `run_mu_sweep` and
+`--help` text of the top level and of each command, the findings of
+`run_bound_check()`, and the records of `run_mu_sweep` and
 `run_rule_comparison` (both modes) at 5 replicates.  For every output it
 prints "identical" when the bytes agree, else the largest relative
 deviation |a - b| / max(|a|, |b|) of each column of a CSV of numbers, or
@@ -44,7 +45,10 @@ from sourcefft.cli import main
 def run(out, name, *argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main([str(a) for a in argv])
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:  # --help prints, then exits
+            code = exc.code
     (out / name).write_text(stdout.getvalue(), encoding="utf-8")
     (out / (name + ".stderr")).write_text(
         f"exit {code}\n" + stderr.getvalue(), encoding="utf-8")
@@ -62,6 +66,7 @@ def table(path, cells, fields):
 RECORD = ["delta", "mu", "p", "replicate", "rel_error", "abs_error", "bound",
           "empirical_noise_norm"]
 FINDING = [f.name for f in dataclasses.fields(experiments.BoundFinding)]
+COMMANDS = ["forward", "simulate", "invert", "sweep", "figures", "dump-config"]
 
 for seed in map(int, sys.argv[1:]):
     out = Path(str(seed))
@@ -77,6 +82,9 @@ for seed in map(int, sys.argv[1:]):
         run(out, name + ".csv", "sweep", "--config", cfg)
     run(out, "figures.list", "figures", "--config", out / "sweep.cfg",
         "--out", out / "figures")
+    run(out, "help.txt", "--help")
+    for command in COMMANDS:
+        run(out, f"help_{command}.txt", command, "--help")
     run(out, "forward.csv", "forward")
     run(out, "forward_hat.csv", "forward", "--source", "hat")
     for mode in ("iid", "norm-calibrated"):
