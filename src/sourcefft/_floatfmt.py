@@ -1,26 +1,38 @@
-"""CSV rows of float64 as repr text, formatted by array operations.
+"""CSV rows of float64 as repr text, written and read by array operations.
 
 format_rows(table) is "".join of "%r,%r,...\\n" % row over the rows of a
 2-D float table, encoded as ASCII, computed without a Python call per
-value.  The shortest round-trip digits come from Schubfach (R. Giulietti,
-"The Schubfach way to render doubles", 2020; the algorithm of
-java.lang.DoubleToDecimal), which, like Python's repr, picks the shortest
-decimal that reads back to the same double, the closest one among those,
-and the one with an even last digit on a tie.  The digits are then laid out
-as repr does in fixed notation, which it uses for 1e-4 <= |x| < 1e16.
-Every other value (zeros, subnormals, inf, nan and the exponent-notation
-magnitudes) is formatted by repr itself.
+value; parse_rows reads such text back.  The shortest round-trip digits
+come from Schubfach (R. Giulietti, "The Schubfach way to render doubles",
+2020; the algorithm of java.lang.DoubleToDecimal), which, like Python's
+repr, picks the shortest decimal that reads back to the same double, the
+closest one among those, and the one with an even last digit on a tie.
+The digits are then laid out as repr does in fixed notation, which it uses
+for 1e-4 <= |x| < 1e16.  Every other value (zeros, subnormals, inf, nan and
+the exponent-notation magnitudes) is formatted by repr itself.
 
-The decimal conversion runs on uint64 arrays with uint64 operands only, so
-no value is ever promoted to float64 (numpy 1.24's value-based casting
+parse_rows turns the digits of each value into a uint64 m and a decimal
+exponent -k by SWAR (eight ASCII digits per uint64 word) and m * 10^-k into
+the nearest double as Clinger's exact division when m <= 2^53, else by the
+Eisel-Lemire algorithm (D. Lemire, "Number parsing at a gigabyte per
+second", Software: Practice and Experience 51(8), 2021), whose 128-bit
+product never needs a fallback (N. Mushtak and D. Lemire, "Fast number
+parsing without fallback", SPE 53(6), 2023).  It takes only the text
+format_rows writes and declines anything else, so a caller can hand that to
+a general reader.
+
+The integer arithmetic runs on uint64 arrays with uint64 operands only, so
+no value is promoted to float64 unasked (numpy 1.24's value-based casting
 included); 64 x 64-bit products are assembled from 32-bit limbs.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-__all__ = ["format_rows"]
+__all__ = ["format_rows", "parse_rows"]
 
 _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
@@ -83,10 +95,11 @@ _K, _H, _G1, _G0 = _build_table()
 
 
 def _mul(a, b):
-    """(high, low) 64-bit words of a * b, for b < 2^60."""
+    """(high, low) 64-bit words of a * b, for any uint64 a and b."""
     a_hi, a_lo = a >> _U64(32), a & _MASK32
     b_hi, b_lo = b >> _U64(32), b & _MASK32
-    # a_lo * b_hi < 2^60 leaves room to add the carry out of a_lo * b_lo.
+    # Neither sum can carry out of 64 bits: with x = 2^32 - 1, mid is at
+    # most x * x + x and then x * x + 2x = 2^64 - 1.
     mid = (a_lo * b_lo >> _U64(32)) + a_lo * b_hi
     cross = a_hi * b_lo
     mid += cross & _MASK32
@@ -232,17 +245,31 @@ def _layouts() -> np.ndarray:
 _LAYOUTS = _layouts()
 
 
+# Tables of at most this many values are formatted by the repr join itself:
+# the kernel's fixed cost of about 150 numpy calls made a 6 x 4 table take
+# 310 us against 38 us for the join, 128 values 324 us against 202 us; the
+# two were even near 256 values and the kernel ahead from 512 on.
+_REPR_MAX_VALUES = 128
+
+
 def format_rows(table) -> bytes:
     """ASCII of the rows of a 2-D float64 table as CSV lines.
 
     Equal to "".join(",".join(repr(float(v)) for v in row) + "\\n" for row
-    in table).encode("ascii").  Values with 1e-4 <= |x| < 1e16 go through
-    the array kernel; the rest through repr.
+    in table).encode("ascii"), which is how tables of at most
+    _REPR_MAX_VALUES values are formatted.  In larger ones, values with
+    1e-4 <= |x| < 1e16 go through the array kernel, the rest through repr.
     """
     table = np.ascontiguousarray(table, dtype=np.float64)
+    if table.size <= _REPR_MAX_VALUES:
+        return "".join(",".join(map(repr, row)) + "\n"
+                       for row in table.tolist()).encode("ascii")
+    return _format_kernel(table)
+
+
+def _format_kernel(table) -> bytes:
+    """format_rows of a table with at least one row and one column."""
     rows, cols = table.shape
-    if rows == 0 or cols == 0:
-        return b"\n" * rows
     values = table.reshape(-1)
     bits = values.view(_U64)
     magnitude = bits & _MASK63
@@ -301,3 +328,241 @@ def format_rows(table) -> bytes:
     # A boolean index copies the kept bytes; np.compress would also build
     # an int64 index of them, eight bytes per byte kept.
     return slots.reshape(-1)[mask.reshape(-1)].tobytes() + b"\n"
+
+
+# ---------------------------------------------------------------------------
+# Reading: the inverse of format_rows.
+
+def _powers_of_five():
+    """Eisel-Lemire's table, row k for q = -k, k = 1 ... 20 (row 0 unused):
+    the high and low words of 5^-q as a 128-bit fraction with its top bit
+    set, rounded up (floor(2^(z + 127) / 5^k) + 1, z the bit length of
+    5^k), and power(q) + 1022, the biased binary exponent less the leading
+    bit a mantissa adds to it, with power(q) = floor(q * 217706 / 2^16) + 63
+    (fast_float's table and power)."""
+    c = [0] + [(1 << (5 ** k).bit_length() + 127) // 5 ** k + 1 for k in range(1, 21)]
+    k = np.arange(21)
+    return (np.array([v >> 64 for v in c], dtype=_U64),
+            np.array([v & (1 << 64) - 1 for v in c], dtype=_U64),
+            ((-217706 * k >> 16) + 63 + 1022).astype(_U64))
+
+
+_P5_HI, _P5_LO, _P5_EXP = _powers_of_five()
+_POW10 = np.array([10 ** k % (1 << 64) for k in range(21)], dtype=_U64)
+_POW10_F = 10.0 ** np.arange(21)       # exact: 10^k < 2^53 * 2^k for k <= 22
+_TWO53 = _U64(1 << 53)
+
+
+def _eisel_lemire(m, k):
+    """Bits of the double nearest m * 10^-k, ties to even, for uint64
+    2^53 < m < 10^19 and 1 <= k <= 20 (fast_float's compute_float)."""
+    # m >> 11 >= 2^42 converts to a double exactly; its exponent gives the
+    # bit length of m, and so the shift that sets the top bit.
+    lz = _U64(1075) - ((m >> _U64(11)).astype(np.float64).view(_U64) >> _U64(52))
+    w = m << lz
+    hi, lo = _mul(w, _P5_HI[k])
+    # Only where the low nine bits of hi are all ones can the truncated
+    # rest of 5^-q carry into the bits kept.
+    (near,) = np.nonzero(hi & _U64(0x1FF) == _U64(0x1FF))
+    if len(near):
+        carry, _ = _mul(w[near], _P5_LO[k[near]])
+        low = lo[near] + carry
+        hi[near] += low < carry
+        lo[near] = low
+    upper = hi >> _U64(63)
+    shift = upper + _U64(9)
+    mantissa = hi >> shift
+    # A product with nothing below the kept bits is an exact halfway case
+    # (possible only for k <= 4): round down to even instead of up.
+    (exact,) = np.nonzero(lo <= _U64(1))
+    tie = exact[(k[exact] <= 4) & (mantissa[exact] & _U64(3) == _U64(1))
+                & (mantissa[exact] << shift[exact] == hi[exact])]
+    mantissa[tie] -= _U64(1)
+    mantissa += mantissa & _U64(1)
+    mantissa >>= _U64(1)
+    # The mantissa's leading bit adds one to the exponent, two when the
+    # rounding carried it to 2^53.
+    return (_P5_EXP[k] + upper - lz << _U64(52)) + mantissa
+
+
+def _eight_digits(words):
+    """Turn little-endian uint64 words of ASCII digits, first byte most
+    significant, into the numbers they write, in place; a zero byte reads
+    as a zero digit."""
+    for mask, scale, shift in _SWAR_STEPS:
+        words &= mask
+        words *= scale
+        words >>= shift
+    return words
+
+
+# Pairs of digits, then pairs of those, then of those.
+_SWAR_STEPS = [(_U64(0x0F0F0F0F0F0F0F0F), _U64(10 << 8 | 1), _U64(8)),
+               (_U64(0x00FF00FF00FF00FF), _U64(100 << 16 | 1), _U64(16)),
+               (_U64(0x0000FFFF0000FFFF), _U64(10000 << 32 | 1), _U64(32))]
+
+
+def _keep_digits():
+    """Row n: the masks of three consecutive 8-byte words that keep their
+    last n bytes (all 24 for n >= 24), the last n digits of a run."""
+    def keep(j):
+        j = min(max(j, 0), 8)
+        return (1 << 64) - (1 << 64 - 8 * j) if j else 0
+    return np.array([[keep(n - 16), keep(n - 8), keep(n)] for n in range(25)],
+                    dtype=_U64)
+
+
+_KEEP_DIGITS = _keep_digits()
+# Bytes read at a time.  Peak memory grows with the block and numpy calls
+# per byte shrink: a 2^20-row `invert` peaked at 89 MB with 256 KiB reads,
+# 94 MB with 1 MiB and 102 MB with 4 MiB, in about the same time.
+_READ_BYTES = 1 << 18
+# Zero bytes ahead of each block, so the 24 bytes that end at any value
+# are inside the buffer.
+_PAD = bytes(24)
+# The bytes a value in exponent form may hold, as a lookup table.
+_EXP_FORM_BYTES = np.zeros(256, dtype=bool)
+_EXP_FORM_BYTES[list(b"0123456789.-+e")] = True
+
+
+def _digit_run(windows, at, count):
+    """(len(at), 3) uint64: the number written by the last `count` digits
+    of the 24 bytes at each offset `at` of windows, eight digits per column,
+    most significant first; only the last 24 digits of a longer run."""
+    words = windows[at].view(_U64).reshape(-1, 3)
+    words &= np.take(_KEEP_DIGITS, np.minimum(count, 24), axis=0)
+    return _eight_digits(words)
+
+
+def _parse_lines(text, fields):
+    """The values of the lines of text after _PAD, each ending in a newline,
+    as a flat float64 array; None unless every line holds `fields` values
+    -?D+.D+ or values holding an "e", which float() reads."""
+    exp_form = b"e" in text
+    if exp_form:
+        text = bytearray(text)
+    body = np.frombuffer(text, np.uint8, offset=len(_PAD))
+    # Every byte below "/" (separators, points, minus signs and any other
+    # punctuation, space or control byte) and every e.
+    marks = body < ord("/")
+    if exp_form:
+        marks |= body == ord("e")
+    marks = np.flatnonzero(marks)
+    kind = body[marks]
+    (sep,) = np.nonzero((kind == ord(",")) | (kind == ord("\n")))
+    ends = marks[sep]
+    # Every value holds a mark of its own: its point or its e.
+    if len(ends) % fields or len(marks) < 2 * len(ends):
+        return None
+    # Each line has `fields` values, the last ended by the newline.
+    line = np.full(fields, ord(","), dtype=np.uint8)
+    line[-1] = ord("\n")
+    if (kind[sep].reshape(-1, fields) != line).any():
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    # A value -?D+.D+ holds one mark, its point, or two, a minus sign at
+    # its start and then the point.
+    points = marks[sep - 1]
+    count = sep.copy()
+    count[1:] -= sep[:-1] + 1
+    negative = count == 2
+    plain = (kind[sep - 1] == ord(".")) & ((count == 1) | negative
+                                         & (kind[sep - 2] == ord("-"))
+                                         & (marks[sep - 2] == starts))
+    tok, exact = np.empty(0, np.intp), []
+    if exp_form:
+        # Values in exponent form go through float(), and their bytes are
+        # overwritten with "0.0...0" for the checks and the digit words.
+        tok = np.unique(np.searchsorted(ends, marks[kind == ord("e")]))
+        lengths = ends[tok] - starts[tok]
+        inside = np.repeat(starts[tok] - np.cumsum(lengths) + lengths, lengths)
+        inside += np.arange(len(inside))
+        if not _EXP_FORM_BYTES[body[inside]].all():
+            return None
+        try:
+            exact = [float(text[len(_PAD) + i:len(_PAD) + j])
+                     for i, j in zip(starts[tok].tolist(), ends[tok].tolist())]
+        except ValueError:
+            return None
+        body[inside] = ord("0")
+        points[tok] = starts[tok] + 1
+        body[points[tok]] = ord(".")
+        plain[tok] = True
+        negative[tok] = False
+    # Above "/" only digits are left.
+    if not plain.all() or body.max() > ord("9") or b"/" in text:
+        return None
+    int_len = points - starts - negative
+    frac_len = ends - points - 1
+    if (int_len < 1).any() or (frac_len < 1).any():
+        return None
+
+    # SWAR over the 24 bytes that end each fraction, and those that end
+    # each integer part of more than one digit.
+    windows = np.ndarray((len(text) - 23,), "V24", text, strides=(1,))
+    high, mid, low = _digit_run(windows, ends + (len(_PAD) - 24), frac_len).T
+    frac = (high * _U64(10 ** 8) + mid) * _U64(10 ** 8) + low
+    whole = (body[points - 1] - np.uint8(ord("0"))).astype(_U64)
+    (long,) = np.nonzero(int_len > 1)
+    at_point = points[long] + (len(_PAD) - 24)
+    _, mid, low = _digit_run(windows, at_point, int_len[long]).T
+    whole[long] = mid * _U64(10 ** 8) + low
+    # m has at most 19 digits, or it is the fraction alone and below
+    # 1844 * 10^16 < 2^64.
+    fits = (int_len <= 16) & (frac_len <= 20) & (high < _U64(1844)) \
+        & ((whole == _U64(0)) | (int_len + frac_len <= 19))
+    k = np.minimum(frac_len, 20)
+    m = whole * _POW10[k] + frac
+
+    bits = (m.astype(np.float64) / _POW10_F[k]).view(_U64)
+    (large,) = np.nonzero(m > _TWO53)
+    bits[large] = _eisel_lemire(m[large], k[large])
+    bits |= negative.astype(_U64) << _U64(63)
+    values = bits.view(np.float64)
+    fits[tok] = True
+    for t in np.flatnonzero(~fits).tolist():
+        values[t] = float(text[len(_PAD) + starts[t]:len(_PAD) + ends[t]])
+    values[tok] = exact
+    return values
+
+
+def parse_rows(stream, fields: int):
+    """The (rows, fields) float64 table of the CSV lines left in the binary
+    stream, read as float() reads each value; None when the lines are not
+    text as format_rows writes it.
+
+    Accepted: LF line ends with none missing, no blank line, exactly
+    `fields` comma-separated values per line, and only the bytes
+    0-9 . - + e , and newline; every value is -?D+.D+ or holds an "e"
+    (repr's exponent form, read by float()).  The stream is read twice,
+    once to count the lines, in blocks of _READ_BYTES.
+    """
+    if fields < 1:
+        return None
+    start = stream.tell()
+    blocks = functools.partial(stream.read, _READ_BYTES)
+    rows = sum(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+               for block in iter(blocks, b""))
+    if rows == 0:
+        return None
+    # One table of the exact size: growing or joining per-block arrays
+    # would hold two copies at once.
+    stream.seek(start)
+    table = np.empty((rows, fields))
+    flat = table.reshape(-1)
+    done, tail = 0, b""
+    for block in iter(blocks, b""):
+        cut = block.rfind(b"\n") + 1
+        if not cut:
+            tail += block
+            continue
+        text = b"".join((_PAD, tail, memoryview(block)[:cut]))
+        values = _parse_lines(text, fields)
+        if values is None or done + len(values) > len(flat):
+            return None
+        flat[done:done + len(values)] = values
+        done += len(values)
+        tail = block[cut:]
+    return table if done == len(flat) and not tail else None

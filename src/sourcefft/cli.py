@@ -33,10 +33,12 @@ from typing import Optional, Union
 
 import numpy as np
 
+from ._floatfmt import parse_rows
 from .experiments import (
     RULE_MUS,
     SweepConfig,
     _SUMMARY_HEADER,
+    _summary_columns,
     _summary_rows,
     default_mu_grid,
     reproduce_figures,
@@ -210,11 +212,42 @@ def _load_config(path: Optional[str]) -> RunConfig:
 # ---------------------------------------------------------------------------
 # CSV I/O
 
-def _emit_csv(out_path: Optional[str], header, rows) -> None:
-    write_csv(sys.stdout if out_path is None else out_path, header, rows)
+def _emit_csv(out_path: Optional[str], header, columns) -> None:
+    write_csv(sys.stdout if out_path is None else out_path, header, columns)
 
 
 def _read_csv_columns(path: str):
+    """The columns of a CSV of numbers, by header name.
+
+    Text as write_csv writes it goes through the vectorized reader
+    (_floatfmt.parse_rows), anything else, or anything it declines, through
+    np.loadtxt; the values are the same either way.
+    """
+    data = None
+    # Only a regular file can be read twice (parse_rows counts the lines
+    # first) and reopened; a pipe goes to np.loadtxt alone.
+    if Path(path).is_file():
+        with open(path, "rb") as fh:
+            first = fh.readline()
+            # The text reader below ends a line at a CR as well.
+            if b"\r" not in first:
+                try:
+                    header = _csv_header(first.decode("utf-8"))
+                except UnicodeDecodeError:
+                    pass
+                else:
+                    data = parse_rows(fh, len(header))
+    if data is None:
+        header, data = _load_csv_text(path)
+    return {name: data[:, idx] for idx, name in enumerate(header)}
+
+
+def _csv_header(line: str) -> list:
+    return [name.strip() for name in next(csv.reader([line]), [])]
+
+
+def _load_csv_text(path: str) -> tuple:
+    """(header, rows) of any CSV of numbers, through np.loadtxt."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             first = fh.readline()
@@ -222,7 +255,7 @@ def _read_csv_columns(path: str):
             raise CliError(f"{path}: {exc}")
         if not first:
             raise CliError(f"{path}: empty CSV")
-        header = [name.strip() for name in next(csv.reader([first]), [])]
+        header = _csv_header(first)
         try:
             # A header-only file warns "input contained no data"; the
             # no-rows error below says so on the one stderr line.
@@ -239,7 +272,7 @@ def _read_csv_columns(path: str):
         raise CliError(
             f"{path}: rows have {data.shape[1]} fields, header has {len(header)}"
         )
-    return {name: data[:, idx] for idx, name in enumerate(header)}
+    return header, data
 
 
 def _grid_from_x(x: np.ndarray, context: str) -> Grid:
@@ -304,8 +337,7 @@ def _forward_data(args):
 
 def cmd_forward(args) -> int:
     grid, f, g = _forward_data(args)
-    rows = np.column_stack((grid.points, f.values, g.values))
-    _emit_csv(args.out, ["x", "f", "g"], rows)
+    _emit_csv(args.out, ["x", "f", "g"], (grid.points, f.values, g.values))
     return 0
 
 
@@ -313,8 +345,7 @@ def cmd_simulate(args) -> int:
     grid, _, g = _forward_data(args)
     spec = NoiseSpec(args.delta, args.seed, _parse_noise_mode(args.noise_mode))
     noisy = add_noise(g, spec)
-    rows = np.column_stack((grid.points, g.values, noisy.values))
-    _emit_csv(args.out, ["x", "g", "g_delta"], rows)
+    _emit_csv(args.out, ["x", "g", "g_delta"], (grid.points, g.values, noisy.values))
     return 0
 
 
@@ -338,8 +369,7 @@ def cmd_invert(args) -> int:
         estimate = estimate_source_regularized(g, mu)
     except FloatingPointError:
         raise CliError(f"{args.input}: the estimate at mu={mu!r} overflows float64")
-    rows = np.column_stack((grid.points, estimate.values))
-    _emit_csv(args.out, ["x", "f_estimate"], rows)
+    _emit_csv(args.out, ["x", "f_estimate"], (grid.points, estimate.values))
     return 0
 
 
@@ -347,7 +377,8 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     flags = {"replicates": args.replicates, "base_seed": args.base_seed}
     cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
-    _emit_csv(args.out, _SUMMARY_HEADER, _summary_rows(cfg.to_sweep_config()))
+    rows = _summary_rows(cfg.to_sweep_config())
+    _emit_csv(args.out, _SUMMARY_HEADER, _summary_columns(rows))
     return 0
 
 

@@ -317,6 +317,11 @@ def _rule_columns(deltas, smoothness) -> list:
 _SUMMARY_HEADER = ["mu", "delta", "mean_rel_error", "stderr_rel_error"]
 
 
+def _summary_columns(rows) -> np.ndarray:
+    """The rows of _summary_rows as the columns write_csv takes."""
+    return np.reshape(rows, (-1, len(_SUMMARY_HEADER))).T
+
+
 def _summary_rows(config: SweepConfig) -> list:
     """Sorted rows (mu, delta, mean, stderr) of summarize_rel_error over
     run_mu_sweep(config) (run_rule_comparison for mus=RULE_MUS), folded from
@@ -452,27 +457,30 @@ def run_bound_check(
 _CSV_CHUNK_ROWS = 1 << 12
 
 
-def write_csv(path, header: Sequence[str], rows) -> None:
-    """Write a header and rows of numbers as CSV, LF endings, repr-exact floats.
+def write_csv(path, header: Sequence[str], columns) -> None:
+    """Write a header and columns of numbers as CSV, LF endings, repr-exact floats.
 
     path is a file path, or an open text stream that is written to and left
-    open.  rows is a 2-D array or a sequence of equal-length rows; every
-    cell is written as repr(float(cell)), the shortest string that parses
-    back to the identical double, which is what makes reruns
-    byte-comparable.  The text comes from a vectorized shortest round-trip
-    formatter (_floatfmt.format_rows), which calls repr itself only for
-    zeros, inf, nan and |x| < 1e-4 or >= 1e16.  Rows go out in chunks, so a
-    large table never exists as one string.
+    open.  columns holds one equal-length 1-D array of numbers per header
+    field (a 2-D array holds them as its rows).  Every cell is written as
+    repr(float(cell)), the shortest string that parses back to the
+    identical double, which is what makes reruns byte-comparable.  The text
+    comes from a vectorized shortest round-trip formatter
+    (_floatfmt.format_rows).  Rows go out in chunks, each stacked from the
+    columns' slices, so a large table never exists as one array or one
+    string.
     """
-    table = np.asarray(rows, dtype=float)
-    if len(table) and table.shape[1:] != (len(header),):
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    rows = len(columns[0]) if columns else 0
+    if len(columns) != len(header) or any(c.shape != (rows,) for c in columns):
         raise ValueError(
-            f"rows have shape {table.shape[1:]}, header has {len(header)} fields"
+            f"columns have shapes {[c.shape for c in columns]}, "
+            f"header has {len(header)} fields"
         )
     chunks = itertools.chain(
         [(",".join(header) + "\n").encode("utf-8")],
-        (format_rows(table[start:start + _CSV_CHUNK_ROWS])
-         for start in range(0, len(table), _CSV_CHUNK_ROWS)),
+        (format_rows(np.column_stack([c[i:i + _CSV_CHUNK_ROWS] for c in columns]))
+         for i in range(0, rows, _CSV_CHUNK_ROWS)),
     )
     if isinstance(path, (str, os.PathLike)):
         with open(path, "wb") as fh:
@@ -574,7 +582,7 @@ def reproduce_figures(out_dir, config: Optional[SweepConfig] = None,
         estimate_source_unregularized(noisy).values for noisy in draws
     ]
     path = out / "fig1.csv"
-    write_csv(path, header, np.column_stack(columns))
+    write_csv(path, header, columns)
     created.append(path)
 
     for fig_no, (i, delta) in zip((2, 3, 4), enumerate(config.deltas)):
@@ -584,11 +592,11 @@ def reproduce_figures(out_dir, config: Optional[SweepConfig] = None,
             estimate_source_regularized(draws[i], mu).values for mu in mu_set
         ]
         path = out / f"fig{fig_no}.csv"
-        write_csv(path, header, np.column_stack(columns))
+        write_csv(path, header, columns)
         created.append(path)
 
     path = out / "fig5.csv"
-    write_csv(path, _SUMMARY_HEADER, _summary_rows(config))
+    write_csv(path, _SUMMARY_HEADER, _summary_columns(_summary_rows(config)))
     created.append(path)
 
     for fig_no in (1, 2, 3, 4):

@@ -363,6 +363,7 @@ class TestInputCsv:
             pytest.param(_input_csv(bad_row="2.0,0.5,1.0"), 1, id="ragged-row"),
             pytest.param(_input_csv(bad_row="2.0,abc"), 1, id="non-numeric"),
             pytest.param("x,g\n", 1, id="header-only"),
+            pytest.param("x\n\n", 1, id="one-column-blank-line"),
             pytest.param("", 1, id="empty"),
         ],
     )
@@ -382,6 +383,68 @@ class TestInputCsv:
             assert lines[0].startswith("sourcefft: error:")
             assert str(path) in lines[0]
             assert "Traceback" not in err
+
+
+class TestReaderChoice:
+    """write_csv's own text goes through the vectorized reader
+    (_floatfmt.parse_rows); what it declines goes through np.loadtxt."""
+
+    @pytest.fixture
+    def loadtxt_calls(self, monkeypatch):
+        calls = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        return calls
+
+    @pytest.mark.parametrize("write, read", [
+        (("simulate", "--n", "4096", "--delta", "0.05"), ("invert", "--mu", "0.3")),
+        (("simulate", "--source", "hat", "--noise-mode", "norm-calibrated"),
+         ("invert", "--rule", "1", "--delta", "0.05")),
+        (("forward",), ("forward",)),
+        (("forward", "--source", "hat", "--n", "1000"), ("forward",)),
+    ])
+    def test_own_output_never_reaches_loadtxt(
+        self, capsys, tmp_path, loadtxt_calls, write, read
+    ):
+        data = tmp_path / "data.csv"
+        assert run_cli(capsys, *write, "--out", str(data))[0] == 0
+        code, out, _ = run_cli(capsys, *read, "--input", str(data))
+        assert code == 0 and out
+        assert loadtxt_calls == []
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_input_goes_through_loadtxt(self, capsys, tmp_path, loadtxt_calls):
+        # A pipe cannot be read twice, as the vectorized reader reads a file.
+        data = tmp_path / "data.csv"
+        assert run_cli(capsys, "forward", "--n", "16", "--out", str(data))[0] == 0
+        read, write = os.pipe()
+        os.write(write, data.read_bytes())
+        os.close(write)
+        try:
+            piped = run_cli(capsys, "forward", "--input", f"/dev/fd/{read}")
+        finally:
+            os.close(read)
+        assert len(loadtxt_calls) == 1
+        assert piped == run_cli(capsys, "forward", "--input", str(data))
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(_input_csv(eol="\r\n"), id="crlf"),
+        pytest.param(_input_csv(quote='"'), id="quoted"),
+        pytest.param(_input_csv(blank=True), id="blank-lines"),
+        pytest.param(_input_csv(sep=", "), id="spaces-after-commas"),
+    ])
+    def test_other_inputs_go_through_loadtxt(
+        self, capsys, tmp_path, loadtxt_calls, text
+    ):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert run_cli(capsys, "invert", "--input", str(path), "--mu", "1")[0] == 0
+        assert len(loadtxt_calls) == 1
 
 
 class TestSweep:
@@ -657,7 +720,7 @@ class TestSweepSummary:
         summary = summarize_rel_error(run(sweep))
         expected = io.StringIO()
         rows = [key + summary[key] for key in sorted(summary)]
-        write_csv(expected, SWEEP_HEADER, rows)
+        write_csv(expected, SWEEP_HEADER, np.reshape(rows, (-1, len(SWEEP_HEADER))).T)
         assert out.getvalue() == expected.getvalue()
 
 
@@ -1001,6 +1064,44 @@ class TestInputCsvFuzz:
             assert "encountered in" not in line
         else:
             assert lines == []
+
+
+def _as_written(text):
+    """The input with the CRLFs, quotes and blank lines that write_csv never
+    writes taken out, so that more of them reach the vectorized reader."""
+    lines = text.replace("\r\n", "\n").replace('"', "").split("\n")
+    return "\n".join(line for line in lines if line) + "\n"
+
+
+def _main_outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestReaderAgreement:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        text=st.one_of(csv_inputs(), csv_inputs().map(_as_written)),
+        flags=st.sampled_from([
+            ("invert", "--mu", "0"), ("invert", "--mu", "1"), ("forward",),
+            ("forward", "--demean"),
+        ]),
+    )
+    @example(text=_rows_csv("x,g", [(k * 0.5, (-1) ** k * 1e-5) for k in range(8)]),
+             flags=("invert", "--mu", "1"))
+    @example(text="x\n0.0\n\n1.0\n", flags=("invert", "--mu", "1"))
+    @example(text=_rows_csv("junk,x,f", []) + "".join(
+        f"{k!r},{k * 0.25!r},{math.cos(k)!r}\n" for k in range(16)), flags=("forward",))
+    def test_same_outcome_as_loadtxt(self, tmp_path_factory, text, flags):
+        path = tmp_path_factory.mktemp("csv") / "in.csv"
+        path.write_bytes(text.encode("utf-8"))
+        argv = [*flags, "--input", str(path)]
+        fast = _main_outcome(argv)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "parse_rows", lambda stream, fields: None)
+            assert _main_outcome(argv) == fast
 
 
 # Valid and junk values for every config key, small enough that no run

@@ -727,12 +727,31 @@ class TestCsvAndFigures:
     def test_write_csv_repr_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"
         values = [0.1, 1.0 / 3.0, 0.30000000000000004, 2e-17]
-        write_csv(path, ["a"], [[v] for v in values])
+        write_csv(path, ["a"], [values])
         text = path.read_text()
         assert "\r" not in text
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["a"]
         assert [float(r[0]) for r in rows[1:]] == values
+
+    def test_write_csv_builds_no_full_table(self, tmp_path):
+        # The rows go out in chunks stacked from the columns' slices: the
+        # memory traced while writing stays far below one copy of the table.
+        import tracemalloc
+        columns = [np.linspace(0.1, 1.0, 1 << 19) * k for k in (1, 2, 3)]
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "t.csv", ["a", "b", "c"], columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(c.nbytes for c in columns) / 2
+
+    def test_write_csv_rejects_columns_unlike_the_header(self, tmp_path):
+        with pytest.raises(ValueError, match="header has 2 fields"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0, 2.0]])
+        with pytest.raises(ValueError, match="header has 2 fields"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0, 2.0], [3.0]])
 
     @staticmethod
     def read_columns(path):

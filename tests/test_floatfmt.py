@@ -1,18 +1,30 @@
-"""The vectorized CSV float formatter against Python's own repr.
+"""The vectorized CSV float formatter against Python's own repr, and the
+vectorized reader against np.loadtxt.
 
-Every reference here is built with Python's '%r' formatting of float(v),
-never through sourcefft, so a passing test means the bytes are exactly
-what the repr-per-value writer produced.
+Every formatter reference here is built with Python's '%r' formatting of
+float(v), never through sourcefft, so a passing test means the bytes are
+exactly what the repr-per-value writer produced.  Every reader reference is
+np.loadtxt of the same text, compared bit for bit.
 """
 
+import io
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sourcefft._floatfmt import format_rows
+from sourcefft._floatfmt import (
+    _P5_HI,
+    _REPR_MAX_VALUES,
+    _format_kernel,
+    _mul,
+    format_rows,
+    parse_rows,
+)
+from sourcefft.experiments import write_csv
 
 
 def reference(table) -> bytes:
@@ -66,6 +78,20 @@ class TestAgainstRepr:
     @settings(max_examples=300, deadline=None)
     @given(tables())
     def test_property(self, table):
+        assert format_rows(table) == reference(table)
+        # Small tables take the repr join; the kernel must agree on them too.
+        if table.size:
+            assert _format_kernel(table) == reference(table)
+
+    @pytest.mark.parametrize("values", [
+        _REPR_MAX_VALUES - 1, _REPR_MAX_VALUES, _REPR_MAX_VALUES + 1,
+        4 * _REPR_MAX_VALUES,
+    ])
+    @pytest.mark.parametrize("cols", [1, 4])
+    def test_both_sides_of_the_repr_join_boundary(self, values, cols):
+        rng = np.random.default_rng(values)
+        table = rng.standard_normal(values - values % cols).reshape(-1, cols)
+        table *= 10.0 ** rng.integers(-6, 18)
         assert format_rows(table) == reference(table)
 
     def test_powers_of_two_and_neighbours(self):
@@ -130,3 +156,192 @@ class TestAgainstRepr:
 
     def test_empty_table(self):
         assert format_rows(np.empty((0, 3))) == b""
+
+
+def test_mul_is_exact_for_full_64_bit_operands():
+    rng = np.random.default_rng(3)
+    a = rng.integers(0, 2**64, 20000, dtype=np.uint64, endpoint=False)
+    b = rng.integers(0, 2**64, 20000, dtype=np.uint64, endpoint=False)
+    top = np.uint64(2**64 - 1)
+    a[:3], b[:3] = top, [top, 1, 0]
+    hi, lo = _mul(a, b)
+    for x, y, h, low in zip(a.tolist(), b.tolist(), hi.tolist(), lo.tolist()):
+        assert (h << 64) + low == x * y
+
+
+def loadtxt_bits(text: str) -> np.ndarray:
+    return np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2).view(np.uint64)
+
+
+def parsed_bits(text: str, fields: int):
+    table = parse_rows(io.BytesIO(text.encode("ascii")), fields)
+    return None if table is None else table.view(np.uint64)
+
+
+def assert_reads_like_loadtxt(lines, fields=1):
+    """parse_rows takes the text and reads the same bits as np.loadtxt."""
+    text = "".join(line + "\n" for line in lines)
+    got = parsed_bits(text, fields)
+    assert got is not None, "the reader declined"
+    np.testing.assert_array_equal(got, loadtxt_bits(text))
+
+
+finite_cell = st.one_of(
+    any_bits.filter(math.isfinite),
+    st.floats(allow_nan=False, allow_infinity=False),
+    short_decimal,
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-4, 1e16]),
+)
+
+
+plain_token = st.from_regex(r"-?[0-9]{1,20}\.[0-9]{1,22}", fullmatch=True)
+exponent_token = st.from_regex(r"[-+]?[0-9]{0,3}\.?[0-9]{0,3}e[-+]?[0-9]{0,3}",
+                               fullmatch=True)
+junk_token = st.text(alphabet='0123456789.-+e "\r', max_size=5)
+
+
+@st.composite
+def near_miss_csv(draw):
+    """(fields, text): rows of plain values with some in exponent form, a
+    few near misses, and now and then a row of the wrong length or a
+    missing final newline."""
+    fields = draw(st.integers(1, 3))
+    token = st.one_of(plain_token, plain_token, plain_token, exponent_token, junk_token)
+    width = st.one_of(st.just(fields), st.just(fields), st.integers(1, 4))
+    rows = draw(st.lists(width.flatmap(
+        lambda n: st.lists(token, min_size=n, max_size=n)), min_size=1, max_size=6))
+    end = draw(st.sampled_from(["\n", "\n", ""]))
+    return fields, "\n".join(",".join(row) for row in rows) + end
+
+
+class TestReader:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda cols: st.lists(
+        st.lists(finite_cell, min_size=cols, max_size=cols), min_size=1, max_size=60
+    )))
+    def test_write_csv_output_reads_like_loadtxt(self, rows):
+        # Random bit patterns reach every exponent and both signs; with the
+        # other draws they cover subnormals, zeros and exponent form.
+        header = [f"c{i}" for i in range(len(rows[0]))]
+        out = io.StringIO()
+        write_csv(out, header, np.array(rows).T)
+        text = out.getvalue()
+        body = io.BytesIO(text.encode("ascii"))
+        body.readline()
+        table = parse_rows(body, len(header))
+        assert table is not None
+        expected = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
+        np.testing.assert_array_equal(table.view(np.uint64), expected.view(np.uint64))
+
+    def test_simulate_shaped_text(self, monkeypatch):
+        n = 1 << 15
+        x = 2.0 * math.pi * np.arange(n) / n
+        g = -math.expm1(-1.0) * np.cos(x)
+        noisy = g + 0.05 * np.random.default_rng(5).standard_normal(n)
+        text = format_rows(np.column_stack([x, g, noisy])).decode("ascii")
+        # Only the values in exponent form go through float().
+        import sourcefft._floatfmt as floatfmt
+        calls = []
+        monkeypatch.setattr(floatfmt, "float", lambda v: calls.append(v) or float(v),
+                            raising=False)
+        np.testing.assert_array_equal(parsed_bits(text, 3), loadtxt_bits(text))
+        tokens = text.replace("\n", ",").split(",")
+        assert len(calls) == len([token for token in tokens if "e" in token])
+
+    def test_exact_halfway_decimals_round_to_even(self):
+        # (2c + 1) * 2^(j - 1) lies halfway between the adjacent doubles
+        # c * 2^j and (c + 1) * 2^j; written out exactly it has 1 - j
+        # decimals for j <= 0 and is an integer, written with ".0", above.
+        rng = random.Random(7)
+        lines = []
+        for _ in range(400):
+            c = rng.randrange(2**52, 2**53)
+            j = rng.randrange(-4, 11)
+            if j > 0:
+                lines.append(f"{(2 * c + 1) << (j - 1)}.0")
+            else:
+                digits = str((2 * c + 1) * 5 ** (1 - j))
+                lines.append(f"{digits[:j - 1]}.{digits[j - 1:]}")
+        lines += ["-" + line for line in lines[:50]]
+        assert_reads_like_loadtxt(lines)
+        assert parsed_bits("9007199254740993.0\n", 1).view(np.float64)[0, 0] == 2.0**53
+
+    def test_decimals_needing_the_second_product(self):
+        # Significands whose first 64 x 64-bit product with the power of
+        # five has its low nine bits all ones: only the second product
+        # decides the rounding there.
+        rng = random.Random(11)
+        lines = []
+        while len(lines) < 300:
+            m = rng.randrange(2**53, 10**19)
+            k = rng.randrange(1, 21)
+            w = m << 64 - m.bit_length()
+            if (w * int(_P5_HI[k]) >> 64) & 0x1FF == 0x1FF:
+                digits = str(m).rjust(k + 1, "0")
+                lines.append(f"{digits[:-k]}.{digits[-k:]}")
+        assert_reads_like_loadtxt(lines)
+
+    def test_long_and_padded_tokens(self):
+        # More digits than a uint64 holds, leading zeros and integer parts
+        # of every width up to past 16 digits: read by float().
+        lines = ["0.00012345678901234567", "0.99999999999999999999",
+                 "123456789012345678901234.5", "00000000000000000001.5",
+                 "1." + "3" * 30, "0." + "0" * 25 + "1", "18446744073709551615.0",
+                 "1844.6744073709551615", "9999999999999999999.0"]
+        lines += [str(10 ** width // 7) + ".25" for width in range(1, 22)]
+        lines += ["-" + line for line in lines]
+        assert_reads_like_loadtxt(lines)
+        assert_reads_like_loadtxt(
+            [",".join(lines[i:i + 3]) for i in range(0, len(lines) - 2, 3)], 3)
+
+    def test_exponent_form_values(self):
+        values = [1e-5, -2.5e-7, 1e16, -1.7976931348623157e308, 5e-324,
+                  2.2250738585072014e-308, 1.5e+300]
+        lines = [f"{v!r},{1.0 + v!r}" for v in values] + ["1e5,2.0", "1.e5,-0.0"]
+        assert_reads_like_loadtxt(lines, 2)
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("1.0,2.0\r\n", id="crlf"),
+        pytest.param('"1.0",2.0\n', id="quoted"),
+        pytest.param("1.0,2.0\n\n3.0,4.0\n", id="blank-line"),
+        pytest.param("1.0, 2.0\n", id="space"),
+        pytest.param("1.0,2.0\n# note\n", id="comment"),
+        pytest.param("1.0,inf\n", id="inf"),
+        pytest.param("nan,2.0\n", id="nan"),
+        pytest.param("1.0,2.0,3.0\n", id="ragged"),
+        pytest.param("1.0\n", id="short-row"),
+        pytest.param("1.0,2.0", id="no-final-newline"),
+        pytest.param("1,2.0\n", id="integer"),
+        pytest.param(".5,2.0\n", id="no-integer-digits"),
+        pytest.param("1.,2.0\n", id="no-fraction-digits"),
+        pytest.param("+1.0,2.0\n", id="plus-sign"),
+        pytest.param("1.0.0,2.0\n", id="two-points"),
+        pytest.param("1-0.5,2.0\n", id="inner-minus"),
+        pytest.param("1.0,2.5/5\n", id="slash"),
+        pytest.param("1e,2.0\n", id="bad-exponent"),
+        pytest.param("1e5 ,2.0\n", id="space-in-exponent-form"),
+        pytest.param("1.0,\xff\n", id="non-ascii"),
+        pytest.param("", id="empty"),
+    ])
+    def test_declines_what_format_rows_never_writes(self, text):
+        assert parse_rows(io.BytesIO(text.encode("latin-1")), 2) is None
+
+    @pytest.mark.parametrize("text", ["\n", "1.0\n\n", "\n1.0\n", "-\n", ".\n"])
+    def test_declines_blank_and_bare_lines_of_one_column(self, text):
+        assert parse_rows(io.BytesIO(text.encode("ascii")), 1) is None
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=near_miss_csv())
+    def test_accepts_only_what_loadtxt_reads_the_same(self, text):
+        # Whatever the reader accepts, np.loadtxt reads to the same bits.
+        fields, text = text
+        got = parsed_bits(text, fields)
+        if got is not None:
+            np.testing.assert_array_equal(got, loadtxt_bits(text))
+
+    def test_lines_longer_than_a_read(self, monkeypatch):
+        # A line split across reads is carried to the next one.
+        import sourcefft._floatfmt as floatfmt
+        monkeypatch.setattr(floatfmt, "_READ_BYTES", 7)
+        lines = [f"{v!r},{-v!r}" for v in np.linspace(0.1, 100.0, 50).tolist()]
+        assert_reads_like_loadtxt(lines, 2)

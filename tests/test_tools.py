@@ -20,5 +20,7 @@ def test_compare_outputs_of_one_checkout_are_identical():
         assert {f"{seed}/sweep.csv", f"{seed}/figures/fig5.csv",
                 f"{seed}/bound_check.csv", f"{seed}/invert_rule_iid.csv.stderr",
                 f"{seed}/rule_records_norm_calibrated.csv", f"{seed}/help.txt",
-                f"{seed}/help_dump-config.txt"} <= names
+                f"{seed}/help_dump-config.txt", f"{seed}/invert_crlf_quoted.csv",
+                f"{seed}/invert_bad_row.csv.stderr",
+                f"{seed}/forward_of_forward.csv"} <= names
     assert lines and all(line.endswith(": identical") for line in lines)

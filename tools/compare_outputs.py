@@ -7,9 +7,11 @@ PARENT and CHANGE are checkout directories.  For base seeds 42, 1 and 7
 each checkout runs, through PYTHONPATH=<checkout>/src in a fresh Python
 process, the byte-identity list: the default `sweep`, `mus = rule` sweeps
 with p = 0, 1, 2, 3 in both noise modes, the whole `figures` directory,
-`forward` (cosine and hat), `simulate` in both noise modes, `invert --mu
-0.3` and `invert --rule 1 --delta 0.05` of it (stderr included), the
-`--help` text of the top level and of each command, the findings of
+`forward` (cosine and hat), `forward --input` of `forward`'s own output,
+`simulate` in both noise modes, `invert --mu 0.3` and `invert --rule 1
+--delta 0.05` of it, `invert --mu 0.3` of a CRLF, quoted copy of the `iid`
+`simulate` output and of a copy with one bad row (every command's stderr
+included), the `--help` text of the top level and of each command, the findings of
 `run_bound_check()`, and the records of `run_mu_sweep` and
 `run_rule_comparison` (both modes) at 5 replicates.  For every output it
 prints "identical" when the bytes agree, else the largest relative
@@ -94,6 +96,17 @@ for seed in map(int, sys.argv[1:]):
         run(out, f"invert_mu_{mode}.csv", "invert", "--input", sim, "--mu", "0.3")
         run(out, f"invert_rule_{mode}.csv", "invert", "--input", sim,
             "--rule", "1", "--delta", "0.05")
+    # Inputs write_csv never writes, which the reader must hand to np.loadtxt.
+    lines = (out / "simulate_iid.csv").read_text(encoding="utf-8").splitlines()
+    crlf = out / "simulate_crlf_quoted.csv"
+    crlf.write_bytes("".join(
+        '"' + line.replace(",", '","') + '"\r\n' for line in lines).encode("utf-8"))
+    run(out, "invert_crlf_quoted.csv", "invert", "--input", crlf, "--mu", "0.3")
+    bad = out / "simulate_bad_row.csv"
+    bad.write_text("\n".join(lines[:5] + ["1.0,abc,2.0"] + lines[6:]) + "\n",
+                   encoding="utf-8")
+    run(out, "invert_bad_row.csv", "invert", "--input", bad, "--mu", "0.3")
+    run(out, "forward_of_forward.csv", "forward", "--input", out / "forward.csv")
     base = dataclasses.replace(experiments.default_config(), base_seed=seed)
     bound = dataclasses.replace(base, mus=experiments.RULE_MUS,
                                 noise_mode="norm_calibrated")
