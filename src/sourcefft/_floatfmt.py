@@ -29,6 +29,7 @@ included); 64 x 64-bit products are assembled from 32-bit limbs.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -528,6 +529,25 @@ def _parse_lines(text, fields):
     return values
 
 
+def _parsed_blocks(stream, fields):
+    """The values of the stream's lines, one flat array per _READ_BYTES
+    block cut after its last newline; None for a block _parse_lines
+    declines or for text after the last newline, and nothing after it."""
+    tail = b""
+    for block in iter(functools.partial(stream.read, _READ_BYTES), b""):
+        cut = block.rfind(b"\n") + 1
+        if not cut:
+            tail += block
+            continue
+        values = _parse_lines(b"".join((_PAD, tail, memoryview(block)[:cut])), fields)
+        yield values
+        if values is None:
+            return
+        tail = block[cut:]
+    if tail:
+        yield None
+
+
 def parse_rows(stream, fields: int):
     """The (rows, fields) float64 table of the CSV lines left in the binary
     stream, read as float() reads each value; None when the lines are not
@@ -536,33 +556,32 @@ def parse_rows(stream, fields: int):
     Accepted: LF line ends with none missing, no blank line, exactly
     `fields` comma-separated values per line, and only the bytes
     0-9 . - + e , and newline; every value is -?D+.D+ or holds an "e"
-    (repr's exponent form, read by float()).  The stream is read twice,
-    once to count the lines, in blocks of _READ_BYTES.
+    (repr's exponent form, read by float()).  The first block is parsed
+    first, so most text declined here is read only that far; then the
+    stream is read once to count the lines and once more to parse the
+    rest, in blocks of _READ_BYTES.
     """
     if fields < 1:
         return None
     start = stream.tell()
+    parsed = _parsed_blocks(stream, fields)
+    first = next(parsed, None)
+    if first is None:
+        return None
+    resume = stream.tell()
+    stream.seek(start)
     blocks = functools.partial(stream.read, _READ_BYTES)
     rows = sum(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
                for block in iter(blocks, b""))
-    if rows == 0:
-        return None
+    stream.seek(resume)
     # One table of the exact size: growing or joining per-block arrays
     # would hold two copies at once.
-    stream.seek(start)
     table = np.empty((rows, fields))
     flat = table.reshape(-1)
-    done, tail = 0, b""
-    for block in iter(blocks, b""):
-        cut = block.rfind(b"\n") + 1
-        if not cut:
-            tail += block
-            continue
-        text = b"".join((_PAD, tail, memoryview(block)[:cut]))
-        values = _parse_lines(text, fields)
+    done = 0
+    for values in itertools.chain([first], parsed):
         if values is None or done + len(values) > len(flat):
             return None
         flat[done:done + len(values)] = values
         done += len(values)
-        tail = block[cut:]
-    return table if done == len(flat) and not tail else None
+    return table if done == len(flat) else None

@@ -224,8 +224,8 @@ def _read_csv_columns(path: str):
     np.loadtxt; the values are the same either way.
     """
     data = None
-    # Only a regular file can be read twice (parse_rows counts the lines
-    # first) and reopened; a pipe goes to np.loadtxt alone.
+    # Only a regular file can be read twice (parse_rows seeks back to count
+    # the lines) and reopened; a pipe goes to np.loadtxt alone.
     if Path(path).is_file():
         with open(path, "rb") as fh:
             first = fh.readline()

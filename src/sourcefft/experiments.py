@@ -1,18 +1,18 @@
 """Seeded parameter sweeps, the bound-check suite, and figure-style outputs.
 
 An experiment cell is one noise realization at one parameter combination.
-Replicate r at delta index i draws the stream of
-Generator(PCG64(cell_seed(base_seed, i, 0, r))), and every column at that
-delta (each mu of an explicit sweep, each p of the rule and the bound
-check) inverts that same draw, so differences between columns are paired.
-A sweep hashes the seeds of its (delta, replicate) draws, and the PCG64
-words each seed expands to, in one vectorized SeedSequence pass.  One
-function, _cells, runs every cell serially and returns arrays: the seeds,
-the noise norm of each draw and the (deltas, columns, replicates) errors,
-read off the spectra by Parseval's identity, with no estimate formed;
-records, findings and summary rows are read from those arrays.  The drivers'
-workers argument is accepted and ignored.  Result lists are sorted by
-parameter values, never by position in the config.
+Each delta index i has one noise stream, Generator(PCG64(cell_seed(base_seed,
+i, 0, 0))), and replicate r is row r of its (replicates, n) standard normal
+draw; every column at that delta (each mu of an explicit sweep, each p of
+the rule and the bound check) inverts the same rows, so differences between
+columns are paired.  Row 0 is add_noise's draw of the stream's seed, the
+draw of figures 1-4.  One function, _cells, runs every cell serially and
+returns arrays: the stream seeds, the noise norm of each row and the
+(deltas, columns, replicates) errors, read off the spectra by Parseval's
+identity, with no estimate formed; records, findings and summary rows are
+read from those arrays.  The drivers' workers argument is accepted and
+ignored.  Result lists are sorted by parameter values, never by position
+in the config.
 """
 
 from __future__ import annotations
@@ -38,10 +38,8 @@ from .inversion import (
 from .noise_lab import (
     NOISE_MODES,
     NoiseSpec,
-    _int_words,
     _l2,
     _noise,
-    _seed_words,
     add_noise,
     discrete_l2,
 )
@@ -54,6 +52,7 @@ __all__ = [
     "SweepRecord",
     "BoundFinding",
     "cell_seed",
+    "expected_rel_error",
     "default_mu_grid",
     "default_config",
     "run_mu_sweep",
@@ -152,37 +151,25 @@ class SweepRecord:
 
 
 def cell_seed(base_seed: int, delta_index: int, mu_index: int, replicate: int) -> int:
-    """Seed of one noise draw.
+    """Seed of one noise stream.
 
     The 64-bit state of SeedSequence((base_seed, delta_index, mu_index,
     replicate)), its first two uint32 words joined low word first;
     SeedSequence's expansion is specified and stable across platforms and
     numpy versions, so this is a documented pure function of its four
     nonnegative integer arguments.  Sweeps, the bound check and the figures
-    draw with mu_index 0: cell_seed(base_seed, i, 0, r) seeds replicate r
-    at delta index i, shared by every mu (or p) at that delta.
+    call it once per delta, with mu_index and replicate 0:
+    Generator(PCG64(cell_seed(base_seed, i, 0, 0))) is delta index i's
+    stream, whose (replicates, n) draw holds replicate r in row r, shared
+    by every mu (or p) at that delta.
     """
     entropy = (base_seed, delta_index, mu_index, replicate)
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def _cell_streams(config: SweepConfig) -> tuple:
-    """Seeds and PCG64 words of every (delta, replicate) draw, hashed in one
-    array pass.
-
-    Returns (seeds, words): seeds[i, r] is cell_seed(base_seed, i, 0, r) as
-    uint64 and words[i, r] the 8 uint32 words PCG64 takes from it.
-    """
-    i, r = np.ogrid[:len(config.deltas), :config.replicates]
-    base = [[w] for w in _int_words(config.base_seed)]
-    low, high = np.moveaxis(_seed_words([*base, i, 0, r], 2), -1, 0)
-    seeds = high.astype(np.uint64) << np.uint64(32) | low
-    return seeds, _seed_words([low, high], 8)
-
-
 # _cells' cancellation guard.  The default config's smallest share (seeds
-# 42, 1, 7, both noise modes) is 0.012 in the mu sweep and 0.004 in the rule
-# sweeps and the bound check, so none of their cells is recomputed.
+# 42, 1, 7, both noise modes) is 0.012 in the mu sweep, 0.0045 in the rule
+# sweeps and 0.005 in the bound check, so none of their cells is recomputed.
 _CANCEL_TOL = 1e-3
 
 
@@ -191,13 +178,29 @@ def _power(z: np.ndarray) -> np.ndarray:
     return np.square(z.real) + np.square(z.imag)
 
 
+def _parseval_weights(grid: Grid) -> np.ndarray:
+    """c = dx/n (1, 2, ..., 2, 1): sum c |rfft(v)|^2 = dx v.v for a real v."""
+    weights = np.full(grid.n // 2 + 1, 2.0 * grid.dx / grid.n)
+    weights[[0, -1]] = grid.dx / grid.n
+    return weights
+
+
+def _mu_table(grid: Grid, columns) -> tuple:
+    """(mu_rows, table): the distinct mus of columns, in first-seen order,
+    mapped to the rows of their multiplier table on the rfft modes."""
+    mus = list(dict.fromkeys(mu for row in columns for mu, *_ in row))
+    table = _regularized_table(grid.half_frequencies, np.array(mus)[:, None])
+    return {mu: k for k, mu in enumerate(mus)}, table
+
+
 def _cells(config: SweepConfig, columns, f_true) -> tuple:
     """Every cell of the sweep as arrays: (seeds, noise_norms, errors).
 
     columns[i][j] starts with the mu of column j at delta index i; every
-    delta has as many columns.  Row r at delta index i is the exact data
-    plus the config.noise_mode draw of seed seeds[i][r] = cell_seed(base_seed,
-    i, 0, r), as add_noise makes it; noise_norms[i, r] is that noise's
+    delta has as many columns.  seeds[i] = cell_seed(base_seed, i, 0, 0)
+    seeds delta index i's stream, and row r there is the exact data plus
+    row r of its (replicates, n) config.noise_mode draw, which for r = 0 is
+    add_noise's draw of seeds[i]; noise_norms[i, r] is that noise's
     discrete L2 norm and errors[i, j, r] the one of column j's estimate
     minus f_true.  A delta whose noise or errors overflow raises ValueError
     naming it.
@@ -208,24 +211,20 @@ def _cells(config: SweepConfig, columns, f_true) -> tuple:
     is sum c |h T - F|^2 = A - 2B + C, A = (T*T) @ (c |h|^2), B = T @ (c
     Re(h conj F)), C = c . |F|^2: per delta two (mus, K) @ (K, replicates)
     products over the distinct mus of its columns, whose rows the columns
-    index, so a repeated mu or p is a bit-identical copy.  A and C sum K nonnegative terms of at most 4
-    roundings each and |B| <= sqrt(A C), so the computed A - 2B + C is
-    within gamma_{K+6} (sqrt(A) + sqrt(C))^2 of the exact sum over the
-    computed h, T and F (Higham 2002, section 3.1: gamma_k = k u / (1 - k
-    u), u = 2^-53).  That bound is absolute: a cell below _CANCEL_TOL
-    (sqrt(A) + sqrt(C))^2, as delta = 0 at small mu (mu = 0 would read 0.0
-    for an error near 1e-12), is recomputed as the direct sum of the
-    nonnegative c |h T - F|^2.
+    index, so a repeated mu or p is a bit-identical copy.  A and C sum K
+    nonnegative terms of at most 4 roundings each and |B| <= sqrt(A C), so
+    the computed A - 2B + C is within gamma_{K+6} (sqrt(A) + sqrt(C))^2 of
+    the exact sum over the computed h, T and F (Higham 2002, section 3.1:
+    gamma_k = k u / (1 - k u), u = 2^-53).  That bound is absolute: a cell
+    below _CANCEL_TOL (sqrt(A) + sqrt(C))^2, as delta = 0 at small mu
+    (mu = 0 would read 0.0 for an error near 1e-12), is recomputed as the
+    direct sum of the nonnegative c |h T - F|^2.
     """
     grid = config.grid
     g_exact = exact_data(config.source, grid)
-    seeds, words = _cell_streams(config)
-    gen = np.random.Generator(np.random.PCG64(0))
-    mus = list(dict.fromkeys(mu for row in columns for mu, *_ in row))
-    mu_rows = {mu: k for k, mu in enumerate(mus)}
-    table = _regularized_table(grid.half_frequencies, np.array(mus)[:, None])
-    weights = np.full(table.shape[1], 2.0 * grid.dx / grid.n)
-    weights[[0, -1]] = grid.dx / grid.n
+    seeds = [cell_seed(config.base_seed, i, 0, 0) for i in range(len(columns))]
+    mu_rows, table = _mu_table(grid, columns)
+    weights = _parseval_weights(grid)
     f_half = np.fft.rfft(f_true.values)
     noise_norms = np.empty((len(columns), config.replicates))
     errors = np.empty((len(columns), len(columns[0]), config.replicates))
@@ -234,7 +233,8 @@ def _cells(config: SweepConfig, columns, f_true) -> tuple:
         for i, (delta, row) in enumerate(zip(config.deltas, columns)):
             noisy = np.tile(g_exact.values, (config.replicates, 1))
             if delta > 0.0:
-                noisy += _noise(grid, delta, words[i], config.noise_mode, gen)
+                noisy += _noise(grid, delta, config.noise_mode,
+                                np.random.default_rng(seeds[i]), config.replicates)
             noise_norms[i] = _l2(grid.dx, noisy - g_exact.values)
             own, col_rows = np.unique([mu_rows[mu] for mu, *_ in row],
                                       return_inverse=True)
@@ -251,7 +251,7 @@ def _cells(config: SweepConfig, columns, f_true) -> tuple:
             errors[i] = np.sqrt(squares[col_rows])
             if not np.isfinite(errors[i]).all():
                 raise ValueError(f"noise level delta={delta!r} overflows the estimates")
-    return seeds.tolist(), noise_norms, errors
+    return seeds, noise_norms, errors
 
 
 def _source_norm(config: SweepConfig) -> tuple:
@@ -365,6 +365,38 @@ def _summary_rows(config: SweepConfig) -> list:
     return sorted(key + stats[k] for key, k in keys.items())
 
 
+def expected_rel_error(config: SweepConfig) -> dict:
+    """{(mu, delta): sqrt(E ||f_mu - f||^2) / ||f||} over the noise law of
+    config.noise_mode: the root mean squared relative error of every
+    (mu, delta) column of the sweep of config, in closed form, with no
+    draw and so no seed.
+
+    With c, T, F as in _cells and G = rfft(exact data), noise of covariance
+    s^2 I has E |rfft(noise)_k|^2 = n s^2 at every mode, so the value is
+    sqrt(sum c |T G - F|^2 + s^2 n sum c T^2) / ||f||: s = delta for iid
+    noise, and s = delta / sqrt(length) for norm_calibrated noise, which is
+    uniform on the sphere dx eps.eps = delta^2 and so has covariance
+    delta^2 / (n dx) I.  At delta = 0 it is the noiseless error.
+    """
+    f_true, f_norm = _source_norm(config)
+    grid = config.grid
+    columns = _columns(config)
+    mu_rows, table = _mu_table(grid, columns)
+    weights = _parseval_weights(grid)
+    g_half = np.fft.rfft(exact_data(config.source, grid).values)
+    bias = _power(table * g_half - np.fft.rfft(f_true.values)) @ weights
+    gain = grid.n * (np.square(table) @ weights)
+    out = {}
+    for delta, row in zip(config.deltas, columns):
+        variance = delta * delta
+        if config.noise_mode != "iid":
+            variance /= grid.length
+        for mu, *_ in row:
+            k = mu_rows[mu]
+            out[(mu, delta)] = math.sqrt(bias[k] + variance * gain[k]) / f_norm
+    return out
+
+
 def run_mu_sweep(config: SweepConfig, workers: int = 1) -> list:
     """Evaluate every (delta, mu, replicate) cell with explicit mus.
 
@@ -400,6 +432,8 @@ class BoundFinding:
     bound_raw is error_bound(delta, p, mu) as written (unit smoothness
     bound); bound_scaled is E * error_bound(delta/E, p, mu), the same
     guarantee rescaled to the measured smoothness bound E of the source.
+    seed is the delta's stream seed, cell_seed(base_seed, i, 0, 0) at delta
+    index i, and the cell's noise is row `replicate` of that stream's draw.
     """
 
     delta: float
@@ -441,11 +475,11 @@ def run_bound_check(
         BoundFinding(delta=delta, p=p, replicate=r, seed=seed, mu=mu, E=E,
                      error=err, bound_raw=raw, bound_scaled=scaled,
                      violates_raw=err > raw, violates_scaled=err > scaled)
-        for delta, row, row_seeds, row_errs in zip(
+        for delta, row, seed, row_errs in zip(
             config.deltas, columns, seeds, errors.tolist()
         )
         for (mu, p, E, raw, scaled), col in zip(row, row_errs)
-        for r, (seed, err) in enumerate(zip(row_seeds, col))
+        for r, err in enumerate(col)
     ]
     return sorted(findings, key=attrgetter("delta", "p", "replicate"))
 

@@ -5,12 +5,14 @@ import io
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sourcefft import experiments
 from sourcefft.experiments import (
     RULE_MUS,
     BoundFinding,
@@ -19,6 +21,7 @@ from sourcefft.experiments import (
     cell_seed,
     default_config,
     default_mu_grid,
+    expected_rel_error,
     reproduce_figures,
     run_bound_check,
     run_mu_sweep,
@@ -33,7 +36,13 @@ from sourcefft.inversion import (
     select_mu,
     sobolev_norm,
 )
-from sourcefft.noise_lab import NoiseSpec, add_noise, discrete_l2
+from sourcefft.noise_lab import (
+    NoiseSpec,
+    _noise,
+    add_noise,
+    discrete_l2,
+    relative_l2_error,
+)
 from sourcefft.source_models import cosine_source, exact_data, hat_source, sample_source
 from sourcefft.spectral_core import RealSignal, make_grid
 
@@ -300,22 +309,42 @@ def squared_error_tolerance(n, estimate_norm, source_norm):
     return (gamma(n // 2 + 7) + gamma(n + 3) + 2.0 * rho * (1.0 + rho)) * scale
 
 
+def stream_noise(config, i):
+    """(seed, noise) of delta index i through numpy's public API only: the
+    stream seed cell_seed(base_seed, i, 0, 0) and the (replicates, n)
+    standard normal draw of Generator(PCG64(seed)), each row scaled by
+    delta (iid) or to discrete L2 norm delta (norm_calibrated); zeros at
+    delta = 0, which draws nothing."""
+    seed = cell_seed(config.base_seed, i, 0, 0)
+    delta, grid = config.deltas[i], config.grid
+    if delta == 0.0:
+        return seed, np.zeros((config.replicates, grid.n))
+    gen = np.random.Generator(np.random.PCG64(seed))
+    rows = gen.standard_normal((config.replicates, grid.n))
+    if config.noise_mode == "iid":
+        return seed, delta * rows
+    return seed, np.array([
+        row * (delta / math.sqrt(grid.dx * float(np.dot(row, row)))) for row in rows
+    ])
+
+
 def per_cell_reference(config, columns):
     """Every cell of a sweep, one at a time, through the public API only.
 
     columns[i][j] is the mu of column j at delta index i.  Every column at
-    delta index i inverts replicate r's draw cell_seed(base_seed, i, 0, r).
+    delta index i inverts row r of stream_noise(config, i) as replicate r.
     Yields (i, j, r, seed, abs error, empirical noise norm, tolerance) in
-    (i, j, r) order, the tolerance that of squared_error_tolerance.
+    (i, j, r) order, the seed that of the delta's stream and the tolerance
+    that of squared_error_tolerance.
     """
     f_true = sample_source(config.source, config.grid)
     f_norm = discrete_l2(f_true)
     g_exact = exact_data(config.source, config.grid)
-    for i, (delta, row) in enumerate(zip(config.deltas, columns)):
+    for i, row in enumerate(columns):
+        seed, rows = stream_noise(config, i)
         for j, mu in enumerate(row):
-            for r in range(config.replicates):
-                seed = cell_seed(config.base_seed, i, 0, r)
-                noisy = add_noise(g_exact, NoiseSpec(delta, seed, config.noise_mode))
+            for r, eps in enumerate(rows):
+                noisy = RealSignal(config.grid, g_exact.values + eps)
                 est = estimate_source_regularized(noisy, mu)
                 err = discrete_l2(RealSignal(config.grid, est.values - f_true.values))
                 noise = discrete_l2(
@@ -510,7 +539,7 @@ class TestBatchedCellsMatchPerCell:
     @pytest.mark.parametrize("base_seed", [2**32, 2**64 - 1])
     @pytest.mark.parametrize("mode", ["iid", "norm_calibrated"])
     def test_big_base_seed_mu_sweep(self, base_seed, mode):
-        # base_seed >= 2^32 makes the draw's entropy five words.  The
+        # base_seed >= 2^32 makes the stream seed's entropy five words.  The
         # reference uses numpy's SeedSequence and PCG64 alone, not add_noise.
         cfg = small_config(
             deltas=(0.1, 0.05), mus=(0.0, 0.5, 3.0), replicates=3,
@@ -522,12 +551,12 @@ class TestBatchedCellsMatchPerCell:
         g_exact = exact_data(cfg.source, grid).values
         expected = []
         for i, delta in enumerate(cfg.deltas):
+            state = np.random.SeedSequence((base_seed, i, 0, 0))
+            seed = int(state.generate_state(1, np.uint64)[0])
+            gen = np.random.Generator(np.random.PCG64(seed))
+            stream = gen.standard_normal((cfg.replicates, grid.n))
             for j, mu in enumerate(cfg.mus):
-                for r in range(cfg.replicates):
-                    state = np.random.SeedSequence((base_seed, i, 0, r))
-                    seed = int(state.generate_state(1, np.uint64)[0])
-                    gen = np.random.Generator(np.random.PCG64(seed))
-                    eps = gen.standard_normal(grid.n)
+                for r, eps in enumerate(stream):
                     if mode == "iid":
                         eps = delta * eps
                     else:
@@ -555,7 +584,7 @@ class TestBatchedCellsMatchPerCell:
             base_seed=2**40 + 3, noise_mode="norm_calibrated",
         )
         for finding in run_bound_check(cfg):
-            entropy = (cfg.base_seed, 0, 0, finding.replicate)
+            entropy = (cfg.base_seed, 0, 0, 0)
             state = np.random.SeedSequence(entropy).generate_state(1, np.uint64)
             assert finding.seed == int(state[0])
 
@@ -588,9 +617,9 @@ class TestSharedDraw:
                 finding.seed
             )
         assert len(by_cell) == 2 * 3
-        for (delta, r), seeds in by_cell.items():
+        for (delta, _), seeds in by_cell.items():
             i = cfg.deltas.index(delta)
-            assert seeds == [cell_seed(cfg.base_seed, i, 0, r)] * 3
+            assert seeds == [cell_seed(cfg.base_seed, i, 0, 0)] * 3
 
     def test_figure_draw_is_replicate_zero(self):
         # fig1-4 draw cell_seed(base_seed, i, 0, 0): replicate 0 of the
@@ -602,6 +631,105 @@ class TestSharedDraw:
         first = [rec for rec in run_mu_sweep(cfg) if rec.replicate == 0]
         assert [rec.mu for rec in first] == [0.0, 1.0]
         assert all(rec.empirical_noise_norm == figure_norm for rec in first)
+
+
+class TestOneStreamPerDelta:
+    """Replicate r at delta index i is row r of the (replicates, n) draw of
+    Generator(PCG64(cell_seed(base_seed, i, 0, 0))), scaled by mode, and
+    row 0 is add_noise's draw of that seed: the draw of figures 1-4."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(4, 64).map(lambda k: 2 * k),
+        replicates=st.integers(1, 5),
+        deltas=st.lists(st.sampled_from([0.0, 0.015, 0.1, 2.5]), min_size=1,
+                        max_size=3),
+        mode=st.sampled_from(["iid", "norm_calibrated"]),
+        base_seed=st.integers(0, 2**64 - 1),
+    )
+    def test_cells_rows_are_the_delta_stream(
+        self, n, replicates, deltas, mode, base_seed,
+    ):
+        cfg = small_config(
+            grid=make_grid(n, 0.0, TWO_PI), deltas=deltas, mus=(0.5,),
+            replicates=replicates, noise_mode=mode, base_seed=base_seed,
+        )
+        drawn = []
+
+        def recording(*args):
+            drawn.append(_noise(*args))
+            return drawn[-1]
+
+        with mock.patch.object(experiments, "_noise", recording):
+            run_mu_sweep(cfg)
+        g_exact = exact_data(cfg.source, cfg.grid)
+        positive = [i for i, delta in enumerate(deltas) if delta > 0.0]
+        assert len(drawn) == len(positive)  # delta = 0 draws nothing
+        for i, rows in zip(positive, drawn):
+            seed, expected = stream_noise(cfg, i)
+            assert np.array_equal(rows, expected)
+            first = add_noise(g_exact, NoiseSpec(deltas[i], seed, mode))
+            assert np.array_equal(first.values, g_exact.values + rows[0])
+
+
+class TestExpectedRelError:
+    """expected_rel_error: the closed-form root mean squared relative error
+    sqrt(sum c |T G - F|^2 + s^2 n sum c T^2) / ||f||."""
+
+    @pytest.mark.parametrize("mode", ["iid", "norm_calibrated"])
+    @pytest.mark.parametrize("source", [cosine_source(), hat_source(math.pi, 1.0)])
+    def test_noiseless_is_the_direct_error(self, mode, source):
+        # With no noise the formula is the bias term alone, the error of
+        # the estimate from exact data, to the rounding of both sides.
+        cfg = small_config(source=source, deltas=(0.0,),
+                           mus=(0.0, 0.5, 1.0, 3.0, 40.0), noise_mode=mode)
+        f_true = sample_source(source, cfg.grid)
+        f_norm = discrete_l2(f_true)
+        g_exact = exact_data(source, cfg.grid)
+        expected = expected_rel_error(cfg)
+        assert sorted(expected) == [(mu, 0.0) for mu in sorted(cfg.mus)]
+        for mu in cfg.mus:
+            est = estimate_source_regularized(g_exact, mu)
+            direct = relative_l2_error(est, f_true)
+            tol = squared_error_tolerance(cfg.grid.n, discrete_l2(est), f_norm)
+            assert abs((expected[(mu, 0.0)] ** 2 - direct ** 2) * f_norm ** 2) <= tol
+
+    def test_rule_columns(self):
+        cfg = small_config(deltas=(0.05, 0.1), mus=RULE_MUS, p_values=(1.0, 2.0))
+        expected = expected_rel_error(cfg)
+        assert sorted(expected) == sorted(
+            (select_mu(d, 1.0, p), d) for d in cfg.deltas for p in cfg.p_values
+        )
+
+    # The bound: every cell's sample mean of rel_error^2 over its replicates
+    # lies within 5 standard errors of expected_rel_error^2.
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.sampled_from([16, 64, 256]),
+        source=st.sampled_from([cosine_source(), hat_source(math.pi, 1.0)]),
+        mus=st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0, 10.0]), min_size=1,
+                     max_size=3, unique=True),
+        deltas=st.lists(st.sampled_from([0.015, 0.1, 1.0]), min_size=1,
+                        max_size=2, unique=True),
+        mode=st.sampled_from(["iid", "norm_calibrated"]),
+        base_seed=st.integers(0, 2**64 - 1),
+    )
+    def test_sweep_mean_square_within_five_standard_errors(
+        self, n, source, mus, deltas, mode, base_seed,
+    ):
+        cfg = small_config(
+            source=source, grid=make_grid(n, 0.0, TWO_PI), deltas=deltas,
+            mus=mus, replicates=40, noise_mode=mode, base_seed=base_seed,
+        )
+        expected = expected_rel_error(cfg)
+        squares = {}
+        for rec in run_mu_sweep(cfg):
+            squares.setdefault((rec.mu, rec.delta), []).append(rec.rel_error ** 2)
+        assert squares.keys() == expected.keys()
+        for key, values in squares.items():
+            mean = float(np.mean(values))
+            stderr = float(np.std(values, ddof=1)) / math.sqrt(len(values))
+            assert abs(mean - expected[key] ** 2) <= 5.0 * stderr, key
 
 
 class TestNonFiniteParameters:

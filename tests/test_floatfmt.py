@@ -214,6 +214,17 @@ def near_miss_csv(draw):
     return fields, "\n".join(",".join(row) for row in rows) + end
 
 
+class CountingStream(io.BytesIO):
+    """A binary stream that counts the bytes read from it."""
+
+    bytes_read = 0
+
+    def read(self, size=-1):
+        block = super().read(size)
+        self.bytes_read += len(block)
+        return block
+
+
 class TestReader:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda cols: st.lists(
@@ -338,6 +349,20 @@ class TestReader:
         got = parsed_bits(text, fields)
         if got is not None:
             np.testing.assert_array_equal(got, loadtxt_bits(text))
+
+    @pytest.mark.parametrize("first", [
+        pytest.param("1.0,2.0\r\n", id="crlf"),
+        pytest.param("1.0,2.0\n\n", id="blank-line"),
+        pytest.param("1.0,2.0,3.0\n", id="ragged"),
+    ])
+    def test_declined_first_block_is_read_once(self, monkeypatch, first):
+        # The first block is parsed before the lines are counted, so text
+        # declined there is not read to its end.
+        import sourcefft._floatfmt as floatfmt
+        monkeypatch.setattr(floatfmt, "_READ_BYTES", 64)
+        stream = CountingStream((first + "1.5,2.5\n" * 100).encode("ascii"))
+        assert parse_rows(stream, 2) is None
+        assert stream.bytes_read == 64
 
     def test_lines_longer_than_a_read(self, monkeypatch):
         # A line split across reads is carried to the next one.

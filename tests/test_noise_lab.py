@@ -4,14 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sourcefft.noise_lab import (
     NoiseSpec,
-    _int_words,
     _l2,
-    _seed_words,
+    _noise,
     add_noise,
     discrete_l2,
     relative_l2_error,
@@ -43,55 +40,6 @@ class TestNoiseSpec:
     def test_rejects_non_finite_delta(self, delta):
         with pytest.raises(ValueError, match="delta must be finite"):
             NoiseSpec(delta, 0)
-
-
-# Edge values of SeedSequence's int-to-words split: one word, the largest
-# one-word value, the smallest two-word value, the largest 64-bit value.
-EDGE_INTS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
-entropy_int = st.one_of(
-    st.sampled_from(EDGE_INTS), st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1)
-)
-
-
-class TestSeedWords:
-    """The vectorized hash against numpy's own SeedSequence."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        entropy_int,
-        st.integers(0, 2**32 - 1),
-        st.integers(0, 2**32 - 1),
-        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
-        st.sampled_from((1, 2, 4, 8, 9)),
-    )
-    def test_matches_seed_sequence(self, base, i, j, reps, n_words):
-        # One base_seed and (i, j) for all rows, as a sweep block has:
-        # 4-word entropy below 2^32, 5-word at or above it.
-        columns = [[w] for w in _int_words(base)] + [[i], [j], reps]
-        got = _seed_words(columns, n_words)
-        assert got.dtype == np.uint32 and got.shape == (len(reps), n_words)
-        for row, r in zip(got, reps):
-            expected = np.random.SeedSequence((base, i, j, r)).generate_state(
-                n_words, np.uint32
-            )
-            assert np.array_equal(row, expected)
-
-    @pytest.mark.parametrize("value", EDGE_INTS + (2**64, 2**96 + 5))
-    def test_single_int_entropy(self, value):
-        columns = [[w] for w in _int_words(value)]
-        expected = np.random.SeedSequence(value).generate_state(8, np.uint32)
-        assert np.array_equal(_seed_words(columns, 8)[0], expected)
-
-    def test_two_word_seed_below_2_32_hashes_as_one_word(self):
-        # A sweep always passes a seed as (low, high); high = 0 must equal
-        # the one-word entropy SeedSequence(seed) itself uses.
-        for seed in (0, 5, 2**32 - 1):
-            expected = np.random.SeedSequence(seed).generate_state(8, np.uint32)
-            assert np.array_equal(_seed_words([[seed], [0]], 8)[0], expected)
-
-    def test_negative_entropy_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            _int_words(-1)
 
 
 def numpy_noise(grid, spec):
@@ -158,6 +106,25 @@ class TestAddNoise:
             ea, eb = a - cosine_signal.values, b - cosine_signal.values
             rho = float(np.corrcoef(ea, eb)[0, 1])
             assert abs(rho) < 0.1
+
+
+class TestNoiseRows:
+    """_noise scales the generator's next draw, row by row; row 0 of a
+    fresh generator of a seed is add_noise's draw of it."""
+
+    @pytest.mark.parametrize("mode", ["iid", "norm_calibrated"])
+    def test_rows_are_the_stream(self, cosine_signal, mode):
+        grid, seed = cosine_signal.grid, 2**40 + 9
+        rows = _noise(grid, 0.07, mode, np.random.default_rng(seed), 5)
+        stream = np.random.Generator(np.random.PCG64(seed)).standard_normal((5, grid.n))
+        for got, row in zip(rows, stream):
+            if mode == "iid":
+                expected = 0.07 * row
+            else:
+                expected = row * (0.07 / math.sqrt(grid.dx * float(np.dot(row, row))))
+            assert np.array_equal(got, expected)
+        first = add_noise(cosine_signal, NoiseSpec(0.07, seed, mode))
+        assert np.array_equal(first.values, cosine_signal.values + rows[0])
 
 
 class TestRowNorms:
