@@ -319,8 +319,12 @@ def _signal_from_csv(path: str, column_names) -> tuple:
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def _forward_data(args):
-    """Shared data path of `forward` and `simulate`: produce (grid, f, g)."""
+def _forward_data(args, with_source: bool = True):
+    """Shared data path of `forward` and `simulate`: produce (grid, f, g).
+
+    Without with_source a built-in source is not sampled and f is None;
+    exact_data samples it on its own finer grid, which raises a hat's
+    support and height errors with the same text."""
     if args.input is not None:
         grid, f, _ = _signal_from_csv(args.input, ("f",))
         try:
@@ -330,9 +334,8 @@ def _forward_data(args):
         return grid, f, solve_forward(f, demean=args.demean)
     grid = make_grid(args.n, args.x_min, args.x_max)
     spec = RunConfig.source_spec(args)
-    f = sample_source(spec, grid)
-    g = exact_data(spec, grid)
-    return grid, f, g
+    f = sample_source(spec, grid) if with_source else None
+    return grid, f, exact_data(spec, grid)
 
 
 def cmd_forward(args) -> int:
@@ -342,7 +345,7 @@ def cmd_forward(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    grid, _, g = _forward_data(args)
+    grid, _, g = _forward_data(args, with_source=False)
     spec = NoiseSpec(args.delta, args.seed, _parse_noise_mode(args.noise_mode))
     noisy = add_noise(g, spec)
     _emit_csv(args.out, ["x", "g", "g_delta"], (grid.points, g.values, noisy.values))

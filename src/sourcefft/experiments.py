@@ -28,13 +28,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ._floatfmt import format_rows
-from .inversion import (
-    error_bound,
-    estimate_source_regularized,
-    estimate_source_unregularized,
-    select_mu,
-    sobolev_norm,
-)
+from .inversion import _filter_rows, error_bound, select_mu, sobolev_norm
 from .noise_lab import (
     NOISE_MODES,
     NoiseSpec,
@@ -579,15 +573,20 @@ def reproduce_figures(out_dir, config: Optional[SweepConfig] = None,
     """Write the five demonstration CSVs plus one gnuplot script per CSV.
 
     fig1: true source vs unregularized estimates, one column per delta.
-    fig2-fig4: true source vs regularized estimates at delta = 0.015, 0.05,
-    0.1 respectively, with mu in {rule p=1, rule p=2, 1, 3}.
-    fig5: mean relative error (with standard error) over the whole mu grid,
-    one row per (mu, delta).
+    fig2-fig4: true source vs regularized estimates at the first, second
+    and third delta (0.015, 0.05, 0.1 by default) respectively, with mu in
+    {rule p=1, rule p=2, 1, 3}; a config with fewer deltas has fewer of
+    them.  fig5: mean relative error (with standard error) over the whole
+    mu grid, one row per (mu, delta).  Each script plots every column of
+    its CSV.
 
     Figures 1-4 use one noise draw per delta, seed cell_seed(base_seed,
     delta_index, 0, 0), so their columns describe the same data a reader
-    would compare by eye.  All outputs are byte-deterministic for a given
-    config.  Returns the list of created paths.
+    would compare by eye.  Their estimates come from one rfft/irfft pass
+    over the draws, each bit for bit the public estimator's.  Every table
+    is built before any file is written, so a config that fails writes no
+    file.  All outputs are byte-deterministic for a given config.  Returns
+    the sorted list of created paths.
     """
     if config is None:
         config = default_config()
@@ -598,58 +597,58 @@ def reproduce_figures(out_dir, config: Optional[SweepConfig] = None,
     grid = config.grid
     f_true, _ = _source_norm(config)
     g_exact = exact_data(config.source, grid)
-    created = []
 
     # One seeded draw per delta, shared by fig1 and the matching fig2-4 panel.
-    draws = [
+    draws = np.stack([
         add_noise(
             g_exact,
             NoiseSpec(d, cell_seed(config.base_seed, i, 0, 0), config.noise_mode),
-        )
+        ).values
         for i, d in enumerate(config.deltas)
-    ]
+    ])
+    mu_sets = [(select_mu(d, 1.0, 1.0), select_mu(d, 1.0, 2.0), 1.0, 3.0)
+               for d in config.deltas[:3]]
+    # Row i: mu = 0, fig1's column, then panel i's four mus.  A delta past
+    # the third has no panel; its row repeats mu = 0 and is not written.
+    mus = np.zeros((len(config.deltas), 5))
+    mus[:len(mu_sets), 1:] = mu_sets
+    weights = _regularized_table(grid.half_frequencies, mus[:, :, None])
+    estimates = _filter_rows(draws[:, None, :], weights)
+    if not np.isfinite(estimates).all():
+        raise ValueError("non-finite entries in signal values")
 
-    header = ["x", "f_true"] + [
-        f"f_unregularized_delta_{d:g}" for d in config.deltas
-    ]
-    columns = [grid.points, f_true.values] + [
-        estimate_source_unregularized(noisy).values for noisy in draws
-    ]
-    path = out / "fig1.csv"
-    write_csv(path, header, columns)
-    created.append(path)
+    base = [grid.points, f_true.values]
+    tables = {"fig1": (
+        ["x", "f_true"] + [f"f_unregularized_delta_{d:g}" for d in config.deltas],
+        base + list(estimates[:, 0]),
+    )}
+    for i, mu_set in enumerate(mu_sets):
+        tables[f"fig{i + 2}"] = (
+            ["x", "f_true"] + [f"f_regularized_mu_{mu:.4g}" for mu in mu_set],
+            base + list(estimates[i, 1:]),
+        )
+    tables["fig5"] = (_SUMMARY_HEADER, _summary_columns(_summary_rows(config)))
 
-    for fig_no, (i, delta) in zip((2, 3, 4), enumerate(config.deltas)):
-        mu_set = (select_mu(delta, 1.0, 1.0), select_mu(delta, 1.0, 2.0), 1.0, 3.0)
-        header = ["x", "f_true"] + [f"f_regularized_mu_{mu:.4g}" for mu in mu_set]
-        columns = [grid.points, f_true.values] + [
-            estimate_source_regularized(draws[i], mu).values for mu in mu_set
-        ]
-        path = out / f"fig{fig_no}.csv"
+    created = []
+    for name, (header, columns) in tables.items():
+        path = out / f"{name}.csv"
         write_csv(path, header, columns)
         created.append(path)
-
-    path = out / "fig5.csv"
-    write_csv(path, _SUMMARY_HEADER, _summary_columns(_summary_rows(config)))
-    created.append(path)
-
-    for fig_no in (1, 2, 3, 4):
-        name = f"fig{fig_no}"
-        script = _GNUPLOT_SERIES.format(
-            ylabel="f",
-            png=f"{name}.png",
-            plots=_series_plot(f"{name}.csv", 5),
+    scripts = {
+        name: _GNUPLOT_SERIES.format(
+            ylabel="f", png=f"{name}.png",
+            plots=_series_plot(f"{name}.csv", len(header)),
         )
-        path = out / f"{name}.gp"
-        path.write_text(script, encoding="utf-8")
-        created.append(path)
-    fig5_plots = ", \\\n     ".join(
+        for name, (header, _) in tables.items() if name != "fig5"
+    }
+    scripts["fig5"] = _GNUPLOT_FIG5.format(plots=", \\\n     ".join(
         f"'fig5.csv' using 1:($2=={float(d)!r} ? $3 : 1/0) "
         f"with linespoints title 'delta={d:g}'"
         for d in sorted(set(config.deltas))
-    )
-    path = out / "fig5.gp"
-    path.write_text(_GNUPLOT_FIG5.format(plots=fig5_plots), encoding="utf-8")
-    created.append(path)
+    ))
+    for name, script in scripts.items():
+        path = out / f"{name}.gp"
+        path.write_text(script, encoding="utf-8")
+        created.append(path)
 
     return sorted(created)

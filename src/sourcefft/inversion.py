@@ -90,8 +90,11 @@ def _filter_rows(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """irfft(rfft(values) * weights, n) along the last axis.
 
     weights holds a real even multiplier on the n/2+1 nonnegative
-    frequencies (Grid.half_frequencies).  One rfft/irfft pair serves all
-    rows, each bit for bit as it would come alone.  The real transform pair
+    frequencies (Grid.half_frequencies), or one per row: its leading axes
+    broadcast against those of values, so a (D, 1, n) block of rows times
+    (D, J, n/2+1) weights gives row d filtered by each of its J
+    multipliers.  One rfft/irfft pair serves all rows, each bit for bit as
+    it would come alone with its own weights.  The real transform pair
     keeps the estimate real by construction, so there is no imaginary
     residue to check.
     """

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sourcefft import cli
+from sourcefft import cli, source_models
 from sourcefft.cli import (
     CliError,
     RunConfig,
@@ -188,6 +188,35 @@ class TestSimulate:
         assert (code, out) == (1, "")
         assert err.splitlines() == [
             "sourcefft: error: hat height=1e+308 overflows float64"
+        ]
+
+    # simulate writes no f, so it samples a built-in source only inside
+    # exact_data, whose sampling names a bad hat as the grid's would.
+    @pytest.mark.parametrize("source, grid_samples", [
+        ((), []), (("--source", "hat"), [1024]),
+    ])
+    def test_samples_only_the_reference_grid(self, capsys, monkeypatch,
+                                             source, grid_samples):
+        sampled = []
+        sample_source = source_models.sample_source
+
+        def spy(spec, grid):
+            sampled.append(grid.n)
+            return sample_source(spec, grid)
+
+        monkeypatch.setattr(cli, "sample_source", spy)
+        monkeypatch.setattr(source_models, "sample_source", spy)
+        assert run_cli(capsys, "simulate", *source)[0] == 0
+        assert sampled == grid_samples
+
+    def test_bad_hat_support_is_one_error_line(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--source", "hat", "--hat-center", "0.5"
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "sourcefft: error: hat support [-0.5, 1.5] must lie strictly "
+            "inside (0, 6.28319)"
         ]
 
     @pytest.mark.parametrize("mode", ["iid", "norm-calibrated"])
@@ -755,6 +784,34 @@ class TestFigures:
         ]
         for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    # fig2-fig4 cover the first three deltas, each script sits beside its CSV.
+    @pytest.mark.parametrize("deltas, names", [
+        ("0.05", ["fig1", "fig2", "fig5"]),
+        ("0.05, 0.1", ["fig1", "fig2", "fig3", "fig5"]),
+    ])
+    def test_fewer_deltas_write_fewer_panels(self, capsys, tmp_path, deltas, names):
+        path = tmp_path / "figs.cfg"
+        path.write_text(f"deltas = {deltas}\nmus = 0, 1\nreplicates = 2\n")
+        out = tmp_path / "f"
+        code, printed, err = run_cli(
+            capsys, "figures", "--config", str(path), "--out", str(out)
+        )
+        assert (code, err) == (0, "")
+        expected = sorted(f"{name}.{ext}" for name in names for ext in ("csv", "gp"))
+        assert sorted(p.name for p in out.iterdir()) == expected
+        assert printed.splitlines() == [str(out / name) for name in expected]
+
+    def test_zero_delta_is_one_error_line_and_no_csv(self, capsys, tmp_path):
+        path = tmp_path / "zero.cfg"
+        path.write_text("deltas = 0, 0.05, 0.1\nmus = 0, 1\nreplicates = 2\n")
+        out = tmp_path / "f"
+        code, printed, err = run_cli(
+            capsys, "figures", "--config", str(path), "--out", str(out)
+        )
+        assert (code, printed) == (1, "")
+        assert err.splitlines() == ["sourcefft: error: delta must be positive, got 0.0"]
+        assert not list(out.glob("*.csv"))
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_delta_is_one_error_line(self, capsys, tmp_path):

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sourcefft import experiments
+from sourcefft import experiments, inversion
 from sourcefft.experiments import (
     RULE_MUS,
     BoundFinding,
@@ -33,6 +34,7 @@ from sourcefft.experiments import (
 from sourcefft.inversion import (
     error_bound,
     estimate_source_regularized,
+    estimate_source_unregularized,
     select_mu,
     sobolev_norm,
 )
@@ -965,3 +967,117 @@ class TestCsvAndFigures:
         for a, b in zip(sorted(paths), sorted(again)):
             assert a.name == b.name
             assert a.read_bytes() == b.read_bytes()
+
+
+def figure_reference(cfg):
+    """{file name: bytes} of fig1-fig5.csv, each estimate from a public
+    estimator on its own draw and each table through write_csv."""
+    grid = cfg.grid
+    f_true = sample_source(cfg.source, grid)
+    g_exact = exact_data(cfg.source, grid)
+    draws = [
+        add_noise(g_exact, NoiseSpec(d, cell_seed(cfg.base_seed, i, 0, 0),
+                                     cfg.noise_mode))
+        for i, d in enumerate(cfg.deltas)
+    ]
+    base = [grid.points, f_true.values]
+    tables = {"fig1": (
+        ["x", "f_true"] + [f"f_unregularized_delta_{d:g}" for d in cfg.deltas],
+        base + [estimate_source_unregularized(g).values for g in draws],
+    )}
+    for k, (delta, g) in enumerate(zip(cfg.deltas[:3], draws)):
+        mus = (select_mu(delta, 1.0, 1.0), select_mu(delta, 1.0, 2.0), 1.0, 3.0)
+        tables[f"fig{k + 2}"] = (
+            ["x", "f_true"] + [f"f_regularized_mu_{mu:.4g}" for mu in mus],
+            base + [estimate_source_regularized(g, mu).values for mu in mus],
+        )
+    summary = summarize_rel_error(run_mu_sweep(cfg))
+    tables["fig5"] = (
+        ["mu", "delta", "mean_rel_error", "stderr_rel_error"],
+        np.array([key + summary[key] for key in sorted(summary)]).T,
+    )
+    out = {}
+    for name, (header, columns) in tables.items():
+        text = io.StringIO()
+        write_csv(text, header, columns)
+        out[f"{name}.csv"] = text.getvalue().encode("utf-8")
+    return out
+
+
+FIGURE_CONFIGS = {
+    "default-42": dict(),
+    "default-1": dict(base_seed=1),
+    "default-7": dict(base_seed=7),
+    "hat-norm-calibrated": dict(source=hat_source(math.pi, 1.0),
+                                noise_mode="norm_calibrated"),
+    "n-250": dict(grid=make_grid(250, 0.0, TWO_PI)),
+    "hat-n-1000-on-0-20": dict(source=hat_source(10.0, 1.0),
+                               grid=make_grid(1000, 0.0, 20.0)),
+    "four-deltas": dict(deltas=(0.015, 0.05, 0.1, 0.2)),
+    "one-delta": dict(deltas=(0.05,)),
+    "two-deltas": dict(deltas=(0.05, 0.1)),
+}
+
+
+class TestFigureTables:
+    """fig1-fig4 come from one rfft/irfft pass; every table is built before
+    any file is written, and each script plots every column of its CSV."""
+
+    @pytest.fixture(scope="class", params=list(FIGURE_CONFIGS))
+    def run(self, request, tmp_path_factory):
+        cfg = replace(default_config(), replicates=4,
+                      **FIGURE_CONFIGS[request.param])
+        out = tmp_path_factory.mktemp("figs")
+        return cfg, out, reproduce_figures(out, cfg)
+
+    def test_csv_bytes_equal_the_public_estimators(self, run):
+        cfg, out, _ = run
+        reference = figure_reference(cfg)
+        assert sorted(p.name for p in out.glob("*.csv")) == sorted(reference)
+        for name, data in reference.items():
+            assert (out / name).read_bytes() == data, name
+
+    def test_one_script_per_csv_plotting_every_column(self, run):
+        cfg, out, paths = run
+        panels = min(len(cfg.deltas), 3)
+        stems = ["fig1"] + [f"fig{k + 2}" for k in range(panels)] + ["fig5"]
+        assert sorted(p.name for p in paths) == sorted(
+            f"{stem}.{ext}" for stem in stems for ext in ("csv", "gp"))
+        assert sorted(out.iterdir()) == sorted(paths)
+        for stem in stems[:-1]:
+            header = (out / f"{stem}.csv").read_text().split("\n", 1)[0].split(",")
+            script = (out / f"{stem}.gp").read_text()
+            used = re.findall(rf"'{stem}\.csv' using 1:(\d+) with lines", script)
+            assert list(map(int, used)) == list(range(2, len(header) + 1))
+
+    def test_one_filter_pass_and_no_estimator_call(self, tmp_path, monkeypatch):
+        calls = []
+        irfft = np.fft.irfft
+
+        def spy(*args, **kwargs):
+            calls.append("irfft")
+            return irfft(*args, **kwargs)
+
+        def estimator(*args, **kwargs):
+            calls.append("estimator")
+
+        monkeypatch.setattr(np.fft, "irfft", spy)
+        for name in ("estimate_source_regularized", "estimate_source_unregularized"):
+            monkeypatch.setattr(inversion, name, estimator)
+            monkeypatch.setattr(experiments, name, estimator, raising=False)
+        reproduce_figures(tmp_path, small_config(deltas=(0.015, 0.05, 0.1)))
+        assert calls == ["irfft"]
+
+    def test_rule_failure_writes_no_file(self, tmp_path):
+        cfg = small_config(deltas=(0.0, 0.05, 0.1))
+        with pytest.raises(ValueError, match=r"^delta must be positive, got 0\.0$"):
+            reproduce_figures(tmp_path, cfg)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_non_finite_estimate_writes_no_file(self, tmp_path):
+        cfg = small_config(deltas=(0.05, 1e306))
+        with pytest.raises(ValueError, match="^non-finite entries in signal values$"):
+            reproduce_figures(tmp_path, cfg)
+        assert list(tmp_path.iterdir()) == []

@@ -20,6 +20,7 @@ from sourcefft.noise_lab import NoiseSpec, add_noise, discrete_l2, relative_l2_e
 from sourcefft.source_models import cosine_source, exact_data, sample_source
 from sourcefft.spectral_core import (
     RealSignal,
+    _regularized_table,
     apply_multiplier,
     from_spectrum,
     inverse_multiplier,
@@ -219,6 +220,31 @@ class TestBatchedKernel:
             regularized = estimate_source_regularized(g, 0.0).values
             assert np.array_equal(regularized, unregularized)
             assert np.array_equal(out, unregularized)
+
+    # The figures' layout: a (D, 1, n) block of rows against (D, J, n/2+1)
+    # weights, a different set of mus for each row.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        grid=grids,
+        mus=st.lists(
+            st.lists(st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+                     min_size=3, max_size=3),
+            min_size=1, max_size=4,
+        ),
+        draw_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_per_row_weights_equal_single_estimates(self, grid, mus, draw_seed):
+        values = random_rows(draw_seed, grid, len(mus))
+        # mu = 0 heads every row, as fig1's column heads the figures' block.
+        table = np.array([[0.0] + row for row in mus])
+        weights = _regularized_table(grid.half_frequencies, table[:, :, None])
+        batched = _filter_rows(values[:, None, :], weights)
+        assert batched.shape == (*table.shape, grid.n)
+        for row, row_mus, outs in zip(values, table, batched):
+            g = RealSignal(grid, row)
+            assert np.array_equal(outs[0], estimate_source_unregularized(g).values)
+            for mu, out in zip(row_mus, outs):
+                assert np.array_equal(out, estimate_source_regularized(g, mu).values)
 
 
     # Linearity holds whatever delta means: no noise model enters.  The

@@ -18,6 +18,11 @@ def test_compare_outputs_of_one_checkout_are_identical():
     names = {line.split(": ")[0] for line in lines}
     for seed in ("42", "1", "7"):
         assert {f"{seed}/sweep.csv", f"{seed}/figures/fig5.csv",
+                f"{seed}/figures.list", f"{seed}/figures_hat_norm/fig4.gp",
+                f"{seed}/figures_hat_norm.list", f"{seed}/figures_one_delta/fig2.csv",
+                f"{seed}/figures_one_delta.list",
+                f"{seed}/figures_four_deltas/fig1.gp",
+                f"{seed}/figures_four_deltas.list",
                 f"{seed}/bound_check.csv", f"{seed}/invert_rule_iid.csv.stderr",
                 f"{seed}/rule_records_norm_calibrated.csv", f"{seed}/help.txt",
                 f"{seed}/help_dump-config.txt", f"{seed}/invert_crlf_quoted.csv",

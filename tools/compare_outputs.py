@@ -6,18 +6,21 @@
 PARENT and CHANGE are checkout directories.  For base seeds 42, 1 and 7
 each checkout runs, through PYTHONPATH=<checkout>/src in a fresh Python
 process, the byte-identity list: the default `sweep`, `mus = rule` sweeps
-with p = 0, 1, 2, 3 in both noise modes, the whole `figures` directory,
-`forward` (cosine and hat), `forward --input` of `forward`'s own output,
-`simulate` in both noise modes, `invert --mu 0.3` and `invert --rule 1
---delta 0.05` of it, `invert --mu 0.3` of a CRLF, quoted copy of the `iid`
-`simulate` output and of a copy with one bad row (every command's stderr
-included), the `--help` text of the top level and of each command, the findings of
-`run_bound_check()`, and the records of `run_mu_sweep` and
-`run_rule_comparison` (both modes) at 5 replicates.  For every output it
-prints "identical" when the bytes agree, else the largest relative
-deviation |a - b| / max(|a|, |b|) of each column of a CSV of numbers, or
-"differs" for other text.  Exit code 0 when every output is identical, 1
-when one is not, 2 when a checkout fails to run.  Needs only the standard library and numpy.
+with p = 0, 1, 2, 3 in both noise modes, the whole `figures` directory
+and its printed path list for four configs (the default, a hat source
+with `norm_calibrated` noise, one delta 0.05, four deltas 0.015, 0.05,
+0.1, 0.2), `forward` (cosine and hat), `forward --input` of `forward`'s
+own output, `simulate` in both noise modes, `invert --mu 0.3` and
+`invert --rule 1 --delta 0.05` of it, `invert --mu 0.3` of a CRLF, quoted
+copy of the `iid` `simulate` output and of a copy with one bad row (every
+command's stderr included), the `--help` text of the top level and of
+each command, the findings of `run_bound_check()`, and the records of
+`run_mu_sweep` and `run_rule_comparison` (both modes) at 5 replicates.
+For every output it prints "identical" when the bytes agree, else the
+largest relative deviation |a - b| / max(|a|, |b|) of each column of a
+CSV of numbers, or "differs" for other text.  Exit code 0 when every
+output is identical, 1 when one is not, 2 when a checkout fails to run.
+Needs only the standard library and numpy.
 """
 
 from __future__ import annotations
@@ -82,8 +85,16 @@ for seed in map(int, sys.argv[1:]):
         cfg = out / (name + ".cfg")
         cfg.write_text(text + f"base_seed = {seed}\n", encoding="utf-8")
         run(out, name + ".csv", "sweep", "--config", cfg)
-    run(out, "figures.list", "figures", "--config", out / "sweep.cfg",
-        "--out", out / "figures")
+    figures = {
+        "figures": "",
+        "figures_hat_norm": "source = hat\nnoise_mode = norm_calibrated\n",
+        "figures_one_delta": "deltas = 0.05\n",
+        "figures_four_deltas": "deltas = 0.015, 0.05, 0.1, 0.2\n",
+    }
+    for name, text in figures.items():
+        cfg = out / (name + ".cfg")
+        cfg.write_text(text + f"base_seed = {seed}\n", encoding="utf-8")
+        run(out, name + ".list", "figures", "--config", cfg, "--out", out / name)
     run(out, "help.txt", "--help")
     for command in COMMANDS:
         run(out, f"help_{command}.txt", command, "--help")
