@@ -2,17 +2,17 @@
 
 An experiment cell is one noise realization at one parameter combination.
 Each delta index i has one noise stream, Generator(PCG64(cell_seed(base_seed,
-i, 0, 0))), and replicate r is row r of its (replicates, n) standard normal
-draw; every column at that delta (each mu of an explicit sweep, each p of
-the rule and the bound check) inverts the same rows, so differences between
-columns are paired.  Row 0 is add_noise's draw of the stream's seed, the
-draw of figures 1-4.  One function, _cells, runs every cell serially and
-returns arrays: the stream seeds, the noise norm of each row and the
-(deltas, columns, replicates) errors, read off the spectra by Parseval's
-identity, with no estimate formed; records, findings and summary rows are
-read from those arrays.  The drivers' workers argument is accepted and
-ignored.  Result lists are sorted by parameter values, never by position
-in the config.
+i))), and replicate r is row r of its (replicates, n) standard normal draw;
+every column at that delta (each mu of an explicit sweep, each p of the rule
+and the bound check) inverts the same rows, so differences between columns
+are paired.  One function, _cells, draws every stream and runs every cell
+serially, returning arrays: the stream seeds, each delta's noisy row 0, the
+noise norm of each row and the (deltas, columns, replicates) errors, read
+off the spectra by Parseval's identity, with no estimate formed; records,
+findings, summary rows and figures 1-4, which invert row 0, are read from
+those arrays, so nothing else draws noise.  The workers argument of the
+public runners is accepted and ignored.  Result lists are sorted by
+parameter values, never by position in the config.
 """
 
 from __future__ import annotations
@@ -29,14 +29,7 @@ import numpy as np
 
 from ._floatfmt import format_rows
 from .inversion import _filter_rows, error_bound, select_mu, sobolev_norm
-from .noise_lab import (
-    NOISE_MODES,
-    NoiseSpec,
-    _l2,
-    _noise,
-    add_noise,
-    discrete_l2,
-)
+from .noise_lab import NOISE_MODES, _l2, _noise, discrete_l2
 from .source_models import SourceSpec, cosine_source, exact_data, sample_source
 from .spectral_core import Grid, _regularized_table, make_grid
 
@@ -144,20 +137,19 @@ class SweepRecord:
             raise ValueError("bound must be present exactly when p is (rule cells)")
 
 
-def cell_seed(base_seed: int, delta_index: int, mu_index: int, replicate: int) -> int:
-    """Seed of one noise stream.
+def cell_seed(base_seed: int, delta_index: int) -> int:
+    """Seed of delta index delta_index's noise stream.
 
-    The 64-bit state of SeedSequence((base_seed, delta_index, mu_index,
-    replicate)), its first two uint32 words joined low word first;
-    SeedSequence's expansion is specified and stable across platforms and
-    numpy versions, so this is a documented pure function of its four
-    nonnegative integer arguments.  Sweeps, the bound check and the figures
-    call it once per delta, with mu_index and replicate 0:
-    Generator(PCG64(cell_seed(base_seed, i, 0, 0))) is delta index i's
-    stream, whose (replicates, n) draw holds replicate r in row r, shared
-    by every mu (or p) at that delta.
+    The 64-bit state of SeedSequence((base_seed, delta_index, 0, 0)), its
+    first two uint32 words joined low word first; SeedSequence's expansion
+    is specified and stable across platforms and numpy versions, so this is
+    a documented pure function of its two nonnegative integer arguments.
+    _cells calls it once per delta: Generator(PCG64(cell_seed(base_seed,
+    i))) is delta index i's stream, whose (replicates, n) draw holds
+    replicate r in row r, shared by every mu (or p) at that delta and, for
+    r = 0, by figures 1-4.
     """
-    entropy = (base_seed, delta_index, mu_index, replicate)
+    entropy = (base_seed, delta_index, 0, 0)
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
@@ -188,16 +180,16 @@ def _mu_table(grid: Grid, columns) -> tuple:
 
 
 def _cells(config: SweepConfig, columns, f_true) -> tuple:
-    """Every cell of the sweep as arrays: (seeds, noise_norms, errors).
+    """Every cell of the sweep as arrays: (seeds, firsts, noise_norms, errors).
 
     columns[i][j] starts with the mu of column j at delta index i; every
-    delta has as many columns.  seeds[i] = cell_seed(base_seed, i, 0, 0)
-    seeds delta index i's stream, and row r there is the exact data plus
-    row r of its (replicates, n) config.noise_mode draw, which for r = 0 is
-    add_noise's draw of seeds[i]; noise_norms[i, r] is that noise's
-    discrete L2 norm and errors[i, j, r] the one of column j's estimate
-    minus f_true.  A delta whose noise or errors overflow raises ValueError
-    naming it.
+    delta has as many columns.  seeds[i] = cell_seed(base_seed, i) seeds
+    delta index i's stream, and row r there is the exact data plus row r of
+    its (replicates, n) config.noise_mode draw, which for r = 0 is
+    add_noise's draw of seeds[i]; firsts[i] is that row 0, the (deltas, n)
+    data of figures 1-4, noise_norms[i, r] the noise's discrete L2 norm and
+    errors[i, j, r] the one of column j's estimate minus f_true.  A delta
+    whose noise or errors overflow raises ValueError naming it.
 
     No estimate is formed.  With c = dx/n (1, 2, ..., 2, 1) the Parseval
     weights of the K = n/2+1 rfft modes, F = rfft(f_true), h = rfft(row)
@@ -216,10 +208,11 @@ def _cells(config: SweepConfig, columns, f_true) -> tuple:
     """
     grid = config.grid
     g_exact = exact_data(config.source, grid)
-    seeds = [cell_seed(config.base_seed, i, 0, 0) for i in range(len(columns))]
+    seeds = [cell_seed(config.base_seed, i) for i in range(len(columns))]
     mu_rows, table = _mu_table(grid, columns)
     weights = _parseval_weights(grid)
     f_half = np.fft.rfft(f_true.values)
+    firsts = np.empty((len(columns), grid.n))
     noise_norms = np.empty((len(columns), config.replicates))
     errors = np.empty((len(columns), len(columns[0]), config.replicates))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -229,6 +222,7 @@ def _cells(config: SweepConfig, columns, f_true) -> tuple:
             if delta > 0.0:
                 noisy += _noise(grid, delta, config.noise_mode,
                                 np.random.default_rng(seeds[i]), config.replicates)
+            firsts[i] = noisy[0]
             noise_norms[i] = _l2(grid.dx, noisy - g_exact.values)
             own, col_rows = np.unique([mu_rows[mu] for mu, *_ in row],
                                       return_inverse=True)
@@ -245,7 +239,7 @@ def _cells(config: SweepConfig, columns, f_true) -> tuple:
             errors[i] = np.sqrt(squares[col_rows])
             if not np.isfinite(errors[i]).all():
                 raise ValueError(f"noise level delta={delta!r} overflows the estimates")
-    return seeds, noise_norms, errors
+    return seeds, firsts, noise_norms, errors
 
 
 def _source_norm(config: SweepConfig) -> tuple:
@@ -268,7 +262,7 @@ def _sweep_records(config: SweepConfig, order: str) -> list:
     """One SweepRecord per cell, sorted by (delta, order, replicate) values."""
     f_true, f_norm = _source_norm(config)
     columns = _columns(config)
-    _, noise_norms, errors = _cells(config, columns, f_true)
+    _, _, noise_norms, errors = _cells(config, columns, f_true)
     records = [
         SweepRecord(delta=delta, mu=mu, p=p, replicate=r, rel_error=err / f_norm,
                     abs_error=err, bound=bound, empirical_noise_norm=noise_norm)
@@ -319,15 +313,21 @@ def _summary_columns(rows) -> np.ndarray:
 def _summary_rows(config: SweepConfig) -> list:
     """Sorted rows (mu, delta, mean, stderr) of summarize_rel_error over
     run_mu_sweep(config) (run_rule_comparison for mus=RULE_MUS), folded from
-    the columns' error rows; equal (mu, delta) cells merge as the sorted
-    records order them: by p, then replicate, so duplicate columns
-    interleave.  Every column at one delta inverts the same draws, so only
-    a repeated delta adds independent values; a repeated mu (or a p giving
-    the same mu) adds copies, and the merged stderr counts them as
-    independent."""
+    the columns' error rows by _fold_summary."""
     f_true, f_norm = _source_norm(config)
     columns = _columns(config)
-    _, _, errors = _cells(config, columns, f_true)
+    _, _, _, errors = _cells(config, columns, f_true)
+    return _fold_summary(config, columns, errors / f_norm)
+
+
+def _fold_summary(config: SweepConfig, columns, rel_errors) -> list:
+    """Sorted rows (mu, delta, mean, stderr) of the (deltas, columns,
+    replicates) relative errors of _cells over columns; equal (mu, delta)
+    cells merge as the sorted records order them: by p, then replicate, so
+    duplicate columns interleave.  Every column at one delta inverts the
+    same draws, so only a repeated delta adds independent values; a
+    repeated mu (or a p giving the same mu) adds copies, and the merged
+    stderr counts them as independent."""
     keys: dict = {}  # (mu, delta) -> key index, in first-seen order
     col_keys = [
         keys.setdefault((mu, delta), len(keys))
@@ -346,7 +346,7 @@ def _summary_rows(config: SweepConfig) -> list:
             np.array(col_keys)[:, None],
         )
     ])
-    values = (errors / f_norm).ravel()[order]
+    values = rel_errors.ravel()[order]
     counts = np.bincount(col_keys) * config.replicates
     starts = np.cumsum(counts) - counts
     stats = [None] * len(keys)
@@ -426,8 +426,8 @@ class BoundFinding:
     bound_raw is error_bound(delta, p, mu) as written (unit smoothness
     bound); bound_scaled is E * error_bound(delta/E, p, mu), the same
     guarantee rescaled to the measured smoothness bound E of the source.
-    seed is the delta's stream seed, cell_seed(base_seed, i, 0, 0) at delta
-    index i, and the cell's noise is row `replicate` of that stream's draw.
+    seed is the delta's stream seed, cell_seed(base_seed, i) at delta index
+    i, and the cell's noise is row `replicate` of that stream's draw.
     """
 
     delta: float
@@ -464,7 +464,7 @@ def run_bound_check(
     f_true = sample_source(config.source, config.grid)
     smoothness = [(p, sobolev_norm(f_true, p)) for p in config.p_values]
     columns = _rule_columns(config.deltas, smoothness)
-    seeds, _, errors = _cells(config, columns, f_true)
+    seeds, _, _, errors = _cells(config, columns, f_true)
     findings = [
         BoundFinding(delta=delta, p=p, replicate=r, seed=seed, mu=mu, E=E,
                      error=err, bound_raw=raw, bound_scaled=scaled,
@@ -580,13 +580,16 @@ def reproduce_figures(out_dir, config: Optional[SweepConfig] = None,
     mu grid, one row per (mu, delta).  Each script plots every column of
     its CSV.
 
-    Figures 1-4 use one noise draw per delta, seed cell_seed(base_seed,
-    delta_index, 0, 0), so their columns describe the same data a reader
-    would compare by eye.  Their estimates come from one rfft/irfft pass
-    over the draws, each bit for bit the public estimator's.  Every table
-    is built before any file is written, so a config that fails writes no
-    file.  All outputs are byte-deterministic for a given config.  Returns
-    the sorted list of created paths.
+    One _cells call draws every delta's stream and gives fig5's errors;
+    figures 1-4 invert its row 0 per delta, replicate 0 of the sweep,
+    drawing nothing of their own, so their columns describe the same data
+    a reader would compare by eye.  Their estimates come from one
+    rfft/irfft pass over those rows, each bit for bit the public
+    estimator's; a delta whose estimates overflow raises ValueError naming
+    it, as the sweep does.  Every table is built before any file is
+    written, so a config that fails writes no file.  All outputs are
+    byte-deterministic for a given config.  Returns the sorted list of
+    created paths.
     """
     if config is None:
         config = default_config()
@@ -595,27 +598,22 @@ def reproduce_figures(out_dir, config: Optional[SweepConfig] = None,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid = config.grid
-    f_true, _ = _source_norm(config)
-    g_exact = exact_data(config.source, grid)
+    f_true, f_norm = _source_norm(config)
+    columns = _columns(config)
+    _, draws, _, errors = _cells(config, columns, f_true)
 
-    # One seeded draw per delta, shared by fig1 and the matching fig2-4 panel.
-    draws = np.stack([
-        add_noise(
-            g_exact,
-            NoiseSpec(d, cell_seed(config.base_seed, i, 0, 0), config.noise_mode),
-        ).values
-        for i, d in enumerate(config.deltas)
-    ])
     mu_sets = [(select_mu(d, 1.0, 1.0), select_mu(d, 1.0, 2.0), 1.0, 3.0)
                for d in config.deltas[:3]]
     # Row i: mu = 0, fig1's column, then panel i's four mus.  A delta past
     # the third has no panel; its row repeats mu = 0 and is not written.
     mus = np.zeros((len(config.deltas), 5))
     mus[:len(mu_sets), 1:] = mu_sets
-    weights = _regularized_table(grid.half_frequencies, mus[:, :, None])
-    estimates = _filter_rows(draws[:, None, :], weights)
-    if not np.isfinite(estimates).all():
-        raise ValueError("non-finite entries in signal values")
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = _regularized_table(grid.half_frequencies, mus[:, :, None])
+        estimates = _filter_rows(draws[:, None, :], weights)
+    for delta, block in zip(config.deltas, estimates):
+        if not np.isfinite(block).all():
+            raise ValueError(f"noise level delta={delta!r} overflows the estimates")
 
     base = [grid.points, f_true.values]
     tables = {"fig1": (
@@ -627,12 +625,13 @@ def reproduce_figures(out_dir, config: Optional[SweepConfig] = None,
             ["x", "f_true"] + [f"f_regularized_mu_{mu:.4g}" for mu in mu_set],
             base + list(estimates[i, 1:]),
         )
-    tables["fig5"] = (_SUMMARY_HEADER, _summary_columns(_summary_rows(config)))
+    tables["fig5"] = (_SUMMARY_HEADER, _summary_columns(
+        _fold_summary(config, columns, errors / f_norm)))
 
     created = []
-    for name, (header, columns) in tables.items():
+    for name, (header, data) in tables.items():
         path = out / f"{name}.csv"
-        write_csv(path, header, columns)
+        write_csv(path, header, data)
         created.append(path)
     scripts = {
         name: _GNUPLOT_SERIES.format(

@@ -20,6 +20,7 @@ from sourcefft.experiments import (
     RULE_MUS,
     SweepConfig,
     default_config,
+    expected_rel_error,
     run_bound_check,
     run_mu_sweep,
     run_rule_comparison,
@@ -134,6 +135,14 @@ def test_a4_rule_improves_on_unregularized():
     assert t.elapsed < 10.0
 
 
+def closed_form_argmins(config):
+    """{delta: the mu of least expected_rel_error}, for the report only."""
+    curves = {}
+    for (mu, delta), rms in expected_rel_error(config).items():
+        curves.setdefault(delta, {})[mu] = rms
+    return {delta: min(curve, key=curve.get) for delta, curve in curves.items()}
+
+
 def test_a5_interior_optimum_near_three():
     with _Timer() as t:
         summary = summarize_rel_error(run_mu_sweep(default_config(), workers=4))
@@ -148,7 +157,8 @@ def test_a5_interior_optimum_near_three():
     _report(
         "A5 interior optimum near 3",
         ok,
-        f"argmins {argmins}, window [1, 6], {t.elapsed:.2f}s",
+        f"argmins {argmins}, closed-form argmins "
+        f"{closed_form_argmins(default_config())}, window [1, 6], {t.elapsed:.2f}s",
     )
     assert in_window, f"argmin outside [1, 6] for some delta: {argmins}"
     assert stable
@@ -180,7 +190,8 @@ def test_a5b_long_domain_optimum():
     _report(
         "A5b long-domain optimum",
         ok,
-        f"argmins {argmins}, expected {expected}, {t.elapsed:.2f}s",
+        f"argmins {argmins}, closed-form argmins {closed_form_argmins(cfg)}, "
+        f"expected {expected}, {t.elapsed:.2f}s",
     )
     assert argmins == expected
     assert t.elapsed < 10.0

@@ -826,6 +826,26 @@ class TestFigures:
             "sourcefft: error: noise level delta=1e+308 overflows float64"
         ]
 
+    # The sweep's errors overflow at delta 1e306; on the tiny domain only
+    # the figures' own estimates do.  Either way the line names the delta.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, delta", [
+        ("deltas = 0.05, 1e306\nmus = 0, 1", "1e+306"),
+        ("x_max = 2e-151\ndeltas = 0.05\nmus = 40", "0.05"),
+    ])
+    def test_overflowing_estimate_names_the_delta(self, capsys, tmp_path, text, delta):
+        path = tmp_path / "overflow.cfg"
+        path.write_text(text + "\n")
+        out = tmp_path / "f"
+        code, printed, err = run_cli(
+            capsys, "figures", "--config", str(path), "--out", str(out)
+        )
+        assert (code, printed) == (1, "")
+        assert err.splitlines() == [
+            f"sourcefft: error: noise level delta={delta} overflows the estimates"
+        ]
+        assert not list(out.glob("*.csv"))
+
     def test_unwritable_out_is_io_error(self, capsys, tmp_path, small_config):
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("occupied")

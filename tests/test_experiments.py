@@ -69,33 +69,31 @@ class TestCellSeed:
     def test_frozen_values(self):
         # Pinned so a refactor of the derivation cannot silently change
         # every published figure.
-        assert cell_seed(42, 0, 0, 0) == 11465652750463011511
-        assert cell_seed(42, 1, 2, 3) == 7947200846218324290
-        assert cell_seed(7, 0, 0, 1) == 13931582159143508055
+        assert cell_seed(42, 0) == 11465652750463011511
+        assert cell_seed(42, 1) == 15658369528003122356
+        assert cell_seed(7, 0) == 16920295385781661272
 
     def test_pure_and_distinct(self):
         seen = set()
-        for i in range(4):
-            for j in range(4):
-                for r in range(4):
-                    s = cell_seed(42, i, j, r)
-                    assert s == cell_seed(42, i, j, r)
-                    seen.add(s)
+        for base_seed in range(4):
+            for i in range(16):
+                s = cell_seed(base_seed, i)
+                assert s == cell_seed(base_seed, i)
+                seen.add(s)
         assert len(seen) == 64
 
     def test_base_seed_matters(self):
-        assert cell_seed(1, 0, 0, 0) != cell_seed(2, 0, 0, 0)
+        assert cell_seed(1, 0) != cell_seed(2, 0)
 
     @pytest.mark.parametrize(
         "args",
-        [(42, 0, 0, 0), (2**32 - 1, 3, 1, 7), (2**32, 0, 2, 19),
-         (2**64 - 1, 2, 80, 0), (5, 2**32, 2**40, 2**64 - 1)],
+        [(42, 0), (2**32 - 1, 3), (2**32, 0), (2**64 - 1, 2), (5, 2**32)],
     )
     def test_equals_seed_sequence(self, args):
-        state = np.random.SeedSequence(args).generate_state(1, np.uint64)
+        state = np.random.SeedSequence((*args, 0, 0)).generate_state(1, np.uint64)
         assert cell_seed(*args) == int(state[0])
 
-    @pytest.mark.parametrize("args", [(-1, 0, 0, 0), (42, 0, -1, 0), (42, 0, 0, -3)])
+    @pytest.mark.parametrize("args", [(-1, 0), (42, -1), (-5, -3)])
     def test_negative_argument_rejected(self, args):
         with pytest.raises(ValueError):
             cell_seed(*args)
@@ -313,11 +311,11 @@ def squared_error_tolerance(n, estimate_norm, source_norm):
 
 def stream_noise(config, i):
     """(seed, noise) of delta index i through numpy's public API only: the
-    stream seed cell_seed(base_seed, i, 0, 0) and the (replicates, n)
+    stream seed cell_seed(base_seed, i) and the (replicates, n)
     standard normal draw of Generator(PCG64(seed)), each row scaled by
     delta (iid) or to discrete L2 norm delta (norm_calibrated); zeros at
     delta = 0, which draws nothing."""
-    seed = cell_seed(config.base_seed, i, 0, 0)
+    seed = cell_seed(config.base_seed, i)
     delta, grid = config.deltas[i], config.grid
     if delta == 0.0:
         return seed, np.zeros((config.replicates, grid.n))
@@ -621,14 +619,14 @@ class TestSharedDraw:
         assert len(by_cell) == 2 * 3
         for (delta, _), seeds in by_cell.items():
             i = cfg.deltas.index(delta)
-            assert seeds == [cell_seed(cfg.base_seed, i, 0, 0)] * 3
+            assert seeds == [cell_seed(cfg.base_seed, i)] * 3
 
     def test_figure_draw_is_replicate_zero(self):
-        # fig1-4 draw cell_seed(base_seed, i, 0, 0): replicate 0 of the
-        # sweep, at every mu.
+        # fig1-4 invert replicate 0 of the sweep, at every mu: add_noise's
+        # draw of cell_seed(base_seed, i).
         cfg = small_config(deltas=(0.05,), mus=(1.0, 0.0), replicates=2)
         g_exact = exact_data(cfg.source, cfg.grid)
-        noisy = add_noise(g_exact, NoiseSpec(0.05, cell_seed(42, 0, 0, 0)))
+        noisy = add_noise(g_exact, NoiseSpec(0.05, cell_seed(42, 0)))
         figure_norm = discrete_l2(RealSignal(cfg.grid, noisy.values - g_exact.values))
         first = [rec for rec in run_mu_sweep(cfg) if rec.replicate == 0]
         assert [rec.mu for rec in first] == [0.0, 1.0]
@@ -637,8 +635,8 @@ class TestSharedDraw:
 
 class TestOneStreamPerDelta:
     """Replicate r at delta index i is row r of the (replicates, n) draw of
-    Generator(PCG64(cell_seed(base_seed, i, 0, 0))), scaled by mode, and
-    row 0 is add_noise's draw of that seed: the draw of figures 1-4."""
+    Generator(PCG64(cell_seed(base_seed, i))), scaled by mode, and row 0
+    is add_noise's draw of that seed: the data of figures 1-4."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -976,8 +974,7 @@ def figure_reference(cfg):
     f_true = sample_source(cfg.source, grid)
     g_exact = exact_data(cfg.source, grid)
     draws = [
-        add_noise(g_exact, NoiseSpec(d, cell_seed(cfg.base_seed, i, 0, 0),
-                                     cfg.noise_mode))
+        add_noise(g_exact, NoiseSpec(d, cell_seed(cfg.base_seed, i), cfg.noise_mode))
         for i, d in enumerate(cfg.deltas)
     ]
     base = [grid.points, f_true.values]
@@ -1078,6 +1075,26 @@ class TestFigureTables:
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_non_finite_estimate_writes_no_file(self, tmp_path):
         cfg = small_config(deltas=(0.05, 1e306))
-        with pytest.raises(ValueError, match="^non-finite entries in signal values$"):
+        with pytest.raises(
+            ValueError, match=r"^noise level delta=1e\+306 overflows the estimates$"
+        ):
             reproduce_figures(tmp_path, cfg)
         assert list(tmp_path.iterdir()) == []
+
+    def test_one_draw_per_delta(self, tmp_path, monkeypatch):
+        # fig1-fig4 take row 0 of the sweep's draws: one sampled source, one
+        # exact data and one stream per delta for the whole run.
+        calls = dict.fromkeys(["sample_source", "exact_data", "cell_seed", "_noise"], 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(experiments, name,
+                                counted(name, getattr(experiments, name)))
+        reproduce_figures(tmp_path)
+        assert calls == {"sample_source": 1, "exact_data": 1, "cell_seed": 3,
+                         "_noise": 3}

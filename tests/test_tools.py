@@ -23,6 +23,8 @@ def test_compare_outputs_of_one_checkout_are_identical():
                 f"{seed}/figures_one_delta.list",
                 f"{seed}/figures_four_deltas/fig1.gp",
                 f"{seed}/figures_four_deltas.list",
+                f"{seed}/figures_overflow.list.stderr",
+                f"{seed}/figures_tiny_domain.list.stderr",
                 f"{seed}/bound_check.csv", f"{seed}/invert_rule_iid.csv.stderr",
                 f"{seed}/rule_records_norm_calibrated.csv", f"{seed}/help.txt",
                 f"{seed}/help_dump-config.txt", f"{seed}/invert_crlf_quoted.csv",

@@ -9,13 +9,15 @@ process, the byte-identity list: the default `sweep`, `mus = rule` sweeps
 with p = 0, 1, 2, 3 in both noise modes, the whole `figures` directory
 and its printed path list for four configs (the default, a hat source
 with `norm_calibrated` noise, one delta 0.05, four deltas 0.015, 0.05,
-0.1, 0.2), `forward` (cosine and hat), `forward --input` of `forward`'s
-own output, `simulate` in both noise modes, `invert --mu 0.3` and
-`invert --rule 1 --delta 0.05` of it, `invert --mu 0.3` of a CRLF, quoted
-copy of the `iid` `simulate` output and of a copy with one bad row (every
-command's stderr included), the `--help` text of the top level and of
-each command, the findings of `run_bound_check()`, and the records of
-`run_mu_sweep` and `run_rule_comparison` (both modes) at 5 replicates.
+0.1, 0.2) and for two that fail on an overflowing estimate (deltas 0.05,
+1e306 with mus 0, 1; x_max 2e-151 with delta 0.05 and mu 40), `forward`
+(cosine and hat), `forward --input` of `forward`'s own output, `simulate`
+in both noise modes, `invert --mu 0.3` and `invert --rule 1 --delta 0.05`
+of it, `invert --mu 0.3` of a CRLF, quoted copy of the `iid` `simulate`
+output and of a copy with one bad row (every command's stderr included),
+the `--help` text of the top level and of each command, the findings of
+`run_bound_check()`, and the records of `run_mu_sweep` and
+`run_rule_comparison` (both modes) at 5 replicates.
 For every output it prints "identical" when the bytes agree, else the
 largest relative deviation |a - b| / max(|a|, |b|) of each column of a
 CSV of numbers, or "differs" for other text.  Exit code 0 when every
@@ -90,6 +92,8 @@ for seed in map(int, sys.argv[1:]):
         "figures_hat_norm": "source = hat\nnoise_mode = norm_calibrated\n",
         "figures_one_delta": "deltas = 0.05\n",
         "figures_four_deltas": "deltas = 0.015, 0.05, 0.1, 0.2\n",
+        "figures_overflow": "deltas = 0.05, 1e306\nmus = 0, 1\n",
+        "figures_tiny_domain": "x_max = 2e-151\ndeltas = 0.05\nmus = 40\n",
     }
     for name, text in figures.items():
         cfg = out / (name + ".cfg")
