@@ -11,6 +11,13 @@ The digits are then laid out as repr does in fixed notation, which it uses
 for 1e-4 <= |x| < 1e16.  Every other value (zeros, subnormals, inf, nan and
 the exponent-notation magnitudes) is formatted by repr itself.
 
+The kernel is a per-value pass, which gives each value a 48-byte slot of
+text and a mask of the bytes it keeps, and a join, which compacts a table's
+slots in row order into its lines.  format_rows joins the slots where the
+pass left them.  format_tables runs one pass over a pool of values and
+joins several tables from it through index arrays, so one pass serves a
+whole `figures` run and the columns its tables share are formatted once.
+
 parse_rows turns the digits of each value into a uint64 m and a decimal
 exponent -k by SWAR (eight ASCII digits per uint64 word) and m * 10^-k into
 the nearest double as Clinger's exact division when m <= 2^53, else by the
@@ -33,7 +40,7 @@ import itertools
 
 import numpy as np
 
-__all__ = ["format_rows", "parse_rows"]
+__all__ = ["format_rows", "format_tables", "parse_rows"]
 
 _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
@@ -214,7 +221,6 @@ _SLOT = 48
 _DIGITS_AT = 7
 _POINT_AT = 31
 _PREFIX = int.from_bytes(b",-0.0000", "little")
-_ROW_PREFIX = int.from_bytes(b"\n-0.0000", "little")
 _POINT_WORD = _U64(ord(".") << 56)
 _N_DECPT = 20       # decimal point positions -3 ... 16
 
@@ -268,15 +274,75 @@ def format_rows(table) -> bytes:
     return _format_kernel(table)
 
 
+# Pools of more values are not held as slots, 96 bytes a value, nor passed
+# whole through the per-value pass, whose temporaries are larger still.
+_POOL_MAX_VALUES = 1 << 15
+
+
+def format_tables(values, indexes):
+    """Per index, in order, an iterator of the chunks of
+    format_rows(values[index]), formatting each value of the 1-D pool
+    values once.
+
+    Every index is a 2-D integer array into values.  For a table of more
+    than _REPR_MAX_VALUES entries, one per-value kernel pass over the whole
+    pool gives every value's slot, and the table gathers its rows' slots
+    through its index and joins them, so a column shared by several tables
+    is formatted once.  Smaller tables take format_rows' repr join, and a
+    pool of more than _POOL_MAX_VALUES values is formatted table by table,
+    _POOL_MAX_VALUES values at a time, as its iterator is read.  The pass
+    runs when the first table that needs it is reached.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    pool = None
+    for index in map(np.asarray, indexes):
+        if index.size <= _REPR_MAX_VALUES or len(values) > _POOL_MAX_VALUES:
+            yield _blocks(values, index)
+            continue
+        if pool is None:
+            pool = _format_values(values)
+        # np.take copies whole rows; it is about 4x faster here than
+        # indexing the 2-D slot arrays with the same index.
+        flat = index.reshape(-1)
+        yield iter([_join(*(np.take(a, flat, axis=0) for a in pool),
+                          index.shape[1])])
+
+
+def _blocks(values, index):
+    """format_rows(values[index]) in chunks of at most _POOL_MAX_VALUES
+    values."""
+    step = max(1, _POOL_MAX_VALUES // max(1, index.shape[1]))
+    for i in range(0, len(index), step):
+        yield format_rows(values[index[i:i + step]])
+
+
 def _format_kernel(table) -> bytes:
-    """format_rows of a table with at least one row and one column."""
-    rows, cols = table.shape
-    values = table.reshape(-1)
+    """format_rows of a table with at least one row and one column; the
+    slots are joined where the per-value pass left them."""
+    return _join(*_format_values(table.reshape(-1)), table.shape[1])
+
+
+def _join(slots, mask, cols: int) -> bytes:
+    """The CSV text of the (values, _SLOT) slots and byte masks of a
+    table's values in row order, cols to a row; changes both in place."""
+    # A row's first value is separated from the previous row by a newline;
+    # the table's first value has no separator.
+    slots[::cols, 0] = ord("\n")
+    mask[0, 0] = False
+    # A boolean index copies the kept bytes; np.compress would also build
+    # an int64 index of them, eight bytes per byte kept.
+    return slots.reshape(-1)[mask.reshape(-1)].tobytes() + b"\n"
+
+
+def _format_values(values) -> tuple:
+    """(slots, mask) of a nonempty 1-D float64 array: per value its 48-byte
+    slot, whose separator byte is ",", and the mask of the bytes its text
+    keeps (_join compacts them)."""
     bits = values.view(_U64)
     magnitude = bits & _MASK63
     fixed = (magnitude >= _FIXED_LO) & (magnitude < _FIXED_HI)
-    # The kernel runs on the fixed-notation values only: the whole table
-    # when it holds nothing else, else a compacted copy of them.
+    # The kernel runs on the fixed-notation values only: all of them when
+    # there is nothing else, else a compacted copy of them.
     everywhere = fixed.all()
     kernel = slice(None) if everywhere else fixed
     d, k = _shortest(magnitude[kernel])
@@ -307,11 +373,8 @@ def _format_kernel(table) -> bytes:
         for whole, part in zip((lead, text_a, text_b, layout), parts):
             whole[fixed] = part
 
-    first = np.full(cols, _PREFIX, dtype=_U64)
-    first[0] = _ROW_PREFIX
-    first = (lead.reshape(rows, cols) << _U64(56)) + first
     slots = np.column_stack(
-        [first.reshape(-1), text_a, text_b,
+        [(lead << _U64(56)) + _U64(_PREFIX), text_a, text_b,
          np.full(len(values), _POINT_WORD), text_a, text_b]
     ).astype("<u8", copy=False).view(np.uint8)
 
@@ -324,11 +387,7 @@ def _format_kernel(table) -> bytes:
         slots[others, 1:1 + text.shape[1]] = text
         mask[others, 1:] = False
         mask[others, 1:1 + text.shape[1]] = text != 0
-    # The first value's separator is the newline ending the previous row.
-    mask[0, 0] = False
-    # A boolean index copies the kept bytes; np.compress would also build
-    # an int64 index of them, eight bytes per byte kept.
-    return slots.reshape(-1)[mask.reshape(-1)].tobytes() + b"\n"
+    return slots, mask
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,7 @@ from .experiments import (
     RULE_MUS,
     SweepConfig,
     _SUMMARY_HEADER,
-    _summary_columns,
-    _summary_rows,
+    _sweep_summary,
     default_mu_grid,
     reproduce_figures,
     write_csv,
@@ -380,8 +379,7 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     flags = {"replicates": args.replicates, "base_seed": args.base_seed}
     cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
-    rows = _summary_rows(cfg.to_sweep_config())
-    _emit_csv(args.out, _SUMMARY_HEADER, _summary_columns(rows))
+    _emit_csv(args.out, _SUMMARY_HEADER, _sweep_summary(cfg.to_sweep_config()))
     return 0
 
 

@@ -9,7 +9,7 @@ are paired.  One function, _cells, draws every stream and runs every cell
 serially, returning arrays: the stream seeds, each delta's noisy row 0, the
 noise norm of each row and the (deltas, columns, replicates) errors, read
 off the spectra by Parseval's identity, with no estimate formed; records,
-findings, summary rows and figures 1-4, which invert row 0, are read from
+findings, summary columns and figures 1-4, which invert row 0, are read from
 those arrays, so nothing else draws noise.  The workers argument of the
 public runners is accepted and ignored.  Result lists are sorted by
 parameter values, never by position in the config.
@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._floatfmt import format_rows
+from ._floatfmt import format_rows, format_tables
 from .inversion import _filter_rows, error_bound, select_mu, sobolev_norm
 from .noise_lab import NOISE_MODES, _l2, _noise, discrete_l2
 from .source_models import SourceSpec, cosine_source, exact_data, sample_source
@@ -305,58 +305,62 @@ def _rule_columns(deltas, smoothness) -> list:
 _SUMMARY_HEADER = ["mu", "delta", "mean_rel_error", "stderr_rel_error"]
 
 
-def _summary_columns(rows) -> np.ndarray:
-    """The rows of _summary_rows as the columns write_csv takes."""
-    return np.reshape(rows, (-1, len(_SUMMARY_HEADER))).T
-
-
-def _summary_rows(config: SweepConfig) -> list:
-    """Sorted rows (mu, delta, mean, stderr) of summarize_rel_error over
-    run_mu_sweep(config) (run_rule_comparison for mus=RULE_MUS), folded from
-    the columns' error rows by _fold_summary."""
+def _sweep_summary(config: SweepConfig) -> np.ndarray:
+    """The (4, keys) columns (mu, delta, mean, stderr) of summarize_rel_error
+    over run_mu_sweep(config) (run_rule_comparison for mus=RULE_MUS),
+    sorted by (mu, delta) and folded from the columns' error rows by
+    _fold_summary."""
     f_true, f_norm = _source_norm(config)
     columns = _columns(config)
     _, _, _, errors = _cells(config, columns, f_true)
     return _fold_summary(config, columns, errors / f_norm)
 
 
-def _fold_summary(config: SweepConfig, columns, rel_errors) -> list:
-    """Sorted rows (mu, delta, mean, stderr) of the (deltas, columns,
-    replicates) relative errors of _cells over columns; equal (mu, delta)
-    cells merge as the sorted records order them: by p, then replicate, so
-    duplicate columns interleave.  Every column at one delta inverts the
-    same draws, so only a repeated delta adds independent values; a
-    repeated mu (or a p giving the same mu) adds copies, and the merged
-    stderr counts them as independent."""
-    keys: dict = {}  # (mu, delta) -> key index, in first-seen order
-    col_keys = [
-        keys.setdefault((mu, delta), len(keys))
-        for delta, row in zip(config.deltas, columns) for mu, *_ in row
-    ]
-    col_ps = [p for row in columns for _, p, *_ in row]
-    # Sort the (column, replicate) values by key, p, then replicate; the
-    # sort is stable, so ties keep column order and each key's values come
-    # out contiguous and in the records' order.
-    p_rank = {p: k for k, p in enumerate(sorted(set(col_ps)))}
-    shape = (len(col_keys), config.replicates)
-    order = np.lexsort([
-        np.broadcast_to(a, shape).ravel() for a in (
-            np.arange(shape[1]),
-            np.array([p_rank[p] for p in col_ps])[:, None],
-            np.array(col_keys)[:, None],
-        )
-    ])
-    values = rel_errors.ravel()[order]
-    counts = np.bincount(col_keys) * config.replicates
-    starts = np.cumsum(counts) - counts
-    stats = [None] * len(keys)
+def _fold_summary(config: SweepConfig, columns, rel_errors) -> np.ndarray:
+    """The (4, keys) columns (mu, delta, mean, stderr) of the (deltas,
+    columns, replicates) relative errors of _cells over columns, one per
+    (mu, delta) key, sorted by (mu, delta).
+
+    The deltas x columns columns are sorted by (mu, delta), then p, then
+    position (delta index, then column); equal keys, -0.0 and 0.0
+    included, merge, and a merged key shows its first sorted column's mu
+    and delta.  Its values go to _mean_stderr in the order the sorted
+    records give summarize_rel_error: by p, then replicate, then position,
+    so columns of one p interleave by replicate.  Every column at one delta
+    inverts the same draws, so only a repeated delta adds independent
+    values; a repeated mu (or a p giving the same mu) adds copies, and the
+    merged stderr counts them as independent."""
+    replicates = config.replicates
+    cells = [cell for row in columns for cell in row]
+    mus = np.array([cell[0] for cell in cells])
+    deltas = np.repeat(config.deltas, len(columns[0]))
+    # An explicit sweep's p is None in every column; it sorts as 0.0.
+    ps = np.array([cell[1] or 0.0 for cell in cells])
+    # lexsort is stable, so ties keep position order.
+    order = np.lexsort((ps, deltas, mus))
+    mus, deltas, ps = mus[order], deltas[order], ps[order]
+    new_key = np.ones(len(order), dtype=bool)
+    new_key[1:] = (mus[1:] != mus[:-1]) | (deltas[1:] != deltas[:-1])
+    new_run = new_key.copy()
+    new_run[1:] |= ps[1:] != ps[:-1]
+    # The values of a run of w sorted columns of one key and p go in
+    # replicate order, so its (w, replicates) block is stored transposed.
+    values = rel_errors.reshape(-1, replicates)[order]
+    run_starts = np.flatnonzero(new_run)
+    widths = np.diff(run_starts, append=len(order))
+    for a, w in zip(run_starts[widths > 1].tolist(), widths[widths > 1].tolist()):
+        values[a:a + w] = values[a:a + w].T.reshape(w, replicates)
+    values = values.reshape(-1)
+
+    key_starts = np.flatnonzero(new_key)
+    counts = np.diff(key_starts, append=len(order)) * replicates
+    starts = key_starts * replicates
+    means, stderrs = np.empty((2, len(key_starts)))
     for count in set(counts.tolist()):
         (which,) = np.nonzero(counts == count)
         table = values[starts[which][:, None] + np.arange(count)]
-        means, stderrs = _mean_stderr(table)
-        for k, mean, stderr in zip(which.tolist(), means.tolist(), stderrs.tolist()):
-            stats[k] = (mean, stderr)
-    return sorted(key + stats[k] for key, k in keys.items())
+        means[which], stderrs[which] = _mean_stderr(table)
+    return np.array([mus[key_starts], deltas[key_starts], means, stderrs])
 
 
 def expected_rel_error(config: SweepConfig) -> dict:
@@ -505,11 +509,16 @@ def write_csv(path, header: Sequence[str], columns) -> None:
             f"columns have shapes {[c.shape for c in columns]}, "
             f"header has {len(header)} fields"
         )
-    chunks = itertools.chain(
-        [(",".join(header) + "\n").encode("utf-8")],
-        (format_rows(np.column_stack([c[i:i + _CSV_CHUNK_ROWS] for c in columns]))
-         for i in range(0, rows, _CSV_CHUNK_ROWS)),
-    )
+    _write_text(path, header, (
+        format_rows(np.column_stack([c[i:i + _CSV_CHUNK_ROWS] for c in columns]))
+        for i in range(0, rows, _CSV_CHUNK_ROWS)
+    ))
+
+
+def _write_text(path, header: Sequence[str], body) -> None:
+    """Write write_csv's header line, then the ASCII chunks of body, to
+    path: a file path, or an open text stream left open."""
+    chunks = itertools.chain([(",".join(header) + "\n").encode("utf-8")], body)
     if isinstance(path, (str, os.PathLike)):
         with open(path, "wb") as fh:
             fh.writelines(chunks)
@@ -586,7 +595,12 @@ def reproduce_figures(out_dir, config: Optional[SweepConfig] = None,
     a reader would compare by eye.  Their estimates come from one
     rfft/irfft pass over those rows, each bit for bit the public
     estimator's; a delta whose estimates overflow raises ValueError naming
-    it, as the sweep does.  Every table is built before any file is
+    it, as the sweep does.  fig5 is _fold_summary of the errors, the
+    sweep's bytes: its columns sorted by (mu, delta), then p, then
+    position, and equal keys merged by p, then replicate, then position.
+    One format_tables pass formats x, f_true, every estimate column
+    written and fig5's columns, each once, and each CSV joins its rows
+    from it through an index.  Every table is built before any file is
     written, so a config that fails writes no file.  All outputs are
     byte-deterministic for a given config.  Returns the sorted list of
     created paths.
@@ -609,36 +623,55 @@ def reproduce_figures(out_dir, config: Optional[SweepConfig] = None,
     mus = np.zeros((len(config.deltas), 5))
     mus[:len(mu_sets), 1:] = mu_sets
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = _regularized_table(grid.half_frequencies, mus[:, :, None])
-        estimates = _filter_rows(draws[:, None, :], weights)
+        estimates = _filter_rows(draws[:, None, :], _regularized_table(
+            grid.half_frequencies, mus[:, :, None]))
     for delta, block in zip(config.deltas, estimates):
         if not np.isfinite(block).all():
             raise ValueError(f"noise level delta={delta!r} overflows the estimates")
 
-    base = [grid.points, f_true.values]
-    tables = {"fig1": (
-        ["x", "f_true"] + [f"f_unregularized_delta_{d:g}" for d in config.deltas],
-        base + list(estimates[:, 0]),
-    )}
+    headers = {"fig1": ["x", "f_true"] + [
+        f"f_unregularized_delta_{d:g}" for d in config.deltas]}
     for i, mu_set in enumerate(mu_sets):
-        tables[f"fig{i + 2}"] = (
-            ["x", "f_true"] + [f"f_regularized_mu_{mu:.4g}" for mu in mu_set],
-            base + list(estimates[i, 1:]),
-        )
-    tables["fig5"] = (_SUMMARY_HEADER, _summary_columns(
-        _fold_summary(config, columns, errors / f_norm)))
+        headers[f"fig{i + 2}"] = ["x", "f_true"] + [
+            f"f_regularized_mu_{mu:.4g}" for mu in mu_set]
+    headers["fig5"] = _SUMMARY_HEADER
+    summary = _fold_summary(config, columns, errors / f_norm)
+
+    # One pool, formatted once: x, f_true, fig1's columns and each panel's
+    # four, n values each, then fig5's four columns.  Each table's index
+    # picks its columns' rows; the indexes are built one at a time, as
+    # format_tables reaches them.
+    pool = np.concatenate([
+        grid.points, f_true.values, *estimates[:, 0],
+        *estimates[:len(mu_sets), 1:], summary,
+    ], axis=None)
+    # The pool holds every estimate written.  Freeing the rest, like the
+    # unnamed weights above, keeps the peak of a run at n = 2^18 at 93 MB
+    # (tracemalloc); the copies held through the writes read 121 MB.
+    del estimates, block
+    n, fig1_cols = grid.n, 2 + len(config.deltas)
+    picks = [range(fig1_cols)] + [
+        [0, 1, *range(fig1_cols + 4 * i, fig1_cols + 4 * i + 4)]
+        for i in range(len(mu_sets))
+    ]
+    keys = summary.shape[1]
+    indexes = itertools.chain(
+        (np.arange(n)[:, None] + n * np.array(pick) for pick in picks),
+        [n * (fig1_cols + 4 * len(mu_sets)) + np.arange(keys)[:, None]
+         + keys * np.arange(len(_SUMMARY_HEADER))],
+    )
 
     created = []
-    for name, (header, data) in tables.items():
+    for (name, header), body in zip(headers.items(), format_tables(pool, indexes)):
         path = out / f"{name}.csv"
-        write_csv(path, header, data)
+        _write_text(path, header, body)
         created.append(path)
     scripts = {
         name: _GNUPLOT_SERIES.format(
             ylabel="f", png=f"{name}.png",
             plots=_series_plot(f"{name}.csv", len(header)),
         )
-        for name, (header, _) in tables.items() if name != "fig5"
+        for name, header in headers.items() if name != "fig5"
     }
     scripts["fig5"] = _GNUPLOT_FIG5.format(plots=", \\\n     ".join(
         f"'fig5.csv' using 1:($2=={float(d)!r} ? $3 : 1/0) "

@@ -1015,7 +1015,7 @@ class TestErrorLines:
         "callee, argv",
         [
             ("make_grid", ["forward"]),
-            ("_summary_rows", ["sweep"]),
+            ("_sweep_summary", ["sweep"]),
             ("estimate_source_regularized", ["invert", "--mu", "1"]),
         ],
     )

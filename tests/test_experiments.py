@@ -10,10 +10,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sourcefft import experiments, inversion
+from sourcefft import _floatfmt, experiments, inversion
 from sourcefft.experiments import (
     RULE_MUS,
     BoundFinding,
@@ -29,7 +29,7 @@ from sourcefft.experiments import (
     run_rule_comparison,
     summarize_rel_error,
     write_csv,
-    _summary_rows,
+    _sweep_summary,
 )
 from sourcefft.inversion import (
     error_bound,
@@ -422,10 +422,18 @@ def assert_matches_reference(cells, cfg):
             assert cell.rel_error == cell.abs_error / f_norm
 
 
-def record_summary_rows(records):
-    """The rows of _summary_rows, from summarize_rel_error of the records."""
+def record_summary_columns(records):
+    """The columns of _sweep_summary, from summarize_rel_error of the
+    records, sorted by (mu, delta)."""
     summary = summarize_rel_error(records)
-    return sorted(key + summary[key] for key in summary)
+    return np.array(sorted(key + summary[key] for key in summary)).T
+
+
+def assert_same_bits(a, b):
+    """a and b are float arrays of one shape with the same bits, so -0.0
+    and 0.0 differ."""
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
 
 
 class TestBatchedCellsMatchPerCell:
@@ -470,7 +478,7 @@ class TestBatchedCellsMatchPerCell:
         )
         records = run_mu_sweep(cfg)
         assert_matches_reference(records, cfg)
-        assert _summary_rows(cfg) == record_summary_rows(records)
+        assert_same_bits(_sweep_summary(cfg), record_summary_columns(records))
 
     @pytest.mark.parametrize("replicates", [1, 3])
     def test_equal_rule_columns(self, replicates):
@@ -483,7 +491,7 @@ class TestBatchedCellsMatchPerCell:
         assert {select_mu(1.0, 1.0, p) for p in cfg.p_values} == {1.0}
         records = run_rule_comparison(cfg)
         assert_matches_reference(records, cfg)
-        assert _summary_rows(cfg) == record_summary_rows(records)
+        assert_same_bits(_sweep_summary(cfg), record_summary_columns(records))
         bound_cfg = replace(cfg, noise_mode="norm_calibrated")
         assert_matches_reference(run_bound_check(bound_cfg), bound_cfg)
 
@@ -518,10 +526,11 @@ class TestBatchedCellsMatchPerCell:
             warnings.simplefilter("ignore", UserWarning)  # delta > E
             records = run_mu_sweep(cfg)
             assert_matches_reference(records, cfg)
-            assert _summary_rows(cfg) == record_summary_rows(records)
+            assert_same_bits(_sweep_summary(cfg), record_summary_columns(records))
             rule_records = run_rule_comparison(rule_cfg)
             assert_matches_reference(rule_records, rule_cfg)
-            assert _summary_rows(rule_cfg) == record_summary_rows(rule_records)
+            assert_same_bits(_sweep_summary(rule_cfg),
+                             record_summary_columns(rule_records))
             assert_matches_reference(run_bound_check(bound_cfg), bound_cfg)
 
     @pytest.mark.parametrize("n", [64, 256])
@@ -702,8 +711,10 @@ class TestExpectedRelError:
         )
 
     # The bound: every cell's sample mean of rel_error^2 over its replicates
-    # lies within 5 standard errors of expected_rel_error^2.
-    @settings(max_examples=20, deadline=None)
+    # lies within 5 standard errors of expected_rel_error^2.  A rare draw
+    # crosses it on working code, so the examples are a fixed set, drawn
+    # from a hash of this test and never from the example database.
+    @settings(max_examples=20, deadline=None, derandomize=True)
     @given(
         n=st.sampled_from([16, 64, 256]),
         source=st.sampled_from([cosine_source(), hat_source(math.pi, 1.0)]),
@@ -753,8 +764,8 @@ class TestDegenerateInputs:
     @pytest.mark.parametrize("run", [
         run_mu_sweep,
         lambda cfg: run_rule_comparison(replace(cfg, mus=RULE_MUS)),
-        _summary_rows,
-        lambda cfg: _summary_rows(replace(cfg, mus=RULE_MUS)),
+        _sweep_summary,
+        lambda cfg: _sweep_summary(replace(cfg, mus=RULE_MUS)),
     ])
     def test_zero_source_has_no_relative_error(self, run):
         cfg = small_config(source=hat_source(3.0, 1.0, 0.0))
@@ -769,7 +780,7 @@ class TestDegenerateInputs:
         assert not list(tmp_path.glob("*.csv"))
 
     # The finiteness check runs once per delta, after all of its columns.
-    @pytest.mark.parametrize("run", [run_mu_sweep, _summary_rows])
+    @pytest.mark.parametrize("run", [run_mu_sweep, _sweep_summary])
     def test_overflowing_first_delta_is_named(self, run):
         cfg = small_config(
             grid=make_grid(8, 0.0, TWO_PI), deltas=(1e200, 0.1),
@@ -783,7 +794,7 @@ class TestDegenerateInputs:
     # squares (n = 8, 1e200 at either n) overflows is named by its height,
     # with no numpy RuntimeWarning first.
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("run", [run_mu_sweep, _summary_rows])
+    @pytest.mark.parametrize("run", [run_mu_sweep, _sweep_summary])
     @pytest.mark.parametrize("n, height, message", [
         (256, 1e308, r"^hat height=1e\+308 overflows float64$"),
         (8, 1e308, r"^hat height=1e\+308 overflows the source norm$"),
@@ -827,12 +838,57 @@ class TestRepeatedColumns:
 
     def test_copies_shrink_the_merged_stderr(self):
         cfg = small_config(deltas=(0.05,), mus=(1.0,))
-        ((*_, mean, stderr),) = _summary_rows(cfg)
-        ((*_, mean2, stderr2),) = _summary_rows(replace(cfg, mus=(1.0, 1.0)))
+        (_, _, (mean,), (stderr,)) = _sweep_summary(cfg)
+        (_, _, (mean2,), (stderr2,)) = _sweep_summary(replace(cfg, mus=(1.0, 1.0)))
         r = cfg.replicates
         assert mean2 == pytest.approx(mean, rel=1e-14)
         assert stderr2 == pytest.approx(stderr * math.sqrt((r - 1) / (2 * r - 1)),
                                         rel=1e-12)
+
+
+class TestFoldSummary:
+    """_fold_summary sorts the columns, not their values: its columns equal
+    summarize_rel_error over the sorted records, sorted by (mu, delta), bit
+    for bit, where keys merge as well."""
+
+    @settings(max_examples=60, deadline=None)
+    # Every p gives mu = 1 at delta = 1, so that key merges columns of
+    # different p, which must not interleave by replicate across them.
+    @example(n=16, replicates=3, mus=RULE_MUS, p_values=[0.0, 1.0, 2.0],
+             deltas=[1.0, 0.05], mode="iid", base_seed=42)
+    @example(n=16, replicates=1, mus=[1.0, 0.0, -0.0, 1.0], p_values=[1.0],
+             deltas=[0.05, 0.05, 0.0, -0.0], mode="iid", base_seed=42)
+    @given(
+        n=st.sampled_from([8, 16, 64]),
+        replicates=st.integers(1, 4),
+        # Repeats, 0.0 beside -0.0, or the rule.
+        mus=st.just(RULE_MUS) | st.lists(
+            st.sampled_from([0.0, -0.0, 0.5, 1.0, 3.0]), min_size=1, max_size=5),
+        p_values=st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=1,
+                          max_size=4),
+        deltas=st.lists(st.sampled_from([0.0, -0.0, 0.05, 0.1, 1.0]),
+                        min_size=1, max_size=3),
+        mode=st.sampled_from(["iid", "norm_calibrated"]),
+        base_seed=st.integers(0, 2**64 - 1),
+    )
+    def test_property_matches_the_records(
+        self, n, replicates, mus, p_values, deltas, mode, base_seed,
+    ):
+        if mus == RULE_MUS:
+            # The rule needs delta > 0.
+            deltas = [d for d in deltas if d > 0.0] or [1.0]
+        cfg = small_config(
+            grid=make_grid(n, 0.0, TWO_PI), deltas=deltas, mus=mus,
+            p_values=p_values, replicates=replicates, noise_mode=mode,
+            base_seed=base_seed,
+        )
+        run = run_rule_comparison if mus == RULE_MUS else run_mu_sweep
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # delta > E
+            records = run(cfg)
+            summary = _sweep_summary(cfg)
+        assert_same_bits(summary, record_summary_columns(records))
+        assert summary.shape[1] == len({(r.mu, r.delta) for r in records})
 
 
 @pytest.fixture(scope="module")
@@ -1017,8 +1073,9 @@ FIGURE_CONFIGS = {
 
 
 class TestFigureTables:
-    """fig1-fig4 come from one rfft/irfft pass; every table is built before
-    any file is written, and each script plots every column of its CSV."""
+    """fig1-fig4 come from one rfft/irfft pass and all five tables from one
+    formatter pass; every table is built before any file is written, and
+    each script plots every column of its CSV."""
 
     @pytest.fixture(scope="class", params=list(FIGURE_CONFIGS))
     def run(self, request, tmp_path_factory):
@@ -1064,6 +1121,24 @@ class TestFigureTables:
             monkeypatch.setattr(experiments, name, estimator, raising=False)
         reproduce_figures(tmp_path, small_config(deltas=(0.015, 0.05, 0.1)))
         assert calls == ["irfft"]
+
+    # x, f_true, fig1's and the panels' columns and fig5's, in one pool.
+    @pytest.mark.parametrize("name", list(FIGURE_CONFIGS))
+    def test_one_formatter_kernel_pass(self, tmp_path, monkeypatch, name):
+        calls = []
+        per_value = _floatfmt._format_values
+
+        def spy(values):
+            calls.append(len(values))
+            return per_value(values)
+
+        monkeypatch.setattr(_floatfmt, "_format_values", spy)
+        cfg = replace(default_config(), replicates=4, **FIGURE_CONFIGS[name])
+        reproduce_figures(tmp_path, cfg)
+        deltas = len(cfg.deltas)
+        keys = len({(mu, d) for mu in cfg.mus for d in cfg.deltas})
+        columns = 2 + deltas + 4 * min(deltas, 3)
+        assert calls == [cfg.grid.n * columns + 4 * keys]
 
     def test_rule_failure_writes_no_file(self, tmp_path):
         cfg = small_config(deltas=(0.0, 0.05, 0.1))

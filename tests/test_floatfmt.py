@@ -16,12 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sourcefft import _floatfmt
 from sourcefft._floatfmt import (
     _P5_HI,
+    _POOL_MAX_VALUES,
     _REPR_MAX_VALUES,
     _format_kernel,
     _mul,
     format_rows,
+    format_tables,
     parse_rows,
 )
 from sourcefft.experiments import write_csv
@@ -156,6 +159,114 @@ class TestAgainstRepr:
 
     def test_empty_table(self):
         assert format_rows(np.empty((0, 3))) == b""
+
+
+# The values format_rows leaves to repr: signed zeros, subnormals, the
+# infinities, nan and the exponent-notation magnitudes.
+REPR_VALUES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.inf,
+               -math.inf, math.nan, 1e-5, -1e-5, 1e16, 1e300, -1e300]
+
+
+@st.composite
+def index_tables(draw, size):
+    """A 2-D index into a pool of size values; entries repeat and permute."""
+    rows, cols = draw(st.integers(0, 60)), draw(st.integers(1, 5))
+    entries = draw(st.lists(st.integers(0, size - 1), min_size=rows * cols,
+                            max_size=rows * cols))
+    return np.array(entries, dtype=np.intp).reshape(rows, cols)
+
+
+@st.composite
+def pooled_tables(draw):
+    """(pool, indexes): a pool of up to 300 values, repr's included, and
+    one to four index tables into it."""
+    pool = draw(st.lists(cell | st.sampled_from(REPR_VALUES), min_size=1,
+                         max_size=300))
+    indexes = draw(st.lists(index_tables(len(pool)), min_size=1, max_size=4))
+    return np.array(pool, dtype=float), indexes
+
+
+def pooled(values, indexes):
+    """The text of every table of format_tables, each read only after the
+    iterators of all of them were made."""
+    return [b"".join(chunks) for chunks in list(format_tables(values, indexes))]
+
+
+def assert_pooled(values, indexes):
+    """format_tables equals format_rows of each gathered table."""
+    assert pooled(values, indexes) == [format_rows(values[index]) for index in indexes]
+
+
+class TestFormatTables:
+    """format_tables, which formats a pool once and joins every table's
+    rows through its index, against format_rows of the gathered table."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pooled_tables())
+    def test_property(self, case):
+        assert_pooled(*case)
+
+    # Pools on both sides of the repr join's size, each with tables above
+    # it (entries repeat) and below it.
+    @pytest.mark.parametrize("size", [
+        1, _REPR_MAX_VALUES - 1, _REPR_MAX_VALUES, _REPR_MAX_VALUES + 1,
+    ])
+    def test_small_pools(self, size):
+        rng = np.random.default_rng(size)
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 18, size)
+        values[rng.integers(0, size, 3)] = rng.choice(REPR_VALUES, 3)
+        indexes = [rng.integers(0, size, shape) for shape in
+                   [(3 * _REPR_MAX_VALUES, 1), (100, 3), (5, 2), (0, 4)]]
+        assert_pooled(values, indexes)
+        assert_pooled(values, [rng.permutation(size).reshape(size, 1)])
+
+    def test_shared_columns(self):
+        # Tables in the shape of `figures`: shared x and f_true columns,
+        # each table's own columns, and a shorter table of other values.
+        n, rng = 256, np.random.default_rng(3)
+        values = rng.standard_normal(12 * n + 40)
+        rows = np.arange(n)[:, None]
+        indexes = [rows + n * np.array([0, 1, 2, 3, 4]),
+                   rows + n * np.array([0, 1, 5, 6, 7, 8]),
+                   rows + n * np.array([0, 1, 9, 10, 11]),
+                   12 * n + np.arange(10)[:, None] + 10 * np.arange(4)]
+        assert_pooled(values, indexes)
+
+    @staticmethod
+    def kernel_passes(monkeypatch):
+        """The sizes of the arrays the per-value pass formats, as it runs."""
+        calls = []
+        per_value = _floatfmt._format_values
+
+        def spy(values):
+            calls.append(len(values))
+            return per_value(values)
+
+        monkeypatch.setattr(_floatfmt, "_format_values", spy)
+        return calls
+
+    def test_one_kernel_pass_per_pool(self, monkeypatch):
+        values = np.random.default_rng(4).standard_normal(1000)
+        indexes = [np.arange(1000).reshape(500, 2), np.arange(600).reshape(200, 3),
+                   np.arange(30).reshape(10, 3)]
+        calls = self.kernel_passes(monkeypatch)
+        texts = pooled(values, indexes)
+        # The third table is small enough for the repr join.
+        assert calls == [1000]
+        assert texts == [format_rows(values[index]) for index in indexes]
+
+    @pytest.mark.parametrize("limit", [_POOL_MAX_VALUES, 64])
+    def test_pools_over_the_limit_go_table_by_table(self, monkeypatch, limit):
+        monkeypatch.setattr(_floatfmt, "_POOL_MAX_VALUES", limit)
+        rng = np.random.default_rng(limit)
+        size = limit + 1
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 18, size)
+        indexes = [rng.integers(0, size, (500, 3)), rng.integers(0, size, (7, 1)),
+                   rng.permutation(size).reshape(-1, 1)]
+        calls = self.kernel_passes(monkeypatch)
+        texts = pooled(values, indexes)
+        assert max(calls, default=0) <= limit
+        assert texts == [format_rows(values[index]) for index in indexes]
 
 
 def test_mul_is_exact_for_full_64_bit_operands():

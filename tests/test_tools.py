@@ -23,6 +23,12 @@ def test_compare_outputs_of_one_checkout_are_identical():
                 f"{seed}/figures_one_delta.list",
                 f"{seed}/figures_four_deltas/fig1.gp",
                 f"{seed}/figures_four_deltas.list",
+                f"{seed}/figures_one_replicate/fig5.csv",
+                f"{seed}/figures_one_replicate.list",
+                f"{seed}/sweep_repeated_mu.csv",
+                f"{seed}/sweep_signed_zero_mu.csv",
+                f"{seed}/rule_repeated_p.csv",
+                f"{seed}/sweep_repeated_delta.csv",
                 f"{seed}/figures_overflow.list.stderr",
                 f"{seed}/figures_tiny_domain.list.stderr",
                 f"{seed}/bound_check.csv", f"{seed}/invert_rule_iid.csv.stderr",
