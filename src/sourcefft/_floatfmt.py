@@ -14,9 +14,10 @@ the exponent-notation magnitudes) is formatted by repr itself.
 The kernel is a per-value pass, which gives each value a 48-byte slot of
 text and a mask of the bytes it keeps, and a join, which compacts a table's
 slots in row order into its lines.  format_rows joins the slots where the
-pass left them.  format_tables runs one pass over a pool of values and
-joins several tables from it through index arrays, so one pass serves a
-whole `figures` run and the columns its tables share are formatted once.
+pass left them.  format_tables is the one writer of tables of columns: it
+formats a table _CHUNK_ROWS rows at a time through format_rows, except
+that several tables of few values in all are joined from one pass over
+their columns, so a `figures` run formats each of its columns once.
 
 parse_rows turns the digits of each value into a uint64 m and a decimal
 exponent -k by SWAR (eight ASCII digits per uint64 word) and m * 10^-k into
@@ -265,61 +266,63 @@ def format_rows(table) -> bytes:
     Equal to "".join(",".join(repr(float(v)) for v in row) + "\\n" for row
     in table).encode("ascii"), which is how tables of at most
     _REPR_MAX_VALUES values are formatted.  In larger ones, values with
-    1e-4 <= |x| < 1e16 go through the array kernel, the rest through repr.
+    1e-4 <= |x| < 1e16 go through the array kernel, the rest through repr;
+    the slots are joined where the per-value pass left them.
     """
     table = np.ascontiguousarray(table, dtype=np.float64)
     if table.size <= _REPR_MAX_VALUES:
         return "".join(",".join(map(repr, row)) + "\n"
                        for row in table.tolist()).encode("ascii")
-    return _format_kernel(table)
+    return _join(*_format_values(table.reshape(-1)), table.shape[1])
 
 
 # Pools of more values are not held as slots, 96 bytes a value, nor passed
 # whole through the per-value pass, whose temporaries are larger still.
 _POOL_MAX_VALUES = 1 << 15
 
+# Rows per chunk of a table that is not joined from a pool: bounds the text
+# held in memory for a 2^20-row table, and keeps the formatter's temporaries
+# small enough that the allocator reuses their pages; at 2^14 rows of 3
+# columns every chunk took about 4,000 minor page faults, over a third of
+# the format time, and at 2^12 rows none.
+_CHUNK_ROWS = 1 << 12
 
-def format_tables(values, indexes):
-    """Per index, in order, an iterator of the chunks of
-    format_rows(values[index]), formatting each value of the 1-D pool
-    values once.
 
-    Every index is a 2-D integer array into values.  For a table of more
-    than _REPR_MAX_VALUES entries, one per-value kernel pass over the whole
-    pool gives every value's slot, and the table gathers its rows' slots
-    through its index and joins them, so a column shared by several tables
-    is formatted once.  Smaller tables take format_rows' repr join, and a
-    pool of more than _POOL_MAX_VALUES values is formatted table by table,
-    _POOL_MAX_VALUES values at a time, as its iterator is read.  The pass
-    runs when the first table that needs it is reached.
+def format_tables(columns, tables):
+    """Per table, in order, an iterator of the ASCII chunks of
+    format_rows(np.column_stack([columns[c] for c in table])).
+
+    columns is a list of 1-D float arrays and every table a list of
+    positions in it whose columns share one length.  When there are
+    several tables and the columns hold at most _POOL_MAX_VALUES values,
+    one per-value kernel pass formats every column once, when the first
+    table above _REPR_MAX_VALUES values is reached, and every such table
+    gathers its rows' slots and joins them, so a column shared by several
+    tables is formatted once.  Every other table goes through format_rows,
+    _CHUNK_ROWS rows at a time, as its iterator is read.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-    pool = None
-    for index in map(np.asarray, indexes):
-        if index.size <= _REPR_MAX_VALUES or len(values) > _POOL_MAX_VALUES:
-            yield _blocks(values, index)
+    tables = [list(table) for table in tables]
+    offsets = np.cumsum([0] + [len(c) for c in columns])
+    pooled = len(tables) > 1 and offsets[-1] <= _POOL_MAX_VALUES
+    slots = None
+    for table in tables:
+        rows = len(columns[table[0]]) if table else 0
+        if not pooled or rows * len(table) <= _REPR_MAX_VALUES:
+            yield _chunks([columns[c] for c in table], rows)
             continue
-        if pool is None:
-            pool = _format_values(values)
+        if slots is None:
+            slots = _format_values(np.concatenate(columns, axis=None, dtype=np.float64))
         # np.take copies whole rows; it is about 4x faster here than
         # indexing the 2-D slot arrays with the same index.
-        flat = index.reshape(-1)
-        yield iter([_join(*(np.take(a, flat, axis=0) for a in pool),
-                          index.shape[1])])
+        flat = (np.arange(rows)[:, None] + offsets[table]).reshape(-1)
+        yield iter([_join(*(np.take(a, flat, axis=0) for a in slots), len(table))])
 
 
-def _blocks(values, index):
-    """format_rows(values[index]) in chunks of at most _POOL_MAX_VALUES
-    values."""
-    step = max(1, _POOL_MAX_VALUES // max(1, index.shape[1]))
-    for i in range(0, len(index), step):
-        yield format_rows(values[index[i:i + step]])
-
-
-def _format_kernel(table) -> bytes:
-    """format_rows of a table with at least one row and one column; the
-    slots are joined where the per-value pass left them."""
-    return _join(*_format_values(table.reshape(-1)), table.shape[1])
+def _chunks(columns, rows: int):
+    """format_rows of the equal-length columns, _CHUNK_ROWS rows at a time,
+    each chunk stacked from the columns' slices."""
+    for i in range(0, rows, _CHUNK_ROWS):
+        yield format_rows(np.column_stack([c[i:i + _CHUNK_ROWS] for c in columns]))
 
 
 def _join(slots, mask, cols: int) -> bytes:

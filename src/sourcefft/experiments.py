@@ -27,11 +27,15 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._floatfmt import format_rows, format_tables
-from .inversion import _filter_rows, error_bound, select_mu, sobolev_norm
+from ._floatfmt import format_tables
+from .inversion import (
+    _filter_rows, error_bound, select_mu, sobolev_norm, solve_forward,
+)
 from .noise_lab import NOISE_MODES, _l2, _noise, discrete_l2
 from .source_models import SourceSpec, cosine_source, exact_data, sample_source
-from .spectral_core import Grid, _regularized_table, make_grid
+from .spectral_core import (
+    Grid, _parseval_weights, _power, _regularized_table, make_grid,
+)
 
 __all__ = [
     "RULE_MUS",
@@ -159,18 +163,6 @@ def cell_seed(base_seed: int, delta_index: int) -> int:
 _CANCEL_TOL = 1e-3
 
 
-def _power(z: np.ndarray) -> np.ndarray:
-    """|z|^2, elementwise."""
-    return np.square(z.real) + np.square(z.imag)
-
-
-def _parseval_weights(grid: Grid) -> np.ndarray:
-    """c = dx/n (1, 2, ..., 2, 1): sum c |rfft(v)|^2 = dx v.v for a real v."""
-    weights = np.full(grid.n // 2 + 1, 2.0 * grid.dx / grid.n)
-    weights[[0, -1]] = grid.dx / grid.n
-    return weights
-
-
 def _mu_table(grid: Grid, columns) -> tuple:
     """(mu_rows, table): the distinct mus of columns, in first-seen order,
     mapped to the rows of their multiplier table on the rfft modes."""
@@ -179,12 +171,13 @@ def _mu_table(grid: Grid, columns) -> tuple:
     return {mu: k for k, mu in enumerate(mus)}, table
 
 
-def _cells(config: SweepConfig, columns, f_true) -> tuple:
+def _cells(config: SweepConfig, columns, f_true, data=None) -> tuple:
     """Every cell of the sweep as arrays: (seeds, firsts, noise_norms, errors).
 
     columns[i][j] starts with the mu of column j at delta index i; every
-    delta has as many columns.  seeds[i] = cell_seed(base_seed, i) seeds
-    delta index i's stream, and row r there is the exact data plus row r of
+    delta has as many columns.  data is the noiseless data, by default
+    exact_data(config.source, config.grid).  seeds[i] = cell_seed(base_seed,
+    i) seeds delta index i's stream, and row r there is data plus row r of
     its (replicates, n) config.noise_mode draw, which for r = 0 is
     add_noise's draw of seeds[i]; firsts[i] is that row 0, the (deltas, n)
     data of figures 1-4, noise_norms[i, r] the noise's discrete L2 norm and
@@ -207,7 +200,7 @@ def _cells(config: SweepConfig, columns, f_true) -> tuple:
     direct sum of the nonnegative c |h T - F|^2.
     """
     grid = config.grid
-    g_exact = exact_data(config.source, grid)
+    g_exact = exact_data(config.source, grid) if data is None else data
     seeds = [cell_seed(config.base_seed, i) for i in range(len(columns))]
     mu_rows, table = _mu_table(grid, columns)
     weights = _parseval_weights(grid)
@@ -452,12 +445,16 @@ def run_bound_check(
 ) -> list:
     """Check the error guarantee under its exact hypotheses, cell by cell.
 
-    Uses norm-calibrated noise (so the data error is delta exactly),
-    E = sobolev_norm(f, p), mu = select_mu(delta, E, p), and compares the
-    measured absolute error against both bound forms.  Returns one
-    BoundFinding per cell regardless of outcome, so callers can report
-    violations as structured records or confirm there are none.  workers is
-    ignored, as in run_mu_sweep.
+    The guarantee assumes ||g_delta - K f|| <= delta for the f the errors
+    are measured against, the sampled source f_n, so the noiseless data
+    here is K f_n = solve_forward(f_n).  Sweeps and figures keep
+    exact_data, whose refined forward solve of a hat differs from K f_n by
+    a discretization error that no delta counts.  Uses norm-calibrated
+    noise (so the data error is delta exactly), E = sobolev_norm(f_n, p),
+    mu = select_mu(delta, E, p), and compares the measured absolute error
+    against both bound forms.  Returns one BoundFinding per cell regardless
+    of outcome, so callers can report violations as structured records or
+    confirm there are none.  workers is ignored, as in run_mu_sweep.
     """
     if config is None:
         config = dataclasses.replace(
@@ -468,7 +465,8 @@ def run_bound_check(
     f_true = sample_source(config.source, config.grid)
     smoothness = [(p, sobolev_norm(f_true, p)) for p in config.p_values]
     columns = _rule_columns(config.deltas, smoothness)
-    seeds, _, _, errors = _cells(config, columns, f_true)
+    data = solve_forward(f_true, demean=True)
+    seeds, _, _, errors = _cells(config, columns, f_true, data)
     findings = [
         BoundFinding(delta=delta, p=p, replicate=r, seed=seed, mu=mu, E=E,
                      error=err, bound_raw=raw, bound_scaled=scaled,
@@ -482,13 +480,6 @@ def run_bound_check(
     return sorted(findings, key=attrgetter("delta", "p", "replicate"))
 
 
-# Rows per write: bounds the text held in memory for a 2^20-row table, and
-# keeps the formatter's temporaries small enough that the allocator reuses
-# their pages; at 2^14 rows of 3 columns every chunk took about 4,000 minor
-# page faults, over a third of the format time, and at 2^12 rows none.
-_CSV_CHUNK_ROWS = 1 << 12
-
-
 def write_csv(path, header: Sequence[str], columns) -> None:
     """Write a header and columns of numbers as CSV, LF endings, repr-exact floats.
 
@@ -497,10 +488,10 @@ def write_csv(path, header: Sequence[str], columns) -> None:
     field (a 2-D array holds them as its rows).  Every cell is written as
     repr(float(cell)), the shortest string that parses back to the
     identical double, which is what makes reruns byte-comparable.  The text
-    comes from a vectorized shortest round-trip formatter
-    (_floatfmt.format_rows).  Rows go out in chunks, each stacked from the
-    columns' slices, so a large table never exists as one array or one
-    string.
+    comes from the vectorized shortest round-trip formatter through
+    _floatfmt.format_tables, the writer `figures` shares, which writes one
+    table in chunks of _floatfmt._CHUNK_ROWS rows, so a large table never
+    exists as one array or one string.
     """
     columns = [np.asarray(column, dtype=float) for column in columns]
     rows = len(columns[0]) if columns else 0
@@ -509,10 +500,8 @@ def write_csv(path, header: Sequence[str], columns) -> None:
             f"columns have shapes {[c.shape for c in columns]}, "
             f"header has {len(header)} fields"
         )
-    _write_text(path, header, (
-        format_rows(np.column_stack([c[i:i + _CSV_CHUNK_ROWS] for c in columns]))
-        for i in range(0, rows, _CSV_CHUNK_ROWS)
-    ))
+    (body,) = format_tables(columns, [range(len(columns))])
+    _write_text(path, header, body)
 
 
 def _write_text(path, header: Sequence[str], body) -> None:
@@ -598,12 +587,14 @@ def reproduce_figures(out_dir, config: Optional[SweepConfig] = None,
     it, as the sweep does.  fig5 is _fold_summary of the errors, the
     sweep's bytes: its columns sorted by (mu, delta), then p, then
     position, and equal keys merged by p, then replicate, then position.
-    One format_tables pass formats x, f_true, every estimate column
-    written and fig5's columns, each once, and each CSV joins its rows
-    from it through an index.  Every table is built before any file is
-    written, so a config that fails writes no file.  All outputs are
-    byte-deterministic for a given config.  Returns the sorted list of
-    created paths.
+    The five tables go to one format_tables call, the writer write_csv
+    uses, as lists of positions in one list of columns: while those hold
+    at most _floatfmt._POOL_MAX_VALUES values, one formatter pass covers
+    x, f_true, every estimate column written and fig5's columns, each
+    once; past it, each table is written in chunks.  Every table is built
+    before any file is written, so a config that fails writes no file.
+    All outputs are byte-deterministic for a given config.  Returns the
+    sorted list of created paths.
     """
     if config is None:
         config = default_config()
@@ -637,32 +628,17 @@ def reproduce_figures(out_dir, config: Optional[SweepConfig] = None,
     headers["fig5"] = _SUMMARY_HEADER
     summary = _fold_summary(config, columns, errors / f_norm)
 
-    # One pool, formatted once: x, f_true, fig1's columns and each panel's
-    # four, n values each, then fig5's four columns.  Each table's index
-    # picks its columns' rows; the indexes are built one at a time, as
-    # format_tables reaches them.
-    pool = np.concatenate([
-        grid.points, f_true.values, *estimates[:, 0],
-        *estimates[:len(mu_sets), 1:], summary,
-    ], axis=None)
-    # The pool holds every estimate written.  Freeing the rest, like the
-    # unnamed weights above, keeps the peak of a run at n = 2^18 at 93 MB
-    # (tracemalloc); the copies held through the writes read 121 MB.
-    del estimates, block
-    n, fig1_cols = grid.n, 2 + len(config.deltas)
-    picks = [range(fig1_cols)] + [
+    # x, f_true, fig1's columns and each panel's four, then fig5's four.
+    series = [grid.points, f_true.values, *estimates[:, 0],
+              *itertools.chain.from_iterable(estimates[:len(mu_sets), 1:]), *summary]
+    fig1_cols = 2 + len(config.deltas)
+    tables = [range(fig1_cols)] + [
         [0, 1, *range(fig1_cols + 4 * i, fig1_cols + 4 * i + 4)]
         for i in range(len(mu_sets))
-    ]
-    keys = summary.shape[1]
-    indexes = itertools.chain(
-        (np.arange(n)[:, None] + n * np.array(pick) for pick in picks),
-        [n * (fig1_cols + 4 * len(mu_sets)) + np.arange(keys)[:, None]
-         + keys * np.arange(len(_SUMMARY_HEADER))],
-    )
+    ] + [range(len(series) - len(summary), len(series))]
 
     created = []
-    for (name, header), body in zip(headers.items(), format_tables(pool, indexes)):
+    for (name, header), body in zip(headers.items(), format_tables(series, tables)):
         path = out / f"{name}.csv"
         _write_text(path, header, body)
         created.append(path)

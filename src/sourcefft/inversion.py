@@ -17,10 +17,11 @@ import numpy as np
 
 from .spectral_core import (
     RealSignal,
+    _parseval_weights,
+    _power,
     forward_multiplier,
     inverse_multiplier,
     regularized_multiplier,
-    to_spectrum,
 )
 
 __all__ = [
@@ -146,17 +147,17 @@ def select_mu(delta: float, E: float = 1.0, p: float = 1.0) -> float:
 def sobolev_norm(f: RealSignal, p: float) -> float:
     """Smoothness norm (integral of |f_hat(xi)|^2 (1 + xi^2)^p dxi)^(1/2).
 
-    Discretized on the grid's frequencies with the coefficient scaling fixed
-    by Parseval: at p = 0 the value equals the discrete L2 norm of f exactly.
-    For cos(x) on [0, 2*pi) that gives sqrt(pi) at p = 0 and 2*sqrt(pi) at
-    p = 2 (the +-1 modes each pick up a factor (1 + 1)^p).
+    Discretized on the rfft modes with the Parseval weights the sweeps use
+    (spectral_core._parseval_weights): at p = 0 the value equals the
+    discrete L2 norm of f up to rounding.  For cos(x) on [0, 2*pi) that
+    gives sqrt(pi) at p = 0 and 2*sqrt(pi) at p = 2 (the +-1 modes each
+    pick up a factor (1 + 1)^p).
     """
     if p < 0:
         raise ValueError(f"p must be nonnegative, got {p}")
-    sp = to_spectrum(f)
-    xi = f.grid.frequencies
-    weighted = np.abs(sp.coeffs) ** 2 * (1.0 + xi * xi) ** p
-    return math.sqrt(f.grid.dx / f.grid.n * float(np.sum(weighted)))
+    xi = f.grid.half_frequencies
+    weighted = _power(np.fft.rfft(f.values)) * (1.0 + xi * xi) ** p
+    return math.sqrt(float(weighted @ _parseval_weights(f.grid)))
 
 
 def error_bound(delta: float, p: float, mu: float) -> float:

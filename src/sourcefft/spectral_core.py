@@ -181,6 +181,18 @@ def to_spectrum(s: RealSignal) -> Spectrum:
     return Spectrum(s.grid, np.fft.fft(s.values))
 
 
+def _power(z: np.ndarray) -> np.ndarray:
+    """|z|^2, elementwise."""
+    return np.square(z.real) + np.square(z.imag)
+
+
+def _parseval_weights(grid: Grid) -> np.ndarray:
+    """c = dx/n (1, 2, ..., 2, 1): sum c |rfft(v)|^2 = dx v.v for a real v."""
+    weights = np.full(grid.n // 2 + 1, 2.0 * grid.dx / grid.n)
+    weights[[0, -1]] = grid.dx / grid.n
+    return weights
+
+
 # Largest imaginary part from_spectrum accepts in an inverse transform,
 # relative to max(1, largest real part): rounding residue grows with the
 # data, so an absolute bound would reject valid spectra of large signals.

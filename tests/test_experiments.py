@@ -37,6 +37,7 @@ from sourcefft.inversion import (
     estimate_source_unregularized,
     select_mu,
     sobolev_norm,
+    solve_forward,
 )
 from sourcefft.noise_lab import (
     NoiseSpec,
@@ -279,6 +280,25 @@ class TestBoundCheck:
             assert f.bound_raw > 0 and f.bound_scaled > 0
             assert f.mu == select_mu(f.delta, f.E, f.p)
 
+    def test_data_meets_the_hypothesis_on_a_coarse_grid(self):
+        # A narrow hat on 24 points: the refined exact_data lies 3.74 from
+        # K f_n in discrete L2, against delta = 1e-4, so with exact_data as
+        # the data 40 of these 60 cells read as violations (worst error /
+        # bound_scaled 4.89).  With K f_n the guarantee's hypothesis holds.
+        cfg = SweepConfig(
+            source=hat_source(184.0, 31.0, 1.0), grid=make_grid(24, 0.0, 368.0),
+            deltas=(1e-4,), mus=RULE_MUS, p_values=(1.0, 1.5, 2.0),
+            noise_mode="norm_calibrated",
+        )
+        f_true = sample_source(cfg.source, cfg.grid)
+        mismatch = discrete_l2(RealSignal(cfg.grid, exact_data(
+            cfg.source, cfg.grid).values - solve_forward(f_true).values))
+        assert mismatch > 3.0
+        findings = run_bound_check(cfg)
+        assert len(findings) == 60
+        assert not any(f.violates_raw or f.violates_scaled for f in findings)
+        assert_matches_reference(findings, cfg)
+
 
 U = 2.0 ** -53
 
@@ -328,18 +348,20 @@ def stream_noise(config, i):
     ])
 
 
-def per_cell_reference(config, columns):
+def per_cell_reference(config, columns, g_exact=None):
     """Every cell of a sweep, one at a time, through the public API only.
 
     columns[i][j] is the mu of column j at delta index i.  Every column at
-    delta index i inverts row r of stream_noise(config, i) as replicate r.
+    delta index i inverts g_exact (by default exact_data of the config)
+    plus row r of stream_noise(config, i) as replicate r.
     Yields (i, j, r, seed, abs error, empirical noise norm, tolerance) in
     (i, j, r) order, the seed that of the delta's stream and the tolerance
     that of squared_error_tolerance.
     """
     f_true = sample_source(config.source, config.grid)
     f_norm = discrete_l2(f_true)
-    g_exact = exact_data(config.source, config.grid)
+    if g_exact is None:
+        g_exact = exact_data(config.source, config.grid)
     for i, row in enumerate(columns):
         seed, rows = stream_noise(config, i)
         for j, mu in enumerate(row):
@@ -381,15 +403,17 @@ def reference_records(cfg):
 
 
 def reference_findings(cfg):
-    """run_bound_check(cfg), built cell by cell through per_cell_reference,
-    as (finding, tolerance on error^2) pairs."""
+    """run_bound_check(cfg), built cell by cell through per_cell_reference
+    on the data K f_n = solve_forward(f_n) of the sampled source f_n, as
+    (finding, tolerance on error^2) pairs."""
     f_true = sample_source(cfg.source, cfg.grid)
     E = [sobolev_norm(f_true, p) for p in cfg.p_values]
     columns = [
         [select_mu(d, e, p) for p, e in zip(cfg.p_values, E)] for d in cfg.deltas
     ]
     findings = []
-    for i, j, r, seed, err, _, tol in per_cell_reference(cfg, columns):
+    data = solve_forward(f_true, demean=True)
+    for i, j, r, seed, err, _, tol in per_cell_reference(cfg, columns, data):
         delta, p, e, mu = cfg.deltas[i], cfg.p_values[j], E[j], columns[i][j]
         raw = error_bound(delta, p, mu)
         scaled = e * error_bound(delta / e, p, mu)

@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 
 from sourcefft import _floatfmt
 from sourcefft._floatfmt import (
+    _CHUNK_ROWS,
     _P5_HI,
     _POOL_MAX_VALUES,
     _REPR_MAX_VALUES,
-    _format_kernel,
     _mul,
     format_rows,
     format_tables,
@@ -83,8 +83,9 @@ class TestAgainstRepr:
     def test_property(self, table):
         assert format_rows(table) == reference(table)
         # Small tables take the repr join; the kernel must agree on them too.
-        if table.size:
-            assert _format_kernel(table) == reference(table)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_floatfmt, "_REPR_MAX_VALUES", 0)
+            assert format_rows(table) == reference(table)
 
     @pytest.mark.parametrize("values", [
         _REPR_MAX_VALUES - 1, _REPR_MAX_VALUES, _REPR_MAX_VALUES + 1,
@@ -167,74 +168,67 @@ REPR_VALUES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.inf,
                -math.inf, math.nan, 1e-5, -1e-5, 1e16, 1e300, -1e300]
 
 
-@st.composite
-def index_tables(draw, size):
-    """A 2-D index into a pool of size values; entries repeat and permute."""
-    rows, cols = draw(st.integers(0, 60)), draw(st.integers(1, 5))
-    entries = draw(st.lists(st.integers(0, size - 1), min_size=rows * cols,
-                            max_size=rows * cols))
-    return np.array(entries, dtype=np.intp).reshape(rows, cols)
+def repr_column(rng, rows):
+    """rows random values of many magnitudes, up to three of them from
+    REPR_VALUES."""
+    column = rng.standard_normal(rows) * 10.0 ** rng.integers(-6, 18, rows)
+    if rows:
+        column[rng.integers(0, rows, 3)] = rng.choice(REPR_VALUES, 3)
+    return column
 
 
 @st.composite
-def pooled_tables(draw):
-    """(pool, indexes): a pool of up to 300 values, repr's included, and
-    one to four index tables into it."""
-    pool = draw(st.lists(cell | st.sampled_from(REPR_VALUES), min_size=1,
-                         max_size=300))
-    indexes = draw(st.lists(index_tables(len(pool)), min_size=1, max_size=4))
-    return np.array(pool, dtype=float), indexes
+def column_tables(draw):
+    """(columns, tables): one to six columns of up to three lengths, repr's
+    values among their cells, and one to four tables, each one to five
+    positions of columns of one length, repeated and in any order."""
+    lengths = draw(st.lists(st.integers(0, 60), min_size=1, max_size=3))
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        rows = draw(st.sampled_from(lengths))
+        cells = draw(st.lists(cell | st.sampled_from(REPR_VALUES), min_size=rows,
+                              max_size=rows))
+        columns.append(np.array(cells, dtype=float))
+    tables = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = draw(st.sampled_from([len(c) for c in columns]))
+        same = [i for i, c in enumerate(columns) if len(c) == rows]
+        tables.append(draw(st.lists(st.sampled_from(same), min_size=1, max_size=5)))
+    return columns, tables
 
 
-def pooled(values, indexes):
+def formatted(columns, tables):
     """The text of every table of format_tables, each read only after the
     iterators of all of them were made."""
-    return [b"".join(chunks) for chunks in list(format_tables(values, indexes))]
+    return [b"".join(chunks) for chunks in list(format_tables(columns, tables))]
 
 
-def assert_pooled(values, indexes):
-    """format_tables equals format_rows of each gathered table."""
-    assert pooled(values, indexes) == [format_rows(values[index]) for index in indexes]
+def stacked(columns, table):
+    """format_rows of the table's columns side by side; no text for a
+    table of no columns."""
+    return format_rows(np.column_stack([columns[c] for c in table])) if table else b""
+
+
+def assert_tables(columns, tables):
+    """format_tables equals format_rows of each table's stacked columns."""
+    assert formatted(columns, tables) == [stacked(columns, t) for t in tables]
 
 
 class TestFormatTables:
-    """format_tables, which formats a pool once and joins every table's
-    rows through its index, against format_rows of the gathered table."""
+    """format_tables, which joins several small tables from one formatter
+    pass over their columns and writes every other table in chunks of
+    _CHUNK_ROWS rows, against format_rows of each table's stacked columns."""
 
     @settings(max_examples=200, deadline=None)
-    @given(pooled_tables())
+    @given(column_tables())
     def test_property(self, case):
-        assert_pooled(*case)
-
-    # Pools on both sides of the repr join's size, each with tables above
-    # it (entries repeat) and below it.
-    @pytest.mark.parametrize("size", [
-        1, _REPR_MAX_VALUES - 1, _REPR_MAX_VALUES, _REPR_MAX_VALUES + 1,
-    ])
-    def test_small_pools(self, size):
-        rng = np.random.default_rng(size)
-        values = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 18, size)
-        values[rng.integers(0, size, 3)] = rng.choice(REPR_VALUES, 3)
-        indexes = [rng.integers(0, size, shape) for shape in
-                   [(3 * _REPR_MAX_VALUES, 1), (100, 3), (5, 2), (0, 4)]]
-        assert_pooled(values, indexes)
-        assert_pooled(values, [rng.permutation(size).reshape(size, 1)])
-
-    def test_shared_columns(self):
-        # Tables in the shape of `figures`: shared x and f_true columns,
-        # each table's own columns, and a shorter table of other values.
-        n, rng = 256, np.random.default_rng(3)
-        values = rng.standard_normal(12 * n + 40)
-        rows = np.arange(n)[:, None]
-        indexes = [rows + n * np.array([0, 1, 2, 3, 4]),
-                   rows + n * np.array([0, 1, 5, 6, 7, 8]),
-                   rows + n * np.array([0, 1, 9, 10, 11]),
-                   12 * n + np.arange(10)[:, None] + 10 * np.arange(4)]
-        assert_pooled(values, indexes)
+        assert_tables(*case)
 
     @staticmethod
-    def kernel_passes(monkeypatch):
-        """The sizes of the arrays the per-value pass formats, as it runs."""
+    def kernel_passes(columns, tables):
+        """The sizes of the arrays the per-value pass formats while
+        format_tables writes the tables, whose text must be the reference."""
+        expected = [stacked(columns, t) for t in tables]
         calls = []
         per_value = _floatfmt._format_values
 
@@ -242,31 +236,78 @@ class TestFormatTables:
             calls.append(len(values))
             return per_value(values)
 
-        monkeypatch.setattr(_floatfmt, "_format_values", spy)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_floatfmt, "_format_values", spy)
+            texts = formatted(columns, tables)
+        assert texts == expected
         return calls
 
-    def test_one_kernel_pass_per_pool(self, monkeypatch):
-        values = np.random.default_rng(4).standard_normal(1000)
-        indexes = [np.arange(1000).reshape(500, 2), np.arange(600).reshape(200, 3),
-                   np.arange(30).reshape(10, 3)]
-        calls = self.kernel_passes(monkeypatch)
-        texts = pooled(values, indexes)
-        # The third table is small enough for the repr join.
-        assert calls == [1000]
-        assert texts == [format_rows(values[index]) for index in indexes]
+    def test_mixed_lengths_and_shared_columns(self):
+        # Tables in the shape of `figures`: shared x and f_true columns,
+        # each table's own columns, and a shorter table of other columns.
+        rng = np.random.default_rng(3)
+        columns = [repr_column(rng, 256) for _ in range(11)]
+        columns += [repr_column(rng, 10) for _ in range(4)]
+        tables = [[0, 1, 2, 3, 4], [0, 1, 5, 6, 7, 8], [0, 1, 9, 10, 2],
+                  [11, 12, 13, 14]]
+        assert self.kernel_passes(columns, tables) == [11 * 256 + 4 * 10]
+
+    def test_repr_values(self):
+        # Columns of nothing but the values format_rows leaves to repr.
+        columns = [np.array(REPR_VALUES * 12)[np.random.default_rng(k).permutation(144)]
+                   for k in range(3)]
+        assert_tables(columns, [[0, 1], [2], [1, 2, 0]])
+
+    @pytest.mark.parametrize("values", [
+        _REPR_MAX_VALUES - 1, _REPR_MAX_VALUES, _REPR_MAX_VALUES + 1,
+    ])
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_tables_around_the_repr_join(self, values, cols):
+        # A table of `values` values beside a small one: only a table above
+        # _REPR_MAX_VALUES values starts the pass over both tables' columns.
+        rng = np.random.default_rng(values * cols)
+        rows = -(-values // cols)
+        columns = [repr_column(rng, rows) for _ in range(cols)] + [repr_column(rng, 5)]
+        tables = [list(range(cols)), [cols]]
+        pooled = rows * cols > _REPR_MAX_VALUES
+        assert self.kernel_passes(columns, tables) == ([rows * cols + 5] if pooled else [])
+
+    def test_one_kernel_pass_per_pool(self):
+        rng = np.random.default_rng(4)
+        columns = [rng.standard_normal(rows) for rows in (500, 500, 200, 200, 200, 10)]
+        # The third table is small enough for the repr join; its column is
+        # in the pool all the same.
+        assert self.kernel_passes(columns, [[0, 1], [2, 3, 4], [5, 5, 5]]) == [1610]
+
+    def test_a_single_table_goes_in_chunks(self, monkeypatch):
+        monkeypatch.setattr(_floatfmt, "_CHUNK_ROWS", 100)
+        rng = np.random.default_rng(5)
+        columns = [repr_column(rng, 1090) for _ in range(2)]
+        assert self.kernel_passes(columns, [[0, 1]]) == [200] * 10 + [180]
 
     @pytest.mark.parametrize("limit", [_POOL_MAX_VALUES, 64])
-    def test_pools_over_the_limit_go_table_by_table(self, monkeypatch, limit):
+    def test_columns_over_the_pool_limit_go_table_by_table(self, monkeypatch, limit):
         monkeypatch.setattr(_floatfmt, "_POOL_MAX_VALUES", limit)
         rng = np.random.default_rng(limit)
-        size = limit + 1
-        values = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 18, size)
-        indexes = [rng.integers(0, size, (500, 3)), rng.integers(0, size, (7, 1)),
-                   rng.permutation(size).reshape(-1, 1)]
-        calls = self.kernel_passes(monkeypatch)
-        texts = pooled(values, indexes)
-        assert max(calls, default=0) <= limit
-        assert texts == [format_rows(values[index]) for index in indexes]
+        # Two columns of limit // 2 values are pooled; one more value is not,
+        # and then each table goes in chunks of _CHUNK_ROWS rows.
+        columns = [repr_column(rng, limit // 2) for _ in range(2)]
+        tables = [[0, 1, 0, 1, 0, 1], [1, 0, 1]]
+        assert self.kernel_passes(columns, tables) == [limit]
+        rows = limit // 2 + 1
+        columns = [repr_column(rng, rows) for _ in range(2)] + [np.ones(rows)]
+        tables = [[0, 1, 0, 1, 0, 1], [2], [1, 0, 1]]
+        chunks = [min(_CHUNK_ROWS, rows - i) * len(t) for t in tables
+                  for i in range(0, rows, _CHUNK_ROWS)]
+        assert self.kernel_passes(columns, tables) == [
+            size for size in chunks if size > _REPR_MAX_VALUES]
+
+    def test_empty_tables(self):
+        rng = np.random.default_rng(6)
+        columns = [np.empty(0), repr_column(rng, 100), repr_column(rng, 100), np.empty(0)]
+        assert self.kernel_passes(columns, [[0, 3], [1, 2], [], [3]]) == [200]
+        assert formatted(columns, [[0]]) == [b""]
+        assert formatted(columns, []) == []
 
 
 def test_mul_is_exact_for_full_64_bit_operands():

@@ -25,6 +25,7 @@ def test_compare_outputs_of_one_checkout_are_identical():
                 f"{seed}/figures_four_deltas.list",
                 f"{seed}/figures_one_replicate/fig5.csv",
                 f"{seed}/figures_one_replicate.list",
+                f"{seed}/figures_n_2048/fig3.csv", f"{seed}/figures_n_2048.list",
                 f"{seed}/sweep_repeated_mu.csv",
                 f"{seed}/sweep_signed_zero_mu.csv",
                 f"{seed}/rule_repeated_p.csv",

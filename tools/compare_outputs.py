@@ -9,9 +9,11 @@ process, the byte-identity list: the default `sweep`, `mus = rule` sweeps
 with p = 0, 1, 2, 3 in both noise modes, four sweeps whose summary merges
 columns (mus 1, 1, 0.5; mus 0, -0.0, 2; `mus = rule` with p = 1, 1, 2;
 deltas 0.05, 0.05, 0.1), the whole `figures` directory and its printed
-path list for five configs (the default, a hat source with
+path list for six configs (the default, a hat source with
 `norm_calibrated` noise, one delta 0.05, four deltas 0.015, 0.05, 0.1,
-0.2, one replicate) and for two that fail on an overflowing estimate
+0.2, one replicate, and n = 2048, whose x, f_true and estimate columns
+hold 34,816 values, more than one formatter pass takes, so each table is
+written in chunks) and for two that fail on an overflowing estimate
 (deltas 0.05, 1e306 with mus 0, 1; x_max 2e-151 with delta 0.05 and mu
 40), `forward` (cosine and hat), `forward --input` of `forward`'s own
 output, `simulate` in both noise modes, `invert --mu 0.3` and `invert
@@ -100,6 +102,7 @@ for seed in map(int, sys.argv[1:]):
         "figures_one_delta": "deltas = 0.05\n",
         "figures_four_deltas": "deltas = 0.015, 0.05, 0.1, 0.2\n",
         "figures_one_replicate": "replicates = 1\n",
+        "figures_n_2048": "n = 2048\n",
         "figures_overflow": "deltas = 0.05, 1e306\nmus = 0, 1\n",
         "figures_tiny_domain": "x_max = 2e-151\ndeltas = 0.05\nmus = 40\n",
     }
