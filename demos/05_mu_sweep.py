@@ -36,7 +36,7 @@ def main():
         replicates=10,
         base_seed=42,
     )
-    summary = summarize_rel_error(run_mu_sweep(cfg, workers=4))
+    summary = summarize_rel_error(run_mu_sweep(cfg))
     rule_recs = run_rule_comparison(replace(cfg, mus=RULE_MUS))
 
     print("mean relative error over 10 replicates, cosine source, n = 256")

@@ -51,7 +51,7 @@ def main():
     )
     print("hat source, half-width 32, domain [0, 128 pi), n = 2048,")
     print("81 mus on [0, 40], 10 replicates\n")
-    summary = summarize_rel_error(run_mu_sweep(cfg, workers=4))
+    summary = summarize_rel_error(run_mu_sweep(cfg))
 
     print(f"  {'delta':>7} {'argmin mu':>10} {'min rel err':>12}")
     for delta in DELTAS:

@@ -330,7 +330,7 @@ def _forward_data(args, with_source: bool = True):
             f = _zero_mean(f, args.demean, "--demean")
         except ValueError as exc:
             raise CliError(f"{args.input}: {exc}")
-        return grid, f, solve_forward(f, demean=args.demean)
+        return grid, f, solve_forward(f)
     grid = make_grid(args.n, args.x_min, args.x_max)
     spec = RunConfig.source_spec(args)
     f = sample_source(spec, grid) if with_source else None
@@ -386,9 +386,7 @@ def cmd_sweep(args) -> int:
 def cmd_figures(args) -> int:
     cfg = _load_config(args.config)
     out_dir = args.out if args.out is not None else cfg.out
-    paths = reproduce_figures(
-        out_dir, config=cfg.to_sweep_config(), workers=args.workers
-    )
+    paths = reproduce_figures(out_dir, config=cfg.to_sweep_config())
     print(*paths, sep="\n")
     return 0
 

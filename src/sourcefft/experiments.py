@@ -10,8 +10,7 @@ serially, returning arrays: the stream seeds, each delta's noisy row 0, the
 noise norm of each row and the (deltas, columns, replicates) errors, read
 off the spectra by Parseval's identity, with no estimate formed; records,
 findings, summary columns and figures 1-4, which invert row 0, are read from
-those arrays, so nothing else draws noise.  The workers argument of the
-public runners is accepted and ignored.  Result lists are sorted by
+those arrays, so nothing else draws noise.  Result lists are sorted by
 parameter values, never by position in the config.
 """
 
@@ -29,7 +28,8 @@ import numpy as np
 
 from ._floatfmt import format_tables
 from .inversion import (
-    _filter_rows, error_bound, select_mu, sobolev_norm, solve_forward,
+    _filter_rows, _zero_mean, error_bound, select_mu, sobolev_norm,
+    solve_forward,
 )
 from .noise_lab import NOISE_MODES, _l2, _noise, discrete_l2
 from .source_models import SourceSpec, cosine_source, exact_data, sample_source
@@ -388,11 +388,10 @@ def expected_rel_error(config: SweepConfig) -> dict:
     return out
 
 
-def run_mu_sweep(config: SweepConfig, workers: int = 1) -> list:
+def run_mu_sweep(config: SweepConfig) -> list:
     """Evaluate every (delta, mu, replicate) cell with explicit mus.
 
-    Returns SweepRecords sorted by (delta, mu, replicate) values.  Cells run
-    serially; workers is accepted for compatibility and ignored.  `sweep`
+    Returns SweepRecords sorted by (delta, mu, replicate) values.  `sweep`
     and fig5 summarize the same cells' error array, building no records.
     """
     if isinstance(config.mus, str):
@@ -403,13 +402,12 @@ def run_mu_sweep(config: SweepConfig, workers: int = 1) -> list:
     return _sweep_records(config, "mu")
 
 
-def run_rule_comparison(config: SweepConfig, workers: int = 1) -> list:
+def run_rule_comparison(config: SweepConfig) -> list:
     """Evaluate every (delta, p, replicate) cell with mu from the rule (E=1).
 
     Each record carries the rule's mu, the p that produced it, and the
     theoretical bound error_bound(delta, p, mu).  Requires mus=RULE_MUS and
-    strictly positive deltas (the rule is undefined at delta=0).  workers is
-    ignored, as in run_mu_sweep.
+    strictly positive deltas (the rule is undefined at delta=0).
     """
     if config.mus != RULE_MUS:
         raise ValueError(f"run_rule_comparison requires mus={RULE_MUS!r}")
@@ -440,21 +438,19 @@ class BoundFinding:
     violates_scaled: bool
 
 
-def run_bound_check(
-    config: Optional[SweepConfig] = None, workers: int = 1
-) -> list:
+def run_bound_check(config: Optional[SweepConfig] = None) -> list:
     """Check the error guarantee under its exact hypotheses, cell by cell.
 
     The guarantee assumes ||g_delta - K f|| <= delta for the f the errors
-    are measured against, the sampled source f_n, so the noiseless data
-    here is K f_n = solve_forward(f_n).  Sweeps and figures keep
-    exact_data, whose refined forward solve of a hat differs from K f_n by
-    a discretization error that no delta counts.  Uses norm-calibrated
-    noise (so the data error is delta exactly), E = sobolev_norm(f_n, p),
-    mu = select_mu(delta, E, p), and compares the measured absolute error
-    against both bound forms.  Returns one BoundFinding per cell regardless
-    of outcome, so callers can report violations as structured records or
-    confirm there are none.  workers is ignored, as in run_mu_sweep.
+    are measured against, the sampled source f_n less its mean (which no
+    estimator recovers), so the noiseless data is K f_n = solve_forward(f_n).
+    Sweeps and figures keep exact_data, whose refined forward solve of a
+    hat differs from K f_n by a discretization error that no delta counts.
+    Uses norm-calibrated noise (so the data error is delta exactly),
+    E = sobolev_norm(f_n, p), mu = select_mu(delta, E, p), and compares the
+    measured absolute error against both bound forms.  Returns one
+    BoundFinding per cell regardless of outcome, so callers can report
+    violations as structured records or confirm there are none.
     """
     if config is None:
         config = dataclasses.replace(
@@ -462,10 +458,10 @@ def run_bound_check(
         )
     if config.noise_mode != "norm_calibrated":
         raise ValueError("the bound check requires norm_calibrated noise")
-    f_true = sample_source(config.source, config.grid)
+    f_true = _zero_mean(sample_source(config.source, config.grid), demean=True)
     smoothness = [(p, sobolev_norm(f_true, p)) for p in config.p_values]
     columns = _rule_columns(config.deltas, smoothness)
-    data = solve_forward(f_true, demean=True)
+    data = solve_forward(f_true)
     seeds, _, _, errors = _cells(config, columns, f_true, data)
     findings = [
         BoundFinding(delta=delta, p=p, replicate=r, seed=seed, mu=mu, E=E,
@@ -566,8 +562,7 @@ def _series_plot(csv_name: str, n_cols: int) -> str:
     return ", \\\n     ".join(parts)
 
 
-def reproduce_figures(out_dir, config: Optional[SweepConfig] = None,
-                      workers: int = 1) -> list:
+def reproduce_figures(out_dir, config: Optional[SweepConfig] = None) -> list:
     """Write the five demonstration CSVs plus one gnuplot script per CSV.
 
     fig1: true source vs unregularized estimates, one column per delta.

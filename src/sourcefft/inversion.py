@@ -41,7 +41,9 @@ _MEAN_TOL = 1e-10
 def _zero_mean(f: RealSignal, demean: bool, flag: str = "demean=True") -> RealSignal:
     """f itself when its discrete mean is below _MEAN_TOL * max(1, max |f|);
     otherwise f minus its mean if demean is set, else ValueError, whose
-    message names flag as the way to subtract it."""
+    message names flag as the way to subtract it.  The result passes its
+    own check: the residue that subtracting a large mean leaves (1e8 over
+    unit noise) is subtracted in turn."""
     mean = float(np.mean(f.values))
     if abs(mean) < _MEAN_TOL * max(1.0, float(np.max(np.abs(f.values)))):
         return f
@@ -49,7 +51,7 @@ def _zero_mean(f: RealSignal, demean: bool, flag: str = "demean=True") -> RealSi
         raise ValueError(
             f"source has discrete mean {mean:.6e}, not zero; pass {flag} to subtract it"
         )
-    return RealSignal(f.grid, f.values - mean)
+    return _zero_mean(RealSignal(f.grid, f.values - mean), demean, flag)
 
 
 def solve_forward(f: RealSignal, demean: bool = False) -> RealSignal:

@@ -10,8 +10,9 @@ Two sources cover the two interesting smoothness regimes:
   sources on which regularized reconstructions visibly smear the corners.
   No closed-form measurement exists; a refined forward solve stands in.
 
-Sampled sources are zero-mean by construction (the forward map carries no
-DC information), which for the hat means subtracting its discrete mean.
+The forward map carries no DC information, so the sampled hat has its
+discrete mean subtracted.  The cosine is sampled as is: it is mean-free on
+a whole number of periods and keeps its mean on any other interval.
 """
 
 from __future__ import annotations
@@ -80,12 +81,14 @@ def hat_source(center: float, half_width: float, height: float = 1.0) -> SourceS
 
 
 def sample_source(spec: SourceSpec, grid: Grid) -> RealSignal:
-    """Sample the source on the grid; the result has discrete mean < 1e-12.
+    """Sample the source on the grid; only the hat is demeaned.
 
-    The cosine needs no correction (its mean on a whole-period grid is
-    already rounding-level zero); the hat is shifted down by its discrete
-    mean, roughly half_width * height / domain_length.  A hat so tall that
-    its samples' sum overflows float64 raises ValueError naming the height.
+    The hat is shifted down by its discrete mean, roughly half_width *
+    height / domain_length.  The cosine keeps its mean off whole periods
+    (0.0509 on [0, 3)), which no estimator recovers, so sweep and figure
+    errors of such a config carry it; the bound check removes it.  A hat
+    so tall that its samples' sum overflows float64 raises ValueError
+    naming the height.
     """
     x = grid.points
     if spec.kind == "cosine":

@@ -145,7 +145,7 @@ def closed_form_argmins(config):
 
 def test_a5_interior_optimum_near_three():
     with _Timer() as t:
-        summary = summarize_rel_error(run_mu_sweep(default_config(), workers=4))
+        summary = summarize_rel_error(run_mu_sweep(default_config()))
         argmins = {}
         for delta in (0.015, 0.05, 0.1):
             curve = {mu: m for (mu, d), (m, _) in summary.items() if d == delta}
@@ -267,28 +267,26 @@ def test_a9_oracle_equivalence(band_limited):
     assert t.elapsed < 30.0
 
 
-def test_a10_determinism(tmp_path):
+def _dir_bytes(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def test_a10_determinism(tmp_path, capsys):
+    # Two runs of each command, with and without the --workers flag that
+    # the CLI keeps and ignores, write the same bytes.
     with _Timer() as t:
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         assert main(["figures", "--out", str(out_a)]) == 0
-        assert main(["figures", "--out", str(out_b)]) == 0
-        csvs_identical = all(
-            (out_a / f"fig{k}.csv").read_bytes() == (out_b / f"fig{k}.csv").read_bytes()
-            for k in range(1, 6)
-        )
-        sweep_cfg = SweepConfig(
-            source=cosine_source(),
-            grid=make_grid(256, 0.0, TWO_PI),
-            deltas=(0.015, 0.05, 0.1),
-            mus=tuple(np.linspace(0.0, 40.0, 11)),
-            p_values=(1.0, 2.0),
-            replicates=5,
-            base_seed=42,
-        )
-        schedule_free = run_mu_sweep(sweep_cfg, workers=1) == run_mu_sweep(
-            sweep_cfg, workers=8
-        )
+        assert main(["figures", "--out", str(out_b), "--workers", "2"]) == 0
+        capsys.readouterr()
+        figures_a, figures_b = _dir_bytes(out_a), _dir_bytes(out_b)
+        csvs_identical = len(figures_a) == 10 and figures_a == figures_b
+        sweeps = []
+        for workers in ("1", "8"):
+            assert main(["sweep", "--workers", workers]) == 0
+            sweeps.append(capsys.readouterr().out)
+        schedule_free = sweeps[0] != "" and sweeps[0] == sweeps[1]
     ok = csvs_identical and schedule_free and t.elapsed < 120.0
     _report(
         "A10 determinism",

@@ -135,6 +135,20 @@ class TestForward:
         assert line.endswith("pass --demean to subtract it")
         assert run_cli(capsys, "forward", "--input", str(path), "--demean")[0] == 0
 
+    def test_demean_of_a_large_offset(self, capsys, tmp_path):
+        # One subtraction of a mean of 1e8 leaves a residue above the
+        # tolerance of the centred values; --demean still succeeds, and the
+        # f it writes is the mean-free source its g was computed from.
+        path = tmp_path / "offset.csv"
+        x = TWO_PI * np.arange(256) / 256
+        f = 1e8 + np.random.default_rng(0).standard_normal(256)
+        path.write_text(_rows_csv("x,f", zip(x.tolist(), f.tolist())))
+        code, out, err = run_cli(capsys, "forward", "--input", str(path), "--demean")
+        assert (code, err) == (0, "")
+        header, cols = parse_csv(out)
+        assert header == ["x", "f", "g"]
+        assert abs(float(np.mean(cols[1]))) < 1e-10
+
 
 class TestSimulate:
     def test_zero_delta_copies_g(self, capsys):

@@ -160,10 +160,6 @@ class TestRunMuSweep:
         keys = [(r.delta, r.mu, r.replicate) for r in recs]
         assert keys == sorted(keys)
 
-    def test_schedule_independence(self):
-        cfg = small_config()
-        assert run_mu_sweep(cfg, workers=1) == run_mu_sweep(cfg, workers=4)
-
     def test_deterministic_across_calls(self):
         cfg = small_config()
         assert run_mu_sweep(cfg) == run_mu_sweep(cfg)
@@ -299,6 +295,26 @@ class TestBoundCheck:
         assert not any(f.violates_raw or f.violates_scaled for f in findings)
         assert_matches_reference(findings, cfg)
 
+    @pytest.mark.parametrize("grid, worst", [
+        (make_grid(256, 0.0, 3.0), 0.38), (make_grid(16, 0.0, 1.0), 0.54),
+    ], ids=["n256_on_0_3", "n16_on_0_1"])
+    def test_source_is_mean_free_off_whole_periods(self, grid, worst):
+        # cos(x) on [0, 3) keeps a discrete mean of 0.0509, which no
+        # estimator recovers: measured against it, 10 of these 80 cells
+        # read as violations (delta 1e-8, p = 1 and 2; worst error /
+        # bound_scaled 4.81), and 25 of 80 on [0, 1) (worst 347.8).
+        cfg = SweepConfig(
+            source=cosine_source(), grid=grid, deltas=(1e-8, 1e-4, 0.015, 0.1),
+            mus=RULE_MUS, p_values=(0.0, 1.0, 2.0, 3.0), replicates=5,
+            noise_mode="norm_calibrated",
+        )
+        assert abs(float(np.mean(sample_source(cfg.source, grid).values))) > 0.05
+        findings = run_bound_check(cfg)
+        assert len(findings) == 80
+        assert not any(f.violates_scaled for f in findings)
+        assert max(f.error / f.bound_scaled for f in findings) < worst
+        assert_matches_reference(findings, cfg)
+
 
 U = 2.0 ** -53
 
@@ -348,17 +364,19 @@ def stream_noise(config, i):
     ])
 
 
-def per_cell_reference(config, columns, g_exact=None):
+def per_cell_reference(config, columns, g_exact=None, f_true=None):
     """Every cell of a sweep, one at a time, through the public API only.
 
     columns[i][j] is the mu of column j at delta index i.  Every column at
     delta index i inverts g_exact (by default exact_data of the config)
-    plus row r of stream_noise(config, i) as replicate r.
+    plus row r of stream_noise(config, i) as replicate r, and is measured
+    against f_true (by default sample_source of the config).
     Yields (i, j, r, seed, abs error, empirical noise norm, tolerance) in
     (i, j, r) order, the seed that of the delta's stream and the tolerance
     that of squared_error_tolerance.
     """
-    f_true = sample_source(config.source, config.grid)
+    if f_true is None:
+        f_true = sample_source(config.source, config.grid)
     f_norm = discrete_l2(f_true)
     if g_exact is None:
         g_exact = exact_data(config.source, config.grid)
@@ -404,16 +422,16 @@ def reference_records(cfg):
 
 def reference_findings(cfg):
     """run_bound_check(cfg), built cell by cell through per_cell_reference
-    on the data K f_n = solve_forward(f_n) of the sampled source f_n, as
-    (finding, tolerance on error^2) pairs."""
-    f_true = sample_source(cfg.source, cfg.grid)
+    on the data K f_n = solve_forward(f_n) of the sampled source f_n with
+    its mean removed, as (finding, tolerance on error^2) pairs."""
+    f_true = inversion._zero_mean(sample_source(cfg.source, cfg.grid), True)
     E = [sobolev_norm(f_true, p) for p in cfg.p_values]
     columns = [
         [select_mu(d, e, p) for p, e in zip(cfg.p_values, E)] for d in cfg.deltas
     ]
     findings = []
-    data = solve_forward(f_true, demean=True)
-    for i, j, r, seed, err, _, tol in per_cell_reference(cfg, columns, data):
+    data = solve_forward(f_true)
+    for i, j, r, seed, err, _, tol in per_cell_reference(cfg, columns, data, f_true):
         delta, p, e, mu = cfg.deltas[i], cfg.p_values[j], E[j], columns[i][j]
         raw = error_bound(delta, p, mu)
         scaled = e * error_bound(delta / e, p, mu)

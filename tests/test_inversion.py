@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sourcefft.inversion import (
     _filter_rows,
+    _zero_mean,
     error_bound,
     estimate_source_regularized,
     estimate_source_unregularized,
@@ -78,6 +79,20 @@ class TestSolveForward:
         f = RealSignal(default_grid, f0.values + 0.5)
         g = solve_forward(f, demean=True)
         assert np.max(np.abs(g.values - solve_forward(f0).values)) < 1e-12
+
+    def test_demeaned_source_passes_the_check(self, default_grid):
+        # One subtraction of a mean far above the spread leaves a residue
+        # of about 1e-8 here, above the 1e-10 tolerance of the centred
+        # values; the demeaned source must still be accepted as is.
+        noise = np.random.default_rng(0).standard_normal(default_grid.n)
+        f = RealSignal(default_grid, 1e8 + noise)
+        once = RealSignal(default_grid, f.values - np.mean(f.values))
+        with pytest.raises(ValueError, match="mean"):
+            solve_forward(once)
+        centred = _zero_mean(f, True)
+        assert _zero_mean(centred, False) is centred
+        assert np.array_equal(solve_forward(centred).values,
+                              solve_forward(f, demean=True).values)
 
 
 class TestEstimators:

@@ -17,8 +17,10 @@ def test_compare_outputs_of_one_checkout_are_identical():
     lines = result.stdout.splitlines()
     names = {line.split(": ")[0] for line in lines}
     for seed in ("42", "1", "7"):
-        assert {f"{seed}/sweep.csv", f"{seed}/figures/fig5.csv",
-                f"{seed}/figures.list", f"{seed}/figures_hat_norm/fig4.gp",
+        assert {f"{seed}/sweep.csv", f"{seed}/sweep_workers_4.csv",
+                f"{seed}/figures/fig5.csv", f"{seed}/figures.list",
+                f"{seed}/figures_workers_2/fig5.csv",
+                f"{seed}/figures_workers_2.list", f"{seed}/figures_hat_norm/fig4.gp",
                 f"{seed}/figures_hat_norm.list", f"{seed}/figures_one_delta/fig2.csv",
                 f"{seed}/figures_one_delta.list",
                 f"{seed}/figures_four_deltas/fig1.gp",

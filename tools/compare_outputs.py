@@ -5,11 +5,12 @@
 
 PARENT and CHANGE are checkout directories.  For base seeds 42, 1 and 7
 each checkout runs, through PYTHONPATH=<checkout>/src in a fresh Python
-process, the byte-identity list: the default `sweep`, `mus = rule` sweeps
-with p = 0, 1, 2, 3 in both noise modes, four sweeps whose summary merges
-columns (mus 1, 1, 0.5; mus 0, -0.0, 2; `mus = rule` with p = 1, 1, 2;
-deltas 0.05, 0.05, 0.1), the whole `figures` directory and its printed
-path list for six configs (the default, a hat source with
+process, the byte-identity list: the default `sweep`, with and without
+`--workers 4`, `mus = rule` sweeps with p = 0, 1, 2, 3 in both noise
+modes, four sweeps whose summary merges columns (mus 1, 1, 0.5; mus 0,
+-0.0, 2; `mus = rule` with p = 1, 1, 2; deltas 0.05, 0.05, 0.1), the
+whole `figures` directory and its printed path list for six configs (the
+default, with and without `--workers 2`, a hat source with
 `norm_calibrated` noise, one delta 0.05, four deltas 0.015, 0.05, 0.1,
 0.2, one replicate, and n = 2048, whose x, f_true and estimate columns
 hold 34,816 values, more than one formatter pass takes, so each table is
@@ -96,6 +97,8 @@ for seed in map(int, sys.argv[1:]):
         cfg = out / (name + ".cfg")
         cfg.write_text(text + f"base_seed = {seed}\n", encoding="utf-8")
         run(out, name + ".csv", "sweep", "--config", cfg)
+    run(out, "sweep_workers_4.csv", "sweep", "--config", out / "sweep.cfg",
+        "--workers", "4")
     figures = {
         "figures": "",
         "figures_hat_norm": "source = hat\nnoise_mode = norm_calibrated\n",
@@ -110,6 +113,8 @@ for seed in map(int, sys.argv[1:]):
         cfg = out / (name + ".cfg")
         cfg.write_text(text + f"base_seed = {seed}\n", encoding="utf-8")
         run(out, name + ".list", "figures", "--config", cfg, "--out", out / name)
+    run(out, "figures_workers_2.list", "figures", "--config", out / "figures.cfg",
+        "--out", out / "figures_workers_2", "--workers", "2")
     run(out, "help.txt", "--help")
     for command in COMMANDS:
         run(out, f"help_{command}.txt", command, "--help")
