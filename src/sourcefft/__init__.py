@@ -41,6 +41,7 @@ from .experiments import (
     SweepRecord,
     BoundFinding,
     cell_seed,
+    expected_rel_error,
     default_mu_grid,
     default_config,
     run_mu_sweep,
@@ -68,8 +69,9 @@ __all__ = [
     "solve_forward", "estimate_source_unregularized",
     "estimate_source_regularized", "select_mu", "sobolev_norm", "error_bound",
     "RULE_MUS", "SweepConfig", "SweepRecord", "BoundFinding", "cell_seed",
-    "default_mu_grid", "default_config", "run_mu_sweep", "run_rule_comparison",
-    "run_bound_check", "summarize_rel_error", "reproduce_figures",
+    "expected_rel_error", "default_mu_grid", "default_config", "run_mu_sweep",
+    "run_rule_comparison", "run_bound_check", "summarize_rel_error",
+    "reproduce_figures",
     "QuadratureSpec", "aligned_spec", "continuous_ft",
     "invert_via_quadrature", "sobolev_norm_via_quadrature",
     "__version__",

@@ -20,7 +20,7 @@ import dataclasses
 import itertools
 import math
 import os
-from operator import attrgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -49,6 +49,7 @@ __all__ = [
     "run_mu_sweep",
     "run_rule_comparison",
     "run_bound_check",
+    "summarize_rel_error",
     "reproduce_figures",
 ]
 
@@ -177,9 +178,11 @@ def _cells(config: SweepConfig, columns, f_true, data=None) -> tuple:
     columns[i][j] starts with the mu of column j at delta index i; every
     delta has as many columns.  data is the noiseless data, by default
     exact_data(config.source, config.grid).  seeds[i] = cell_seed(base_seed,
-    i) seeds delta index i's stream, and row r there is data plus row r of
-    its (replicates, n) config.noise_mode draw, which for r = 0 is
-    add_noise's draw of seeds[i]; firsts[i] is that row 0, the (deltas, n)
+    i) seeds delta index i's stream, and row r there is row r of its
+    (replicates, n) config.noise_mode draw plus data, added into the draw
+    in place (noise + data, the same sum as data + noise bit for bit; at
+    delta = 0 the row is data itself), which for r = 0 is add_noise's
+    draw of seeds[i]; firsts[i] is that row 0, the (deltas, n)
     data of figures 1-4, noise_norms[i, r] the noise's discrete L2 norm and
     errors[i, j, r] the one of column j's estimate minus f_true.  A delta
     whose noise or errors overflow raises ValueError naming it.
@@ -189,8 +192,9 @@ def _cells(config: SweepConfig, columns, f_true, data=None) -> tuple:
     and T the multipliers of the run's distinct mus, a cell's squared error
     is sum c |h T - F|^2 = A - 2B + C, A = (T*T) @ (c |h|^2), B = T @ (c
     Re(h conj F)), C = c . |F|^2: per delta two (mus, K) @ (K, replicates)
-    products over the distinct mus of its columns, whose rows the columns
-    index, so a repeated mu or p is a bit-identical copy.  A and C sum K
+    products over the distinct mus of its columns, in ascending order of
+    their table rows (np.unique's order), whose rows the columns index, so
+    a repeated mu or p is a bit-identical copy.  A and C sum K
     nonnegative terms of at most 4 roundings each and |B| <= sqrt(A C), so
     the computed A - 2B + C is within gamma_{K+6} (sqrt(A) + sqrt(C))^2 of
     the exact sum over the computed h, T and F (Higham 2002, section 3.1:
@@ -198,6 +202,10 @@ def _cells(config: SweepConfig, columns, f_true, data=None) -> tuple:
     below _CANCEL_TOL (sqrt(A) + sqrt(C))^2, as delta = 0 at small mu
     (mu = 0 would read 0.0 for an error near 1e-12), is recomputed as the
     direct sum of the nonnegative c |h T - F|^2.
+
+    Records and findings are built from these arrays by _records, which
+    skips the constructors' checks: every error here is finite and, as a
+    square root, nonnegative.
     """
     grid = config.grid
     g_exact = exact_data(config.source, grid) if data is None else data
@@ -211,14 +219,18 @@ def _cells(config: SweepConfig, columns, f_true, data=None) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         gram_c = float(_power(f_half) @ weights)
         for i, (delta, row) in enumerate(zip(config.deltas, columns)):
-            noisy = np.tile(g_exact.values, (config.replicates, 1))
             if delta > 0.0:
-                noisy += _noise(grid, delta, config.noise_mode,
-                                np.random.default_rng(seeds[i]), config.replicates)
+                noisy = _noise(grid, delta, config.noise_mode,
+                               np.random.default_rng(seeds[i]), config.replicates)
+                noisy += g_exact.values
+            else:
+                noisy = np.tile(g_exact.values, (config.replicates, 1))
             firsts[i] = noisy[0]
             noise_norms[i] = _l2(grid.dx, noisy - g_exact.values)
-            own, col_rows = np.unique([mu_rows[mu] for mu, *_ in row],
-                                      return_inverse=True)
+            keys = [mu_rows[mu] for mu, *_ in row]
+            own = sorted(set(keys))
+            position = {k: m for m, k in enumerate(own)}
+            col_rows = [position[k] for k in keys]
             t = table[own]
             half = np.fft.rfft(noisy)
             gram_a = (t * t) @ (weights * _power(half)).T
@@ -251,21 +263,44 @@ def _source_norm(config: SweepConfig) -> tuple:
     return f_true, f_norm
 
 
+def _records(cls, rows) -> list:
+    """Frozen cls instances from rows, tuples of values in field order.
+
+    Each is built as copy.copy and pickle rebuild a dataclass instance:
+    object.__new__(cls), then its __dict__ filled in field order, so it
+    equals, hashes and prints as cls(*row) would.  No __init__ runs, so
+    SweepRecord.__post_init__ does not check the row: the callers build
+    rows from _cells, whose errors are finite (it raises otherwise) and
+    nonnegative (square roots), and from _columns, where p and bound are
+    both None or both set.
+    """
+    names = [field.name for field in dataclasses.fields(cls)]
+    new = object.__new__
+    records = []
+    for row in rows:
+        record = new(cls)
+        record.__dict__.update(zip(names, row))
+        records.append(record)
+    return records
+
+
 def _sweep_records(config: SweepConfig, order: str) -> list:
-    """One SweepRecord per cell, sorted by (delta, order, replicate) values."""
+    """One SweepRecord per cell, sorted by (delta, order, replicate) values.
+
+    The rows are sorted as tuples, stably, then built by _records."""
     f_true, f_norm = _source_norm(config)
     columns = _columns(config)
     _, _, noise_norms, errors = _cells(config, columns, f_true)
-    records = [
-        SweepRecord(delta=delta, mu=mu, p=p, replicate=r, rel_error=err / f_norm,
-                    abs_error=err, bound=bound, empirical_noise_norm=noise_norm)
+    rows = [
+        (delta, mu, p, r, err / f_norm, err, bound, noise_norm)
         for delta, row, row_errs, row_norms in zip(
             config.deltas, columns, errors.tolist(), noise_norms.tolist()
         )
         for (mu, p, _, bound, _), col in zip(row, row_errs)
         for r, (err, noise_norm) in enumerate(zip(col, row_norms))
     ]
-    return sorted(records, key=attrgetter("delta", order, "replicate"))
+    rows.sort(key=itemgetter(0, 1 if order == "mu" else 2, 3))
+    return _records(SweepRecord, rows)
 
 
 def _columns(config: SweepConfig) -> list:
@@ -391,8 +426,12 @@ def expected_rel_error(config: SweepConfig) -> dict:
 def run_mu_sweep(config: SweepConfig) -> list:
     """Evaluate every (delta, mu, replicate) cell with explicit mus.
 
-    Returns SweepRecords sorted by (delta, mu, replicate) values.  `sweep`
-    and fig5 summarize the same cells' error array, building no records.
+    Returns SweepRecords sorted by (delta, mu, replicate) values.  A
+    cell's noisy data is its noise row plus the exact data, added in that
+    order, and its errors come from _cells' Parseval sums; the records are
+    built from those arrays by _records, with the values, equality, hash
+    and repr that SweepRecord(...) gives.  `sweep` and fig5 summarize the
+    same cells' error array, building no records.
     """
     if isinstance(config.mus, str):
         raise ValueError(
@@ -407,7 +446,9 @@ def run_rule_comparison(config: SweepConfig) -> list:
 
     Each record carries the rule's mu, the p that produced it, and the
     theoretical bound error_bound(delta, p, mu).  Requires mus=RULE_MUS and
-    strictly positive deltas (the rule is undefined at delta=0).
+    strictly positive deltas (the rule is undefined at delta=0).  Cells,
+    sum order and record building are run_mu_sweep's; the records are
+    sorted by (delta, p, replicate) values.
     """
     if config.mus != RULE_MUS:
         raise ValueError(f"run_rule_comparison requires mus={RULE_MUS!r}")
@@ -463,17 +504,16 @@ def run_bound_check(config: Optional[SweepConfig] = None) -> list:
     columns = _rule_columns(config.deltas, smoothness)
     data = solve_forward(f_true)
     seeds, _, _, errors = _cells(config, columns, f_true, data)
-    findings = [
-        BoundFinding(delta=delta, p=p, replicate=r, seed=seed, mu=mu, E=E,
-                     error=err, bound_raw=raw, bound_scaled=scaled,
-                     violates_raw=err > raw, violates_scaled=err > scaled)
+    rows = [
+        (delta, p, r, seed, mu, E, err, raw, scaled, err > raw, err > scaled)
         for delta, row, seed, row_errs in zip(
             config.deltas, columns, seeds, errors.tolist()
         )
         for (mu, p, E, raw, scaled), col in zip(row, row_errs)
         for r, err in enumerate(col)
     ]
-    return sorted(findings, key=attrgetter("delta", "p", "replicate"))
+    rows.sort(key=itemgetter(0, 1, 2))
+    return _records(BoundFinding, rows)
 
 
 def write_csv(path, header: Sequence[str], columns) -> None:
@@ -529,10 +569,14 @@ def summarize_rel_error(records) -> dict:
     groups: dict = {}
     for rec in records:
         groups.setdefault((rec.mu, rec.delta), []).append(rec.rel_error)
-    return {
-        key: tuple(float(v[0]) for v in _mean_stderr(np.array([vals])))
-        for key, vals in groups.items()
-    }
+    # One _mean_stderr call per group size, whose rows round as each alone.
+    by_size: dict = {}
+    for key, vals in groups.items():
+        by_size.setdefault(len(vals), []).append(key)
+    for keys in by_size.values():
+        means, stderrs = _mean_stderr(np.array([groups[key] for key in keys]))
+        groups.update(zip(keys, zip(means.tolist(), stderrs.tolist())))
+    return groups
 
 
 _GNUPLOT_SERIES = """set datafile separator ','

@@ -5,7 +5,7 @@ import io
 import math
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from unittest import mock
 
 import numpy as np
@@ -448,7 +448,12 @@ def assert_matches_reference(cells, cfg):
     """cells, the records of run_mu_sweep/run_rule_comparison(cfg) or the
     findings of run_bound_check(cfg), equal the per-cell reference field by
     field, except the error, which lies within the cell's tolerance on its
-    square; a record's rel_error is its abs_error over the source norm."""
+    square; a record's rel_error is its abs_error over the source norm.
+
+    Each cell is also what the public constructor builds: its fields have
+    the types of the reference's, and the reference given the cell's
+    errors through that constructor equals it, with the same repr and
+    hash.  Assigning any field raises FrozenInstanceError."""
     if isinstance(cells[0], BoundFinding):
         reference, error, zero = reference_findings(cfg), "error", {"error": 0.0}
     else:
@@ -456,12 +461,22 @@ def assert_matches_reference(cells, cfg):
         zero = {"abs_error": 0.0, "rel_error": 0.0}
         f_norm = discrete_l2(sample_source(cfg.source, cfg.grid))
     assert len(cells) == len(reference)
+    names = [field.name for field in fields(cells[0])]
     for cell, (expected, tol) in zip(cells, reference):
         assert replace(cell, **zero) == replace(expected, **zero)
         a, b = getattr(cell, error), getattr(expected, error)
         assert abs(a * a - b * b) <= tol, (cell, expected, tol)
         if error == "abs_error":
             assert cell.rel_error == cell.abs_error / f_norm
+        assert ([type(getattr(cell, name)) for name in names]
+                == [type(getattr(expected, name)) for name in names])
+        public = replace(expected, **{name: getattr(cell, name) for name in zero})
+        assert cell == public
+        assert repr(cell) == repr(public)
+        assert hash(cell) == hash(public)
+        for name in names:
+            with pytest.raises(FrozenInstanceError):
+                setattr(cell, name, getattr(cell, name))
 
 
 def record_summary_columns(records):
@@ -574,6 +589,32 @@ class TestBatchedCellsMatchPerCell:
             assert_same_bits(_sweep_summary(rule_cfg),
                              record_summary_columns(rule_records))
             assert_matches_reference(run_bound_check(bound_cfg), bound_cfg)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        replicates=st.integers(1, 5),
+        # Unsorted, always with a repeat of the first value.
+        mus=st.lists(st.sampled_from([3.0, 0.0, 0.5, 40.0, 1.0]), min_size=1,
+                     max_size=5).map(lambda mus: mus + mus[:1]),
+        p_values=st.lists(st.sampled_from([2.0, 0.0, 1.0, 0.5]), min_size=1,
+                          max_size=3).map(lambda ps: ps + ps[:1]),
+        deltas=st.lists(st.sampled_from([0.1, 0.015, 0.05]), min_size=1,
+                        max_size=3),
+        mode=st.sampled_from(["iid", "norm_calibrated"]),
+        base_seed=st.integers(0, 2**64 - 1),
+    )
+    def test_property_records_are_public_constructor_records(
+        self, replicates, mus, p_values, deltas, mode, base_seed,
+    ):
+        rule_cfg = small_config(
+            deltas=deltas, mus=RULE_MUS, p_values=p_values,
+            replicates=replicates, noise_mode=mode, base_seed=base_seed,
+        )
+        cfg = replace(rule_cfg, mus=mus, deltas=deltas + [0.0])
+        bound_cfg = replace(rule_cfg, noise_mode="norm_calibrated")
+        assert_matches_reference(run_mu_sweep(cfg), cfg)
+        assert_matches_reference(run_rule_comparison(rule_cfg), rule_cfg)
+        assert_matches_reference(run_bound_check(bound_cfg), bound_cfg)
 
     @pytest.mark.parametrize("n", [64, 256])
     def test_cancelled_cell_keeps_its_digits(self, n):
@@ -708,8 +749,10 @@ class TestOneStreamPerDelta:
         drawn = []
 
         def recording(*args):
-            drawn.append(_noise(*args))
-            return drawn[-1]
+            # _cells adds the data into the draw it gets, so keep a copy.
+            rows = _noise(*args)
+            drawn.append(rows.copy())
+            return rows
 
         with mock.patch.object(experiments, "_noise", recording):
             run_mu_sweep(cfg)

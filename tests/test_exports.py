@@ -4,6 +4,7 @@ import importlib
 import pkgutil
 
 import sourcefft
+from sourcefft import experiments
 
 
 def test_star_import_resolves():
@@ -23,3 +24,9 @@ def test_every_module_all_resolves():
         module = importlib.import_module(name)
         missing = [item for item in getattr(module, "__all__", ()) if not hasattr(module, item)]
         assert not missing, f"{name}.__all__ names missing attributes {missing}"
+
+
+def test_experiments_names_are_package_names():
+    for name in experiments.__all__:
+        assert name in sourcefft.__all__, name
+        assert getattr(sourcefft, name) is getattr(experiments, name)

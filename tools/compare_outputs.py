@@ -21,8 +21,10 @@ output, `simulate` in both noise modes, `invert --mu 0.3` and `invert
 --rule 1 --delta 0.05` of it, `invert --mu 0.3` of a CRLF, quoted copy
 of the `iid` `simulate` output and of a copy with one bad row (every
 command's stderr included), the `--help` text of the top level and of
-each command, the findings of `run_bound_check()`, and the records of
-`run_mu_sweep` and `run_rule_comparison` (both modes) at 5 replicates.
+each command, the findings of `run_bound_check()`, the records of
+`run_mu_sweep` and `run_rule_comparison` (both modes) at 5 replicates,
+and the `summarize_rel_error` dict of those `run_mu_sweep` records, one
+`key: value` repr per line in the dict's order.
 For every output it prints "identical" when the bytes agree, else the
 largest relative deviation |a - b| / max(|a|, |b|) of each column of a
 CSV of numbers, or "differs" for other text.  Exit code 0 when every
@@ -143,7 +145,12 @@ for seed in map(int, sys.argv[1:]):
                                 noise_mode="norm_calibrated")
     table(out / "bound_check.csv", experiments.run_bound_check(bound), FINDING)
     five = dataclasses.replace(base, replicates=5)
-    table(out / "mu_sweep_records.csv", experiments.run_mu_sweep(five), RECORD)
+    records = experiments.run_mu_sweep(five)
+    table(out / "mu_sweep_records.csv", records, RECORD)
+    summary = experiments.summarize_rel_error(records)
+    (out / "mu_sweep_summary.txt").write_text(
+        "\n".join(f"{key!r}: {value!r}" for key, value in summary.items()) + "\n",
+        encoding="utf-8")
     for mode in ("iid", "norm_calibrated"):
         rule = dataclasses.replace(five, mus=experiments.RULE_MUS,
                                    p_values=(0.0, 1.0, 2.0, 3.0), noise_mode=mode)
