@@ -13,66 +13,21 @@ inversion (solvers, parameter rule, bound), experiments (sweeps, figures),
 quadrature_oracle (independent slow cross-check), cli (command line).
 """
 
-from .spectral_core import (
-    Grid,
-    RealSignal,
-    Spectrum,
-    make_grid,
-    to_spectrum,
-    from_spectrum,
-    forward_multiplier,
-    inverse_multiplier,
-    regularized_multiplier,
-    apply_multiplier,
-)
-from .source_models import SourceSpec, cosine_source, hat_source, sample_source, exact_data
-from .noise_lab import NoiseSpec, add_noise, discrete_l2, relative_l2_error
-from .inversion import (
-    solve_forward,
-    estimate_source_unregularized,
-    estimate_source_regularized,
-    select_mu,
-    sobolev_norm,
-    error_bound,
-)
-from .experiments import (
-    RULE_MUS,
-    SweepConfig,
-    SweepRecord,
-    BoundFinding,
-    cell_seed,
-    expected_rel_error,
-    default_mu_grid,
-    default_config,
-    run_mu_sweep,
-    run_rule_comparison,
-    run_bound_check,
-    summarize_rel_error,
-    reproduce_figures,
-)
-from .quadrature_oracle import (
-    QuadratureSpec,
-    aligned_spec,
-    continuous_ft,
-    invert_via_quadrature,
-    sobolev_norm_via_quadrature,
-)
+from . import spectral_core, source_models, noise_lab, inversion
+from . import experiments, quadrature_oracle
+from .spectral_core import *
+from .source_models import *
+from .noise_lab import *
+from .inversion import *
+from .experiments import *
+from .quadrature_oracle import *
 
 __version__ = "0.1.0"
 
+# Every name in the library modules' __all__, in layout order.
 __all__ = [
-    "Grid", "RealSignal", "Spectrum", "make_grid", "to_spectrum",
-    "from_spectrum", "forward_multiplier", "inverse_multiplier",
-    "regularized_multiplier", "apply_multiplier",
-    "SourceSpec", "cosine_source", "hat_source", "sample_source", "exact_data",
-    "NoiseSpec", "add_noise", "discrete_l2", "relative_l2_error",
-    "solve_forward", "estimate_source_unregularized",
-    "estimate_source_regularized", "select_mu", "sobolev_norm", "error_bound",
-    "RULE_MUS", "SweepConfig", "SweepRecord", "BoundFinding", "cell_seed",
-    "expected_rel_error", "default_mu_grid", "default_config", "run_mu_sweep",
-    "run_rule_comparison", "run_bound_check", "summarize_rel_error",
-    "reproduce_figures",
-    "QuadratureSpec", "aligned_spec", "continuous_ft",
-    "invert_via_quadrature", "sobolev_norm_via_quadrature",
-    "__version__",
-]
+    name
+    for module in (spectral_core, source_models, noise_lab, inversion, experiments,
+                   quadrature_oracle)
+    for name in module.__all__
+] + ["__version__"]

@@ -39,7 +39,7 @@ from .experiments import (
     SweepConfig,
     _SUMMARY_HEADER,
     _sweep_summary,
-    default_mu_grid,
+    default_config,
     reproduce_figures,
     write_csv,
 )
@@ -51,7 +51,7 @@ from .inversion import (
     solve_forward,
 )
 from .noise_lab import NOISE_MODES, NoiseSpec, add_noise
-from .source_models import cosine_source, exact_data, hat_source, sample_source
+from .source_models import _KINDS, SourceSpec, exact_data, hat_source, sample_source
 from .spectral_core import Grid, RealSignal, make_grid
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "main", "entry"]
@@ -61,36 +61,41 @@ class CliError(Exception):
     """Validation problem in flags, config, or input data (exit code 1)."""
 
 
+_DEFAULTS = default_config()
+
+
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Everything a sweep or figures run needs, with serializable defaults."""
+    """Everything a sweep or figures run needs, as a config file spells it.
 
-    n: int = 256
-    x_min: float = 0.0
-    x_max: float = 2.0 * math.pi
-    source: str = "cosine"
+    The experiment fields default to default_config()'s values; the hat
+    shape and out have no SweepConfig counterpart and default here.
+    """
+
+    n: int = _DEFAULTS.grid.n
+    x_min: float = _DEFAULTS.grid.x_min
+    x_max: float = _DEFAULTS.grid.x_max
+    source: str = _DEFAULTS.source.kind
     hat_center: float = math.pi
     hat_half_width: float = 1.0
     hat_height: float = 1.0
-    deltas: tuple = (0.015, 0.05, 0.1)
-    mus: Union[tuple, str] = dataclasses.field(default_factory=default_mu_grid)
-    p_values: tuple = (1.0, 2.0)
-    replicates: int = 20
-    base_seed: int = 42
-    noise_mode: str = "iid"
+    deltas: tuple = _DEFAULTS.deltas
+    mus: Union[tuple, str] = _DEFAULTS.mus
+    p_values: tuple = _DEFAULTS.p_values
+    replicates: int = _DEFAULTS.replicates
+    base_seed: int = _DEFAULTS.base_seed
+    noise_mode: str = _DEFAULTS.noise_mode
     out: str = "figures"
 
-    def source_spec(self):
-        """The built-in source named by source.
+    def source_spec(self) -> SourceSpec:
+        """The built-in source named by source; SourceSpec checks the name.
 
         Also called as RunConfig.source_spec(args) on parsed command line
         flags, which carry the same four source fields.
         """
-        if self.source == "cosine":
-            return cosine_source()
         if self.source == "hat":
             return hat_source(self.hat_center, self.hat_half_width, self.hat_height)
-        raise CliError(f"unknown source {self.source!r} (expected cosine or hat)")
+        return SourceSpec(self.source)
 
     def to_sweep_config(self) -> SweepConfig:
         return SweepConfig(
@@ -199,12 +204,19 @@ def serialize_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_config(path: Optional[str]) -> RunConfig:
+def _load_config(path: Optional[str]) -> tuple:
+    """(RunConfig, SweepConfig) of the config file at path, or the defaults.
+
+    An error in the file's text or values names the file.  A hat's support
+    is checked against the domain only when the source is sampled, so that
+    error does not.
+    """
     if path is None:
-        return RunConfig()
+        return RunConfig(), _DEFAULTS
     try:
-        return parse_config(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, CliError) as exc:
+        cfg = parse_config(Path(path).read_text(encoding="utf-8"))
+        return cfg, cfg.to_sweep_config()
+    except (CliError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         raise CliError(f"{path}: {exc}")
 
 
@@ -376,17 +388,19 @@ def cmd_invert(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
+    _, config = _load_config(args.config)
     flags = {"replicates": args.replicates, "base_seed": args.base_seed}
-    cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
-    _emit_csv(args.out, _SUMMARY_HEADER, _sweep_summary(cfg.to_sweep_config()))
+    overrides = {k: v for k, v in flags.items() if v is not None}
+    if overrides:
+        config = dataclasses.replace(config, **overrides)
+    _emit_csv(args.out, _SUMMARY_HEADER, _sweep_summary(config))
     return 0
 
 
 def cmd_figures(args) -> int:
-    cfg = _load_config(args.config)
+    cfg, config = _load_config(args.config)
     out_dir = args.out if args.out is not None else cfg.out
-    paths = reproduce_figures(out_dir, config=cfg.to_sweep_config())
+    paths = reproduce_figures(out_dir, config=config)
     print(*paths, sep="\n")
     return 0
 
@@ -416,13 +430,14 @@ _CONFIG_HELP = "config file (default: built-in defaults)"
 
 
 def _add_grid_and_source_flags(sub):
-    sub.add_argument("--n", type=int, default=256, help="sample count (even, >= 8)")
-    sub.add_argument("--x-min", type=float, default=0.0)
-    sub.add_argument("--x-max", type=float, default=2.0 * math.pi)
-    sub.add_argument("--source", choices=("cosine", "hat"), default="cosine")
-    sub.add_argument("--hat-center", type=float, default=math.pi)
-    sub.add_argument("--hat-half-width", type=float, default=1.0)
-    sub.add_argument("--hat-height", type=float, default=1.0)
+    sub.add_argument("--n", type=int, default=RunConfig.n,
+                     help="sample count (even, >= 8)")
+    sub.add_argument("--x-min", type=float, default=RunConfig.x_min)
+    sub.add_argument("--x-max", type=float, default=RunConfig.x_max)
+    sub.add_argument("--source", choices=_KINDS, default=RunConfig.source)
+    sub.add_argument("--hat-center", type=float, default=RunConfig.hat_center)
+    sub.add_argument("--hat-half-width", type=float, default=RunConfig.hat_half_width)
+    sub.add_argument("--hat-height", type=float, default=RunConfig.hat_height)
     sub.add_argument("--input", help="CSV with columns x,f instead of --source")
     sub.add_argument(
         "--demean", action="store_true",
@@ -440,7 +455,7 @@ def _simulate_flags(sub):
     sub.add_argument("--delta", type=float, default=0.05, help="noise level")
     sub.add_argument("--seed", type=int, default=42)
     sub.add_argument(
-        "--noise-mode", default="iid",
+        "--noise-mode", default=RunConfig.noise_mode,
         choices=tuple(mode.replace("_", "-") for mode in NOISE_MODES),
     )
     sub.add_argument("--out", help=_OUT_HELP)

@@ -31,6 +31,7 @@ from sourcefft.cli import (
 )
 from sourcefft.experiments import (
     RULE_MUS,
+    default_config,
     run_mu_sweep,
     run_rule_comparison,
     summarize_rel_error,
@@ -623,7 +624,8 @@ class TestSweep:
         ]
 
     # Squared frequencies that overflow (x_max = 1e-300) or underflow to 0
-    # (x_max = 1e308) are named by the grid, not by the numpy fault.
+    # (x_max = 1e308) are named by the grid, not by the numpy fault, after
+    # the config file's name.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["sweep", "figures"])
     @pytest.mark.parametrize("text, interval", [
@@ -643,7 +645,9 @@ class TestSweep:
         assert (code, out) == (1, "")
         lines = err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith(f"sourcefft: error: grid of n=8 on {interval} ")
+        assert lines[0].startswith(
+            f"sourcefft: error: {path}: grid of n=8 on {interval} "
+        )
         assert "float64 range" in lines[0]
         assert not out_path.exists()
 
@@ -910,6 +914,10 @@ class TestConfigFile:
         ("n = 8\nnoise_mode = loud", "noise mode must be one of "),
         ("n = 8\nn = 16", "config line 2: duplicate key 'n'"),
         ("mus = 1:2", "range form must be start:stop:count"),
+        # Values that parse but fail when the SweepConfig is built.
+        ("source = blob", "source kind must be one of ('cosine', 'hat'), got 'blob'"),
+        ("n = 7", "sample count must be even, got 7"),
+        ("deltas = -1", "deltas must be finite and nonnegative"),
     ])
     def test_config_error_names_the_file(self, capsys, tmp_path, command, text, message):
         path = tmp_path / "bad.cfg"
@@ -920,6 +928,21 @@ class TestConfigFile:
         assert len(lines) == 1
         assert lines[0].startswith(f"sourcefft: error: {path}: {message}")
 
+    # Errors after the file is loaded do not name it: those of the override
+    # flags, and a hat's support, checked only when the source is sampled.
+    @pytest.mark.parametrize("text, flags, message", [
+        ("n = 8", ("--replicates", "0"), "replicates must be >= 1, got 0"),
+        ("n = 8", ("--base-seed", "-1"), "base_seed must fit in 64 unsigned bits"),
+        ("source = hat\nhat_center = 100", (),
+         "hat support [99, 101] must lie strictly inside (0, 6.28319)"),
+    ])
+    def test_later_error_has_no_path(self, capsys, tmp_path, text, flags, message):
+        path = tmp_path / "ok.cfg"
+        path.write_text(text + "\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path), *flags)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"sourcefft: error: {message}"]
+
     def test_parse_config_error_has_no_path(self):
         with pytest.raises(CliError) as info:
             parse_config("n = nan\n")
@@ -928,6 +951,35 @@ class TestConfigFile:
     def test_comments_and_blanks_ignored(self):
         text = "# leading comment\n\n" + serialize_config(RunConfig())
         assert parse_config(text) == RunConfig()
+
+
+class TestDefaults:
+    """The command line's defaults are the library's, spelled once."""
+
+    def test_run_config_defaults_are_the_library_defaults(self):
+        assert RunConfig().to_sweep_config() == default_config()
+
+    @pytest.mark.parametrize("command, fields", [
+        ("forward", ()),
+        ("simulate", ("noise_mode",)),
+    ])
+    def test_flag_defaults_are_run_config_defaults(self, command, fields):
+        args = build_parser(command).parse_args([command])
+        fields = ("n", "x_min", "x_max", "source", "hat_center", "hat_half_width",
+                  "hat_height") + fields
+        for name in fields:
+            assert getattr(args, name) == getattr(RunConfig(), name), name
+
+    def test_source_choices_are_the_source_kinds(self):
+        (subs,) = [
+            action for action in build_parser("forward")._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        (source,) = [
+            action for action in subs.choices["forward"]._actions
+            if action.dest == "source"
+        ]
+        assert tuple(source.choices) == source_models._KINDS
 
 
 class TestTopLevel:

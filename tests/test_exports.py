@@ -4,7 +4,13 @@ import importlib
 import pkgutil
 
 import sourcefft
-from sourcefft import experiments
+from sourcefft import (
+    experiments, inversion, noise_lab, quadrature_oracle, source_models, spectral_core,
+)
+
+# The library modules, in the package's layout order.
+LIBRARY = (spectral_core, source_models, noise_lab, inversion, experiments,
+           quadrature_oracle)
 
 
 def test_star_import_resolves():
@@ -26,7 +32,10 @@ def test_every_module_all_resolves():
         assert not missing, f"{name}.__all__ names missing attributes {missing}"
 
 
-def test_experiments_names_are_package_names():
-    for name in experiments.__all__:
-        assert name in sourcefft.__all__, name
-        assert getattr(sourcefft, name) is getattr(experiments, name)
+def test_package_exports_every_library_name():
+    names = [name for module in LIBRARY for name in module.__all__]
+    assert sourcefft.__all__ == names + ["__version__"]
+    assert len(set(sourcefft.__all__)) == len(sourcefft.__all__)
+    for module in LIBRARY:
+        for name in module.__all__:
+            assert getattr(sourcefft, name) is getattr(module, name), name

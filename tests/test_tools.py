@@ -37,7 +37,8 @@ def test_compare_outputs_of_one_checkout_are_identical():
                 f"{seed}/bound_check.csv", f"{seed}/invert_rule_iid.csv.stderr",
                 f"{seed}/rule_records_norm_calibrated.csv",
                 f"{seed}/mu_sweep_summary.txt", f"{seed}/help.txt",
-                f"{seed}/help_dump-config.txt", f"{seed}/invert_crlf_quoted.csv",
+                f"{seed}/help_dump-config.txt", f"{seed}/dump_config.txt",
+                f"{seed}/invert_crlf_quoted.csv",
                 f"{seed}/invert_bad_row.csv.stderr",
                 f"{seed}/forward_of_forward.csv"} <= names
     assert lines and all(line.endswith(": identical") for line in lines)

@@ -21,9 +21,10 @@ output, `simulate` in both noise modes, `invert --mu 0.3` and `invert
 --rule 1 --delta 0.05` of it, `invert --mu 0.3` of a CRLF, quoted copy
 of the `iid` `simulate` output and of a copy with one bad row (every
 command's stderr included), the `--help` text of the top level and of
-each command, the findings of `run_bound_check()`, the records of
-`run_mu_sweep` and `run_rule_comparison` (both modes) at 5 replicates,
-and the `summarize_rel_error` dict of those `run_mu_sweep` records, one
+each command, the `dump-config` output, the findings of
+`run_bound_check()`, the records of `run_mu_sweep` and
+`run_rule_comparison` (both modes) at 5 replicates, and the
+`summarize_rel_error` dict of those `run_mu_sweep` records, one
 `key: value` repr per line in the dict's order.
 For every output it prints "identical" when the bytes agree, else the
 largest relative deviation |a - b| / max(|a|, |b|) of each column of a
@@ -120,6 +121,7 @@ for seed in map(int, sys.argv[1:]):
     run(out, "help.txt", "--help")
     for command in COMMANDS:
         run(out, f"help_{command}.txt", command, "--help")
+    run(out, "dump_config.txt", "dump-config")
     run(out, "forward.csv", "forward")
     run(out, "forward_hat.csv", "forward", "--source", "hat")
     for mode in ("iid", "norm-calibrated"):
