@@ -7,9 +7,10 @@ come from Schubfach (R. Giulietti, "The Schubfach way to render doubles",
 2020; the algorithm of java.lang.DoubleToDecimal), which, like Python's
 repr, picks the shortest decimal that reads back to the same double, the
 closest one among those, and the one with an even last digit on a tie.
-The digits are then laid out as repr does in fixed notation, which it uses
-for 1e-4 <= |x| < 1e16.  Every other value (zeros, subnormals, inf, nan and
-the exponent-notation magnitudes) is formatted by repr itself.
+The digits are then laid out as repr does: in fixed notation for
+1e-4 <= |x| < 1e16, else in exponent notation ("1.5e-05", "1e+300").  The
+values Schubfach does not cover, signed zeros, subnormals, inf and nan, are
+formatted by repr itself.
 
 The kernel is a per-value pass, which gives each value a 48-byte slot of
 text and a mask of the bytes it keeps, and a join, which compacts a table's
@@ -53,24 +54,24 @@ _C_MIN = _U64(1 << 52)
 # of a double at or above 1e-4 never read below 0.0001, of one below 1e16
 # never reach 1e16.  Compared as the bits of |x|, which order like the values.
 _FIXED_LO = _U64(np.float64(1e-4).view(_U64))
-_FIXED_HI = _U64(np.float64(1e16).view(_U64))
+_FIXED_SPAN = _U64(np.float64(1e16).view(_U64)) - _FIXED_LO
+# The bits of |x| of the normal doubles, biased exponents 1 ... 2046, lie in
+# [_C_MIN, _C_MIN + _NORMAL_SPAN); the kernel formats those.
+_NORMAL_SPAN = _U64(2046 << 52)
+_ONE = _U64(np.float64(1.0).view(_U64))
 
-# Biased exponents of the fixed-notation range: 1e-4 lies in [2^-14, 2^-13)
-# and 1e16 in [2^53, 2^54).  A normal double is c * 2^q with q = bq - 1075.
-_BQ_LO, _BQ_HI = 1023 - 14, 1023 + 53
 
-
-def _flog10pow2(e: int) -> int:
+def _flog10pow2(e):
     """floor(log10(2^e)), exact for |e| <= 5456721 (DoubleToDecimal)."""
     return e * 661971961083 >> 41
 
 
-def _flog10_three_quarters_pow2(e: int) -> int:
+def _flog10_three_quarters_pow2(e):
     """floor(log10(3/4 * 2^e)), exact for |e| <= 5456721."""
     return (e * 661971961083 - 274743187321) >> 41
 
 
-def _flog2pow10(e: int) -> int:
+def _flog2pow10(e):
     """floor(log2(10^e)), exact for |e| <= 6432162."""
     return e * 913124641741 >> 38
 
@@ -78,26 +79,34 @@ def _flog2pow10(e: int) -> int:
 def _build_table():
     """Per (biased exponent, irregular spacing): k, h, g1 and g0.
 
-    Row (bq - _BQ_LO) * 2 + irregular holds, for q = bq - 1075, the decimal
+    Row (bq - 1) * 2 + irregular holds, for q = bq - 1075, the decimal
     exponent k of the result (Schubfach's floor(log10) of the rounding
     interval's width), the shift h = q + floor(log2(10^-k)) + 2, and
     g = floor(10^-k * 2^(125 - floor(log2(10^-k)))) + 1 split as
-    g1 * 2^63 + g0.  Over the fixed-notation range -k lies in [0, 20], so
-    10^-k * 2^(...) is an integer and g is exact.
+    g1 * 2^63 + g0, computed once per distinct k.
     """
-    rows = []
-    for bq in range(_BQ_LO, _BQ_HI + 1):
-        q = bq - 1075
-        for irregular in (False, True):
-            k = _flog10_three_quarters_pow2(q) if irregular else _flog10pow2(q)
-            shift = 125 - _flog2pow10(-k)
-            h = q + _flog2pow10(-k) + 2
-            assert k <= 0 and shift >= 0 and 2 <= h <= 5
-            g = (10 ** -k << shift) + 1
-            rows.append((k, h, g >> 63, g & ((1 << 63) - 1)))
-    k, h, g1, g0 = zip(*rows)
-    return (np.array(k, dtype=np.intp), np.array(h, dtype=_U64),
-            np.array(g1, dtype=_U64), np.array(g0, dtype=_U64))
+    q = np.arange(1, 2047) - 1075
+    k = np.stack([_flog10pow2(q), _flog10_three_quarters_pow2(q)], axis=1).reshape(-1)
+    h = np.repeat(q, 2) + _flog2pow10(-k) + 2
+    assert h.min() >= 2 and h.max() <= 5
+    # g per e = -k: 10^e shifted for e >= 0, and 2^shift / 10^m =
+    # 2^(shift - m) / 5^m for m = -e > 0, each power one product from the
+    # last.
+    lowest, highest = int(k.min()), int(k.max())
+    up, power = [], 1
+    for e in range(-lowest + 1):
+        shift = 125 - _flog2pow10(e)
+        up.append((power << shift if shift >= 0 else power >> -shift) + 1)
+        power *= 10
+    down, power = [], 5
+    for m in range(1, highest + 1):
+        down.append((1 << 125 - _flog2pow10(-m) - m) // power + 1)
+        power *= 5
+    g = down[::-1] + up     # k = highest ... lowest
+    row = highest - k
+    g1 = np.array([v >> 63 for v in g], dtype=_U64)[row]
+    g0 = np.array([v & (1 << 63) - 1 for v in g], dtype=_U64)[row]
+    return k, h.astype(_U64), g1, g0
 
 
 _K, _H, _G1, _G0 = _build_table()
@@ -137,15 +146,17 @@ def _rop(y1, y0, x1):
 
 
 def _shortest(bits):
-    """Schubfach's shortest decimal of normal doubles in the fixed range.
+    """Schubfach's shortest decimal of normal doubles.
 
     bits are the uint64 bits of |x|.  Returns (d, k): |x| prints as the
     digits of d times 10^k, d has 16 or 17 digits, trailing zeros included.
     """
     t = bits & _T_MASK
     c = t | _C_MIN
-    irregular = t == 0
-    row = ((bits >> _U64(52)).astype(np.intp) - _BQ_LO) * 2 + irregular
+    # A power of two has the irregular interval, its lower neighbour closer,
+    # except the smallest normal, whose neighbours are both 2^-1074 away.
+    irregular = (t == 0) & (bits >= _U64(2 << 52))
+    row = ((bits >> _U64(52)).astype(np.intp) - 1) * 2 + irregular
     h, g1, g0 = _H[row], _G1[row], _G0[row]
 
     # v is scaled to cb = 4c and its interval bounds to cb - 2 (cb - 1 at
@@ -211,42 +222,75 @@ def _digit_tables():
 
 _DIGITS_LO, _DIGITS_HI, _LAST = _digit_tables()
 
-# A value's slot is six little-endian uint64 words, 48 bytes:
+# A value's slot is six little-endian uint64 words, 48 bytes.  In fixed
+# notation:
 #   0 separator before the value ("," or the previous row's "\n"), 1 "-",
 #   2-6 "0.000", 7 lead digit, 8-23 digits 1-16, 24-30 unused, 31 ".",
-#   32-47 digits 1-16 again.
+#   32-47 digits 1-16 again;
+# in exponent notation:
+#   0 separator, 1 "-", 2-5 unused, 6 lead digit, 7 ".", 8-23 digits 1-16,
+#   24-28 the exponent ("e-05" or "e+305"), 29-47 unused.
 # Every layout keeps a subset of these bytes, so a block is one column stack
 # and one mask compaction.  The digits appear twice so that the integer
 # part (from byte 7) and the fraction (after byte 31) are both plain runs.
 _SLOT = 48
 _DIGITS_AT = 7
 _POINT_AT = 31
+_EXP_LEAD_AT = 6
+_EXP_AT = 24
 _PREFIX = int.from_bytes(b",-0.0000", "little")
+_EXP_PREFIX = int.from_bytes(b",-00000.", "little")
 _POINT_WORD = _U64(ord(".") << 56)
-_N_DECPT = 20       # decimal point positions -3 ... 16
+# Forms: decimal point positions -3 ... 16, then exponent notation with a
+# two-digit and with a three-digit exponent.
+_N_FORMS = 22
+_EXP_FORM = 20
+# The decimal exponents of normal doubles lie in [_EXP_MIN, -_EXP_MIN].
+_EXP_MIN = -308
+
+
+def _exponent_words():
+    """Per decimal exponent e, _EXP_MIN ... -_EXP_MIN: the little-endian
+    word of repr's "e-05" text of e, placed at byte _EXP_AT, and its form."""
+    e = np.arange(_EXP_MIN, 1 - _EXP_MIN)
+    size = np.abs(e)
+    wide = size >= 100
+    text = np.zeros((len(e), 8), dtype=np.uint8)
+    text[:, 0] = ord("e")
+    text[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    text[:, 2] = np.where(wide, size // 100, size // 10) + ord("0")
+    text[:, 3] = np.where(wide, size // 10 % 10, size % 10) + ord("0")
+    text[:, 4] = np.where(wide, size % 10 + ord("0"), 0)
+    return text.view("<u8").reshape(-1).astype(_U64), _EXP_FORM + wide
+
+
+_EXP_WORD, _EXP_FORMS = _exponent_words()
 
 
 def _layouts() -> np.ndarray:
-    """The byte mask of every (negative, decimal point, digit count) layout.
+    """The byte mask of every (negative, form, digit count) layout.
 
     With n significant digits and the decimal point decpt places right of
     the first one, repr's fixed notation is "0." + "0" * -decpt + digits
     for decpt <= 0, the digits split by "." for 0 < decpt < n, and the
-    digits padded with zeros to decpt places plus ".0" for decpt >= n.
+    digits padded with zeros to decpt places plus ".0" for decpt >= n.  Its
+    exponent notation is the first digit, then "." and the others if n > 1,
+    then the exponent.
     """
-    masks = np.zeros((2, _N_DECPT, 17, _SLOT), dtype=bool)
+    b = np.arange(_SLOT)
+    n = np.arange(1, 18)[:, None]
+    decpt = np.arange(-3, 17)[:, None, None]
+    small = ((2 <= b) & (b < 4 - decpt)) | ((_DIGITS_AT <= b) & (b < _DIGITS_AT + n))
+    large = (((_DIGITS_AT <= b) & (b < _DIGITS_AT + decpt)) | (b == _POINT_AT)
+             | ((_POINT_AT + decpt <= b) & (b < _POINT_AT + np.maximum(n, decpt + 1))))
+    wide = np.arange(2)[:, None, None]
+    exponent = ((b == _EXP_LEAD_AT) | ((b == _EXP_LEAD_AT + 1) & (n > 1))
+                | ((_EXP_LEAD_AT + 1 < b) & (b < _EXP_LEAD_AT + 1 + n))
+                | ((_EXP_AT <= b) & (b < _EXP_AT + 4 + wide)))
+    masks = np.concatenate([np.where(decpt <= 0, small, large), exponent])
+    masks = np.stack([masks, masks])
     masks[..., 0] = True
     masks[1, ..., 1] = True
-    for decpt in range(-3, 17):
-        for n in range(1, 18):
-            m = masks[:, decpt + 3, n - 1]
-            if decpt <= 0:
-                m[:, 2:4 - decpt] = True
-                m[:, _DIGITS_AT:_DIGITS_AT + n] = True
-            else:
-                m[:, _DIGITS_AT:_DIGITS_AT + decpt] = True
-                m[:, _POINT_AT:_POINT_AT + max(n, decpt + 1)] = True
-                m[:, _POINT_AT + 1:_POINT_AT + decpt] = False
     return masks.reshape(-1, _SLOT)
 
 
@@ -265,9 +309,10 @@ def format_rows(table) -> bytes:
 
     Equal to "".join(",".join(repr(float(v)) for v in row) + "\\n" for row
     in table).encode("ascii"), which is how tables of at most
-    _REPR_MAX_VALUES values are formatted.  In larger ones, values with
-    1e-4 <= |x| < 1e16 go through the array kernel, the rest through repr;
-    the slots are joined where the per-value pass left them.
+    _REPR_MAX_VALUES values are formatted.  In larger ones, the normal
+    values go through the array kernel, the rest (signed zeros, subnormals,
+    inf and nan) through repr; the slots are joined where the per-value
+    pass left them.
     """
     table = np.ascontiguousarray(table, dtype=np.float64)
     if table.size <= _REPR_MAX_VALUES:
@@ -343,12 +388,11 @@ def _format_values(values) -> tuple:
     keeps (_join compacts them)."""
     bits = values.view(_U64)
     magnitude = bits & _MASK63
-    fixed = (magnitude >= _FIXED_LO) & (magnitude < _FIXED_HI)
-    # The kernel runs on the fixed-notation values only: all of them when
-    # there is nothing else, else a compacted copy of them.
-    everywhere = fixed.all()
-    kernel = slice(None) if everywhere else fixed
-    d, k = _shortest(magnitude[kernel])
+    # The kernel formats every value; each one it cannot (zeros, subnormals,
+    # inf and nan) is formatted as 1.0 there, and then by repr below.
+    (others,) = np.nonzero(magnitude - _C_MIN >= _NORMAL_SPAN)
+    magnitude[others] = _ONE
+    d, k = _shortest(magnitude)
 
     # Left-align d to exactly 17 digits, so |x| = 0.ddd... * 10^decpt.
     short = d < _U64(10 ** 16)
@@ -367,22 +411,24 @@ def _format_values(values) -> tuple:
                    np.maximum(_LAST[2][groups[2]], _LAST[3][groups[3]]))
     text_a = _DIGITS_LO[groups[0]] | _DIGITS_HI[groups[1]]
     text_b = _DIGITS_LO[groups[2]] | _DIGITS_HI[groups[3]]
-    negative = (bits[kernel] >> _U64(63)).astype(np.intp)
-    layout = (negative * _N_DECPT + decpt + 3) * 17 + n - 1
-    if not everywhere:
-        # The other values keep layout row 0; repr's text replaces it below.
-        parts = lead, text_a, text_b, layout
-        lead, text_a, text_b, layout = [np.zeros(len(values), p.dtype) for p in parts]
-        for whole, part in zip((lead, text_a, text_b, layout), parts):
-            whole[fixed] = part
+    lead_word = (lead << _U64(56)) + _U64(_PREFIX)
+    point_word = np.full(len(lead), _POINT_WORD)
+    form = decpt + 3
+    (scientific,) = np.nonzero(magnitude - _FIXED_LO >= _FIXED_SPAN)
+    if len(scientific):
+        # repr's exponent notation: |x| = d.ddd... * 10^(decpt - 1).
+        exponent = decpt[scientific] - (_EXP_MIN + 1)
+        form[scientific] = _EXP_FORMS[exponent]
+        lead_word[scientific] = (lead[scientific] << _U64(48)) + _U64(_EXP_PREFIX)
+        point_word[scientific] = _EXP_WORD[exponent]
+    negative = (bits >> _U64(63)).astype(np.intp)
+    layout = (negative * _N_FORMS + form) * 17 + n - 1
 
     slots = np.column_stack(
-        [(lead << _U64(56)) + _U64(_PREFIX), text_a, text_b,
-         np.full(len(values), _POINT_WORD), text_a, text_b]
+        [lead_word, text_a, text_b, point_word, text_a, text_b]
     ).astype("<u8", copy=False).view(np.uint8)
 
     mask = np.take(_LAYOUTS, layout, axis=0)
-    others = np.flatnonzero(~fixed)
     if len(others):
         # NUL-padded repr bytes, one row per value; repr never writes a NUL.
         text = np.array(list(map(repr, values[others].tolist())), dtype="S")
@@ -538,7 +584,12 @@ def _parse_lines(text, fields):
     if exp_form:
         # Values in exponent form go through float(), and their bytes are
         # overwritten with "0.0...0" for the checks and the digit words.
-        tok = np.unique(np.searchsorted(ends, marks[kind == ord("e")]))
+        # The value of each e, without repeats: searchsorted's result does
+        # not decrease, so a repeat equals its left neighbour.
+        tok = np.searchsorted(ends, marks[kind == ord("e")])
+        first = np.ones(len(tok), dtype=bool)
+        first[1:] = tok[1:] != tok[:-1]
+        tok = tok[first]
         lengths = ends[tok] - starts[tok]
         inside = np.repeat(starts[tok] - np.cumsum(lengths) + lengths, lengths)
         inside += np.arange(len(inside))

@@ -503,17 +503,24 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> _Parser:
-    """The parser of every command, or of `command` (a key of _COMMANDS)
-    alone: main runs one command per call and builds only its flags."""
+def build_parser() -> _Parser:
+    """The parser of every command, one subparser each."""
     parser = _Parser(
         prog="sourcefft",
         description="Recover a 1-D source term from noisy line measurements.",
     )
     subs = parser.add_subparsers(dest="command")
     for name, (help_text, add_flags, _) in _COMMANDS.items():
-        if command is None or name == command:
-            add_flags(subs.add_parser(name, help=help_text))
+        add_flags(subs.add_parser(name, help=help_text))
+    return parser
+
+
+def _command_parser(command: str) -> _Parser:
+    """The parser of one command's flags (a key of _COMMANDS), the one
+    build_parser adds as its subparser: it reads the arguments after the
+    command's name, and its help and error text are the full parser's."""
+    parser = _Parser(prog=f"sourcefft {command}")
+    _COMMANDS[command][1](parser)
     return parser
 
 
@@ -523,11 +530,16 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
-            args = parser.parse_args(argv)
+            # A command runs through its own parser; the full one serves
+            # --help, a missing command and an unknown one.
+            if argv and argv[0] in _COMMANDS:
+                args = _command_parser(argv[0]).parse_args(argv[1:])
+                args.command = argv[0]
+            else:
+                args = build_parser().parse_args(argv)
             if args.command is None:
                 raise CliError("missing command (run with --help for usage)")
             with np.errstate(over="raise", divide="raise", invalid="raise"):

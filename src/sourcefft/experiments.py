@@ -164,19 +164,21 @@ def cell_seed(base_seed: int, delta_index: int) -> int:
 _CANCEL_TOL = 1e-3
 
 
-def _mu_table(grid: Grid, columns) -> tuple:
-    """(mu_rows, table): the distinct mus of columns, in first-seen order,
-    mapped to the rows of their multiplier table on the rfft modes."""
-    mus = list(dict.fromkeys(mu for row in columns for mu, *_ in row))
-    table = _regularized_table(grid.half_frequencies, np.array(mus)[:, None])
-    return {mu: k for k, mu in enumerate(mus)}, table
+def _mu_table(grid: Grid, mus) -> tuple:
+    """(mu_rows, table): the distinct values of the (deltas, columns) array
+    mus, in first-seen order (0.0 and -0.0 are one), mapped to the rows of
+    their multiplier table on the rfft modes."""
+    distinct = list(dict.fromkeys(mus.ravel().tolist()))
+    table = _regularized_table(grid.half_frequencies, np.array(distinct)[:, None])
+    return {mu: k for k, mu in enumerate(distinct)}, table
 
 
 def _cells(config: SweepConfig, columns, f_true, data=None) -> tuple:
     """Every cell of the sweep as arrays: (seeds, firsts, noise_norms, errors).
 
-    columns[i][j] starts with the mu of column j at delta index i; every
-    delta has as many columns.  data is the noiseless data, by default
+    columns holds _columns' (deltas, columns) arrays; columns["mu"][i, j]
+    is the mu of column j at delta index i, and no other array is read
+    here.  data is the noiseless data, by default
     exact_data(config.source, config.grid).  seeds[i] = cell_seed(base_seed,
     i) seeds delta index i's stream, and row r there is row r of its
     (replicates, n) config.noise_mode draw plus data, added into the draw
@@ -193,15 +195,16 @@ def _cells(config: SweepConfig, columns, f_true, data=None) -> tuple:
     is sum c |h T - F|^2 = A - 2B + C, A = (T*T) @ (c |h|^2), B = T @ (c
     Re(h conj F)), C = c . |F|^2: per delta two (mus, K) @ (K, replicates)
     products over the distinct mus of its columns, in ascending order of
-    their table rows (np.unique's order), whose rows the columns index, so
-    a repeated mu or p is a bit-identical copy.  A and C sum K
-    nonnegative terms of at most 4 roundings each and |B| <= sqrt(A C), so
-    the computed A - 2B + C is within gamma_{K+6} (sqrt(A) + sqrt(C))^2 of
-    the exact sum over the computed h, T and F (Higham 2002, section 3.1:
-    gamma_k = k u / (1 - k u), u = 2^-53).  That bound is absolute: a cell
-    below _CANCEL_TOL (sqrt(A) + sqrt(C))^2, as delta = 0 at small mu
-    (mu = 0 would read 0.0 for an error near 1e-12), is recomputed as the
-    direct sum of the nonnegative c |h T - F|^2.
+    their table rows (first-seen order over all deltas), whose rows the
+    columns index, so a repeated mu or p is a bit-identical copy.  The loop
+    stays per delta, so each product keeps its shape and its bits.  A and
+    C sum K nonnegative terms of at most 4 roundings each and |B| <=
+    sqrt(A C), so the computed A - 2B + C is within gamma_{K+6} (sqrt(A) +
+    sqrt(C))^2 of the exact sum over the computed h, T and F (Higham 2002,
+    section 3.1: gamma_k = k u / (1 - k u), u = 2^-53).  That bound is
+    absolute: a cell below _CANCEL_TOL (sqrt(A) + sqrt(C))^2, as delta = 0
+    at small mu (mu = 0 would read 0.0 for an error near 1e-12), is
+    recomputed as the direct sum of the nonnegative c |h T - F|^2.
 
     Records and findings are built from these arrays by _records, which
     skips the constructors' checks: every error here is finite and, as a
@@ -209,16 +212,17 @@ def _cells(config: SweepConfig, columns, f_true, data=None) -> tuple:
     """
     grid = config.grid
     g_exact = exact_data(config.source, grid) if data is None else data
-    seeds = [cell_seed(config.base_seed, i) for i in range(len(columns))]
-    mu_rows, table = _mu_table(grid, columns)
+    deltas, width = columns["mu"].shape
+    seeds = [cell_seed(config.base_seed, i) for i in range(deltas)]
+    mu_rows, table = _mu_table(grid, columns["mu"])
     weights = _parseval_weights(grid)
     f_half = np.fft.rfft(f_true.values)
-    firsts = np.empty((len(columns), grid.n))
-    noise_norms = np.empty((len(columns), config.replicates))
-    errors = np.empty((len(columns), len(columns[0]), config.replicates))
+    firsts = np.empty((deltas, grid.n))
+    noise_norms = np.empty((deltas, config.replicates))
+    errors = np.empty((deltas, width, config.replicates))
     with np.errstate(over="ignore", invalid="ignore"):
         gram_c = float(_power(f_half) @ weights)
-        for i, (delta, row) in enumerate(zip(config.deltas, columns)):
+        for i, (delta, row) in enumerate(zip(config.deltas, columns["mu"].tolist())):
             if delta > 0.0:
                 noisy = _noise(grid, delta, config.noise_mode,
                                np.random.default_rng(seeds[i]), config.replicates)
@@ -227,10 +231,8 @@ def _cells(config: SweepConfig, columns, f_true, data=None) -> tuple:
                 noisy = np.tile(g_exact.values, (config.replicates, 1))
             firsts[i] = noisy[0]
             noise_norms[i] = _l2(grid.dx, noisy - g_exact.values)
-            keys = [mu_rows[mu] for mu, *_ in row]
+            keys = [mu_rows[mu] for mu in row]
             own = sorted(set(keys))
-            position = {k: m for m, k in enumerate(own)}
-            col_rows = [position[k] for k in keys]
             t = table[own]
             half = np.fft.rfft(noisy)
             gram_a = (t * t) @ (weights * _power(half)).T
@@ -241,7 +243,8 @@ def _cells(config: SweepConfig, columns, f_true, data=None) -> tuple:
             for k in np.flatnonzero(cancelled.any(axis=1)):
                 direct = half[cancelled[k]] * t[k] - f_half
                 squares[k, cancelled[k]] = _power(direct) @ weights
-            errors[i] = np.sqrt(squares[col_rows])
+            position = {k: m for m, k in enumerate(own)}
+            errors[i] = np.sqrt(squares[[position[k] for k in keys]])
             if not np.isfinite(errors[i]).all():
                 raise ValueError(f"noise level delta={delta!r} overflows the estimates")
     return seeds, firsts, noise_norms, errors
@@ -272,7 +275,7 @@ def _records(cls, rows) -> list:
     SweepRecord.__post_init__ does not check the row: the callers build
     rows from _cells, whose errors are finite (it raises otherwise) and
     nonnegative (square roots), and from _columns, where p and bound are
-    both None or both set.
+    both absent (None in the record) or both present.
     """
     names = [field.name for field in dataclasses.fields(cls)]
     new = object.__new__
@@ -291,42 +294,49 @@ def _sweep_records(config: SweepConfig, order: str) -> list:
     f_true, f_norm = _source_norm(config)
     columns = _columns(config)
     _, _, noise_norms, errors = _cells(config, columns, f_true)
+    mus = columns["mu"].tolist()
+    # An explicit sweep's p and bound are None in every column.
+    nones = [[None] * len(mus[0])] * len(mus)
+    ps, bounds = (columns[name].tolist() if name in columns else nones
+                  for name in ("p", "bound"))
     rows = [
         (delta, mu, p, r, err / f_norm, err, bound, noise_norm)
-        for delta, row, row_errs, row_norms in zip(
-            config.deltas, columns, errors.tolist(), noise_norms.tolist()
+        for delta, row_errs, row_norms, *row in zip(
+            config.deltas, errors.tolist(), noise_norms.tolist(), mus, ps, bounds
         )
-        for (mu, p, _, bound, _), col in zip(row, row_errs)
+        for col, mu, p, bound in zip(row_errs, *row)
         for r, (err, noise_norm) in enumerate(zip(col, row_norms))
     ]
     rows.sort(key=itemgetter(0, 1 if order == "mu" else 2, 3))
     return _records(SweepRecord, rows)
 
 
-def _columns(config: SweepConfig) -> list:
-    """columns[i][j] = (mu, p, E, bound, scaled): one column per mu (the
-    rest None), or for mus=RULE_MUS the rule's columns at E = 1."""
+def _columns(config: SweepConfig) -> dict:
+    """The sweep's columns as (deltas, columns) arrays by name: "mu" alone,
+    one column per mu (config.mus in every row), or for mus=RULE_MUS the
+    rule's columns at E = 1 (_rule_columns).  _cells, _fold_summary, the
+    records and findings index these arrays."""
     if not isinstance(config.mus, str):
-        row = [(mu, None, None, None, None) for mu in config.mus]
-        return [row] * len(config.deltas)
+        shape = (len(config.deltas), len(config.mus))
+        return {"mu": np.broadcast_to(config.mus, shape)}
     return _rule_columns(config.deltas, [(p, 1.0) for p in config.p_values])
 
 
-def _rule_columns(deltas, smoothness) -> list:
-    """The a-priori rule's columns: columns[i][j] = (mu, p, E, bound,
-    scaled) at deltas[i] and the j-th (p, E) pair of smoothness, with
-    mu = select_mu(delta, E, p), bound = error_bound(delta, p, mu) and
-    scaled = E * error_bound(delta / E, p, mu)."""
+def _rule_columns(deltas, smoothness) -> dict:
+    """The a-priori rule's columns as (deltas, columns) arrays "mu", "p",
+    "E", "bound" and "scaled": at deltas[i] and the j-th (p, E) pair of
+    smoothness, mu = select_mu(delta, E, p), bound = error_bound(delta, p,
+    mu) and scaled = E * error_bound(delta / E, p, mu)."""
     if any(d <= 0 for d in deltas):
         raise ValueError("the rule needs delta > 0 for every delta")
-    columns = []
+    cells = []
     for d in deltas:
-        mus = [select_mu(d, E, p) for p, E in smoothness]
-        columns.append([
-            (mu, p, E, error_bound(d, p, mu), E * error_bound(d / E, p, mu))
-            for mu, (p, E) in zip(mus, smoothness)
-        ])
-    return columns
+        for p, E in smoothness:
+            mu = select_mu(d, E, p)
+            bound = error_bound(d, p, mu)
+            cells.append((mu, p, E, bound, E * error_bound(d / E, p, mu)))
+    table = np.array(cells).reshape(len(deltas), len(smoothness), 5)
+    return dict(zip(("mu", "p", "E", "bound", "scaled"), table.transpose(2, 0, 1)))
 
 
 # The columns of the sweep CSV and of fig5.csv.
@@ -359,11 +369,10 @@ def _fold_summary(config: SweepConfig, columns, rel_errors) -> np.ndarray:
     values; a repeated mu (or a p giving the same mu) adds copies, and the
     merged stderr counts them as independent."""
     replicates = config.replicates
-    cells = [cell for row in columns for cell in row]
-    mus = np.array([cell[0] for cell in cells])
-    deltas = np.repeat(config.deltas, len(columns[0]))
-    # An explicit sweep's p is None in every column; it sorts as 0.0.
-    ps = np.array([cell[1] or 0.0 for cell in cells])
+    mus = columns["mu"].ravel()
+    deltas = np.repeat(config.deltas, columns["mu"].shape[1])
+    # An explicit sweep has no p; every column sorts as p = 0.0.
+    ps = columns["p"].ravel() if "p" in columns else np.zeros(len(mus))
     # lexsort is stable, so ties keep position order.
     order = np.lexsort((ps, deltas, mus))
     mus, deltas, ps = mus[order], deltas[order], ps[order]
@@ -406,18 +415,18 @@ def expected_rel_error(config: SweepConfig) -> dict:
     """
     f_true, f_norm = _source_norm(config)
     grid = config.grid
-    columns = _columns(config)
-    mu_rows, table = _mu_table(grid, columns)
+    mus = _columns(config)["mu"]
+    mu_rows, table = _mu_table(grid, mus)
     weights = _parseval_weights(grid)
     g_half = np.fft.rfft(exact_data(config.source, grid).values)
     bias = _power(table * g_half - np.fft.rfft(f_true.values)) @ weights
     gain = grid.n * (np.square(table) @ weights)
     out = {}
-    for delta, row in zip(config.deltas, columns):
+    for delta, row in zip(config.deltas, mus.tolist()):
         variance = delta * delta
         if config.noise_mode != "iid":
             variance /= grid.length
-        for mu, *_ in row:
+        for mu in row:
             k = mu_rows[mu]
             out[(mu, delta)] = math.sqrt(bias[k] + variance * gain[k]) / f_norm
     return out
@@ -504,12 +513,13 @@ def run_bound_check(config: Optional[SweepConfig] = None) -> list:
     columns = _rule_columns(config.deltas, smoothness)
     data = solve_forward(f_true)
     seeds, _, _, errors = _cells(config, columns, f_true, data)
+    fields = [columns[name].tolist() for name in ("mu", "p", "E", "bound", "scaled")]
     rows = [
         (delta, p, r, seed, mu, E, err, raw, scaled, err > raw, err > scaled)
-        for delta, row, seed, row_errs in zip(
-            config.deltas, columns, seeds, errors.tolist()
+        for delta, seed, row_errs, *row in zip(
+            config.deltas, seeds, errors.tolist(), *fields
         )
-        for (mu, p, E, raw, scaled), col in zip(row, row_errs)
+        for col, mu, p, E, raw, scaled in zip(row_errs, *row)
         for r, err in enumerate(col)
     ]
     rows.sort(key=itemgetter(0, 1, 2))

@@ -964,19 +964,15 @@ class TestDefaults:
         ("simulate", ("noise_mode",)),
     ])
     def test_flag_defaults_are_run_config_defaults(self, command, fields):
-        args = build_parser(command).parse_args([command])
+        args = cli._command_parser(command).parse_args([])
         fields = ("n", "x_min", "x_max", "source", "hat_center", "hat_half_width",
                   "hat_height") + fields
         for name in fields:
             assert getattr(args, name) == getattr(RunConfig(), name), name
 
     def test_source_choices_are_the_source_kinds(self):
-        (subs,) = [
-            action for action in build_parser("forward")._actions
-            if isinstance(action, argparse._SubParsersAction)
-        ]
         (source,) = [
-            action for action in subs.choices["forward"]._actions
+            action for action in cli._command_parser("forward")._actions
             if action.dest == "source"
         ]
         assert tuple(source.choices) == source_models._KINDS
@@ -1030,6 +1026,23 @@ class TestTopLevel:
         assert (lazy.value.code, full.value.code) == (0, 0)
         assert capsys.readouterr() == expected
         assert expected.out.startswith("usage: " + " ".join(["sourcefft"] + argv[:-1]))
+
+    @pytest.mark.parametrize("flags", [
+        ["--bogus"], ["--n", "x"], ["--n"], ["--mu", "1"], ["--out"],
+    ])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_errors_match_the_full_parser(self, capsys, command, flags):
+        # An unknown flag, a bad or missing --n value, invert's missing
+        # --input and a flag without its value: main parses with the
+        # command's own parser, and its one error line is the full one's.
+        argv = [command, *flags]
+        with pytest.raises(CliError) as full:
+            build_parser().parse_args(argv)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"sourcefft: error: {full.value}\n"
+        if command == "invert" and flags == ["--mu", "1"]:
+            assert "required: --input" in err
 
     def test_other_command_flags_are_an_unknown_argument(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--n", "5")

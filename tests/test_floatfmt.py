@@ -100,15 +100,16 @@ class TestAgainstRepr:
 
     def test_powers_of_two_and_neighbours(self):
         # Powers of two have the irregular rounding interval (the double
-        # below is closer than the double above).
-        p2 = np.ldexp(1.0, np.arange(-20, 61))
+        # below is closer than the double above), except the smallest
+        # normal; every normal exponent, in fixed and exponent notation.
+        p2 = np.ldexp(1.0, np.arange(-1022, 1024))
         values = np.concatenate(
             [p2, np.nextafter(p2, 0.0), np.nextafter(p2, math.inf)]
         )
         assert_formats(np.concatenate([values, -values]))
 
     def test_powers_of_ten(self):
-        values = np.array([float(f"1e{k}") for k in range(-6, 18)])
+        values = np.array([float(f"1e{k}") for k in range(-307, 309)])
         assert_formats(np.concatenate([values, -values]))
 
     def test_integers(self):
@@ -162,8 +163,9 @@ class TestAgainstRepr:
         assert format_rows(np.empty((0, 3))) == b""
 
 
-# The values format_rows leaves to repr: signed zeros, subnormals, the
-# infinities, nan and the exponent-notation magnitudes.
+# Values off the fixed-notation path: the ones format_rows leaves to repr
+# (signed zeros, subnormals, the infinities and nan) and exponent-notation
+# magnitudes, which the kernel writes.
 REPR_VALUES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.inf,
                -math.inf, math.nan, 1e-5, -1e-5, 1e16, 1e300, -1e300]
 
@@ -308,6 +310,49 @@ class TestFormatTables:
         assert self.kernel_passes(columns, [[0, 3], [1, 2], [], [3]]) == [200]
         assert formatted(columns, [[0]]) == [b""]
         assert formatted(columns, []) == []
+
+
+finite_bits = any_bits.filter(math.isfinite)
+
+
+class TestExponentNotation:
+    """The kernel's exponent notation, |x| < 1e-4 or |x| >= 1e16 with a
+    two- or three-digit exponent, against repr."""
+
+    def test_exponent_width_and_digit_edges(self):
+        # The two- to three-digit exponent boundaries, powers of ten with
+        # an inexact double (1e23) and an exact one (1e22), and the smallest
+        # normal, whose spacing below is the subnormals'.
+        edges = [1e-100, 9.999999999999999e-101, 1e100, 9.999999999999999e99,
+                 1e16, 1e22, 1e23, 2.2250738585072014e-308,
+                 2.225073858507202e-308, 1e-05, 9.999999999999999e-05]
+        assert_formats(edges + [-v for v in edges], cols=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(finite_bits, min_size=1, max_size=60))
+    def test_property(self, values):
+        # Small tables take the kernel too when the repr join is off.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_floatfmt, "_REPR_MAX_VALUES", 0)
+            assert_formats(values, cols=1)
+            assert_formats(values, cols=4)
+
+    def test_repr_runs_only_off_the_normals(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        normal = rng.integers(1, 2047, 3001, dtype=np.uint64) << np.uint64(52)
+        normal |= rng.integers(0, 2**52, 3001, dtype=np.uint64)
+        normal |= rng.integers(0, 2, 3001, dtype=np.uint64) << np.uint64(63)
+        others = [0.0, -0.0, 5e-324, -2.225073858507201e-308, math.inf,
+                  -math.inf, math.nan]
+        values = np.concatenate([normal.view(np.float64), others])
+        rng.shuffle(values)
+        calls = []
+        monkeypatch.setattr(_floatfmt, "repr", lambda v: calls.append(v) or repr(v),
+                            raising=False)
+        slots, mask = _floatfmt._format_values(values)
+        text = _floatfmt._join(slots, mask, 4)
+        assert text == reference(values.reshape(-1, 4))
+        assert sorted(map(str, calls)) == sorted(map(str, others))
 
 
 def test_mul_is_exact_for_full_64_bit_operands():
