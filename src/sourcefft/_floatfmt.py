@@ -2,15 +2,27 @@
 
 format_rows(table) is "".join of "%r,%r,...\\n" % row over the rows of a
 2-D float table, encoded as ASCII, computed without a Python call per
-value; parse_rows reads such text back.  The shortest round-trip digits
-come from Schubfach (R. Giulietti, "The Schubfach way to render doubles",
-2020; the algorithm of java.lang.DoubleToDecimal), which, like Python's
-repr, picks the shortest decimal that reads back to the same double, the
-closest one among those, and the one with an even last digit on a tie.
-The digits are then laid out as repr does: in fixed notation for
-1e-4 <= |x| < 1e16, else in exponent notation ("1.5e-05", "1e+300").  The
-values Schubfach does not cover, signed zeros, subnormals, inf and nan, are
-formatted by repr itself.
+value; parse_rows reads such text back.  Like Python's repr, the writer
+picks the shortest decimal that reads back to the same double, the closest
+one among those, and the one with an even last digit on a tie.
+
+It finds those digits exactly.  A normal double x = c * 2^q, 2^52 <= c <
+2^53, scaled by 10^m is c * 5^m * 2^(q + m); m is minus the decimal
+exponent k that Schubfach (R. Giulietti, "The Schubfach way to render
+doubles", 2020; the algorithm of java.lang.DoubleToDecimal) picks, so the
+digits number 16 or 17.  For 2^-32 <= |x| < 2^54, q from -84 to 1, m is at
+most 26, so 5^m < 2^61, and 4c * 5^m is a 128-bit product whose binary
+point lies r = 2 - q - m bits from its end, 1 <= r <= 60: its integer part,
+the bits below the point and the rounding interval's half-widths in units
+of 2^-r are all compared in uint64.  From 2^54 up r is 0 or less, and from
+2^56 up m turns negative, which makes x * 10^m a quotient; below 2^-32 r
+passes 60, and ten units of 2^r no longer fit in 64 bits.  The range holds
+nearly every value the commands write at their defaults.  Every value
+outside it, signed zeros, rounding residues such as cos(pi / 2) = 6e-17,
+subnormals, inf and nan among them, is formatted by repr itself, about
+five times slower per value than the kernel.  The digits are laid out as
+repr does: in fixed notation for 1e-4 <= |x| < 1e16, else in exponent
+notation ("1.5e-05", "1.8e+16").
 
 The kernel is a per-value pass, which gives each value a 48-byte slot of
 text and a mask of the bytes it keeps, and a join, which compacts a table's
@@ -55,9 +67,12 @@ _C_MIN = _U64(1 << 52)
 # never reach 1e16.  Compared as the bits of |x|, which order like the values.
 _FIXED_LO = _U64(np.float64(1e-4).view(_U64))
 _FIXED_SPAN = _U64(np.float64(1e16).view(_U64)) - _FIXED_LO
-# The bits of |x| of the normal doubles, biased exponents 1 ... 2046, lie in
-# [_C_MIN, _C_MIN + _NORMAL_SPAN); the kernel formats those.
-_NORMAL_SPAN = _U64(2046 << 52)
+# The kernel's range, 2^-32 <= |x| < 2^54: the normal doubles of biased
+# exponent _BQ_MIN ... _BQ_MAX, whose bits of |x| lie in
+# [_KERNEL_LO, _KERNEL_LO + _KERNEL_SPAN).
+_BQ_MIN, _BQ_MAX = 991, 1076
+_KERNEL_LO = _U64(_BQ_MIN << 52)
+_KERNEL_SPAN = _U64(_BQ_MAX + 1 - _BQ_MIN << 52)
 _ONE = _U64(np.float64(1.0).view(_U64))
 
 
@@ -71,45 +86,25 @@ def _flog10_three_quarters_pow2(e):
     return (e * 661971961083 - 274743187321) >> 41
 
 
-def _flog2pow10(e):
-    """floor(log2(10^e)), exact for |e| <= 6432162."""
-    return e * 913124641741 >> 38
+def _scales():
+    """Per (biased exponent, irregular spacing): k, r and 5^m, m = -k.
 
-
-def _build_table():
-    """Per (biased exponent, irregular spacing): k, h, g1 and g0.
-
-    Row (bq - 1) * 2 + irregular holds, for q = bq - 1075, the decimal
-    exponent k of the result (Schubfach's floor(log10) of the rounding
-    interval's width), the shift h = q + floor(log2(10^-k)) + 2, and
-    g = floor(10^-k * 2^(125 - floor(log2(10^-k)))) + 1 split as
-    g1 * 2^63 + g0, computed once per distinct k.
+    Row (bq - _BQ_MIN) * 2 + irregular holds, for q = bq - 1075,
+    Schubfach's decimal exponent k of the result (floor(log10) of the
+    rounding interval's width), the shift r = 2 - q - m, which makes
+    4c * 5^m / 2^r = x * 10^m, and 5^m.
     """
-    q = np.arange(1, 2047) - 1075
+    q = np.arange(_BQ_MIN, _BQ_MAX + 1) - 1075
     k = np.stack([_flog10pow2(q), _flog10_three_quarters_pow2(q)], axis=1).reshape(-1)
-    h = np.repeat(q, 2) + _flog2pow10(-k) + 2
-    assert h.min() >= 2 and h.max() <= 5
-    # g per e = -k: 10^e shifted for e >= 0, and 2^shift / 10^m =
-    # 2^(shift - m) / 5^m for m = -e > 0, each power one product from the
-    # last.
-    lowest, highest = int(k.min()), int(k.max())
-    up, power = [], 1
-    for e in range(-lowest + 1):
-        shift = 125 - _flog2pow10(e)
-        up.append((power << shift if shift >= 0 else power >> -shift) + 1)
-        power *= 10
-    down, power = [], 5
-    for m in range(1, highest + 1):
-        down.append((1 << 125 - _flog2pow10(-m) - m) // power + 1)
-        power *= 5
-    g = down[::-1] + up     # k = highest ... lowest
-    row = highest - k
-    g1 = np.array([v >> 63 for v in g], dtype=_U64)[row]
-    g0 = np.array([v & (1 << 63) - 1 for v in g], dtype=_U64)[row]
-    return k, h.astype(_U64), g1, g0
+    m = -k
+    r = 2 - np.repeat(q, 2) - m
+    # m <= 26 keeps 5^m below 2^61, and r <= 60 keeps 10 * 2^r below 2^64:
+    # every product, sum and comparison in _shortest fits in uint64.
+    assert m.min() >= 0 and m.max() <= 26 and r.min() >= 1 and r.max() <= 60
+    return k, r.astype(_U64), np.array([5 ** e for e in m.tolist()], dtype=_U64)
 
 
-_K, _H, _G1, _G0 = _build_table()
+_K, _R, _FIVE = _scales()
 
 
 def _mul(a, b):
@@ -124,75 +119,45 @@ def _mul(a, b):
     return a_hi * b_hi + (cross >> _U64(32)) + (mid >> _U64(32)), a * b
 
 
-def _add(hi, lo, a, shift):
-    """hi:lo + a * 2^shift as 128-bit words, for a < 2^63, 1 <= shift <= 6."""
-    low = lo + (a << shift)
-    return hi + (a >> _U64(64) - shift) + (low < lo), low
-
-
-def _sub(hi, lo, a, shift):
-    """hi:lo - a * 2^shift as 128-bit words; the result is nonnegative."""
-    low = lo - (a << shift)
-    return hi - (a >> _U64(64) - shift) - (low > lo), low
-
-
-def _rop(y1, y0, x1):
-    """Round to odd of g * cp / 2^127 from y1:y0 = g1 * cp and x1, the high
-    word of g0 * cp: DoubleToDecimal.rop, which leaves out the low word of
-    g0 * cp and the low bit of y0; the paper proves the result still
-    orders correctly against the candidates."""
-    z = (y0 >> _U64(1)) + x1
-    return y1 + (z >> _U64(63)) | ((z & _MASK63) != 0)
-
-
 def _shortest(bits):
-    """Schubfach's shortest decimal of normal doubles.
+    """The shortest decimal of doubles 2^-32 <= x < 2^54, found exactly.
 
     bits are the uint64 bits of |x|.  Returns (d, k): |x| prints as the
     digits of d times 10^k, d has 16 or 17 digits, trailing zeros included.
     """
     t = bits & _T_MASK
     c = t | _C_MIN
-    # A power of two has the irregular interval, its lower neighbour closer,
-    # except the smallest normal, whose neighbours are both 2^-1074 away.
-    irregular = (t == 0) & (bits >= _U64(2 << 52))
-    row = ((bits >> _U64(52)).astype(np.intp) - 1) * 2 + irregular
-    h, g1, g0 = _H[row], _G1[row], _G0[row]
+    # A power of two has the irregular interval, its lower neighbour closer.
+    irregular = t == 0
+    row = ((bits - _KERNEL_LO) >> _U64(52)).astype(np.intp) * 2 + irregular
+    r, five = _R[row], _FIVE[row]
 
-    # v is scaled to cb = 4c and its interval bounds to cb - 2 (cb - 1 at
-    # a power of two, whose lower neighbour is closer) and cb + 2, each
-    # shifted by h; the two bounds differ from cb << h by a power of two,
-    # so their products follow from cb's by one 128-bit add.
-    cp = c << h + _U64(2)
-    y1, y0 = _mul(g1, cp)
-    x1, x0 = _mul(g0, cp)
-    vb = _rop(y1, y0, x1)
-    up = h + _U64(1)
-    vbr = _rop(*_add(y1, y0, g1, up), _add(x1, x0, g0, up)[0])
-    down = up - irregular
-    vbl = _rop(*_sub(y1, y0, g1, down), _sub(x1, x0, g0, down)[0])
-
-    # vbl + odd <= 4u decides u in the rounding interval, 4w + odd <= vbr
-    # decides w: the bounds belong to it only for an even significand.
+    # x * 10^m = 4c * 5^m / 2^r = s + rem / 2^r.
+    hi, lo = _mul(c << _U64(2), five)
+    s = (hi << _U64(64) - r) | (lo >> r)
+    one = _U64(1) << r
+    rem = lo & (one - _U64(1))
+    # In units of 2^-r, the rounding interval reaches 2 * 5^m above x * 10^m
+    # and as far below, 5^m at a power of two.  Its ends belong to it only
+    # for an even c: for an odd one, each reach is one unit less.
     odd = c & _U64(1)
-    vbl += odd
-    vbr -= odd
-    s = vb >> _U64(2)
+    above = (five << _U64(1)) - odd
+    below = above - irregular * five
+
     # One digit shorter: sp10 and sp10 + 10 are 10^(k+1) apart and the
     # interval is narrower, so at most one of them is in it.
     sp10 = s // _U64(10) * _U64(10)
-    upin = vbl <= sp10 << _U64(2)
-    wpin = (sp10 << _U64(2)) + _U64(40) <= vbr
+    j = s - sp10
+    upin = (j << r) + rem <= below
+    wpin = ((_U64(10) - j) << r) - rem <= above
     # Full length: s or s + 1 is in the interval; if both are, take the
-    # closer, the even one on a tie.  4s + 2 is their midpoint, and vb is
-    # odd unless v is exactly there.
-    s4 = s << _U64(2)
-    uin = vbl <= s4
-    win = s4 + _U64(4) <= vbr
-    closer_w = vb + (s & _U64(1)) > s4 + _U64(2)
+    # closer, the even one on a tie.
+    uin = rem <= below
+    win = one - rem <= above
+    closer_w = (rem << _U64(1)) + (s & _U64(1)) > one
     full = s + (~uin | win & closer_w)
     shorter = sp10 + _U64(10) * wpin
-    return full + (upin ^ wpin) * (shorter - full), _K[row]
+    return np.where(upin | wpin, shorter, full), _K[row]
 
 
 def _digit_tables():
@@ -229,7 +194,7 @@ _DIGITS_LO, _DIGITS_HI, _LAST = _digit_tables()
 #   32-47 digits 1-16 again;
 # in exponent notation:
 #   0 separator, 1 "-", 2-5 unused, 6 lead digit, 7 ".", 8-23 digits 1-16,
-#   24-28 the exponent ("e-05" or "e+305"), 29-47 unused.
+#   24-27 the exponent ("e-05" or "e+16"), 28-47 unused.
 # Every layout keeps a subset of these bytes, so a block is one column stack
 # and one mask compaction.  The digits appear twice so that the integer
 # part (from byte 7) and the fraction (after byte 31) are both plain runs.
@@ -241,30 +206,28 @@ _EXP_AT = 24
 _PREFIX = int.from_bytes(b",-0.0000", "little")
 _EXP_PREFIX = int.from_bytes(b",-00000.", "little")
 _POINT_WORD = _U64(ord(".") << 56)
-# Forms: decimal point positions -3 ... 16, then exponent notation with a
-# two-digit and with a three-digit exponent.
-_N_FORMS = 22
+# Forms: decimal point positions -3 ... 16, then exponent notation.
+_N_FORMS = 21
 _EXP_FORM = 20
-# The decimal exponents of normal doubles lie in [_EXP_MIN, -_EXP_MIN].
-_EXP_MIN = -308
+# Exponent notation is written for the two-digit exponents _EXP_MIN ...
+# -_EXP_MIN; the kernel's range, 2.3e-10 to 1.8e16, needs -10 ... 16.
+_EXP_MIN = -99
 
 
 def _exponent_words():
     """Per decimal exponent e, _EXP_MIN ... -_EXP_MIN: the little-endian
-    word of repr's "e-05" text of e, placed at byte _EXP_AT, and its form."""
+    word of repr's "e-05" text of e, placed at byte _EXP_AT."""
     e = np.arange(_EXP_MIN, 1 - _EXP_MIN)
     size = np.abs(e)
-    wide = size >= 100
     text = np.zeros((len(e), 8), dtype=np.uint8)
     text[:, 0] = ord("e")
     text[:, 1] = np.where(e < 0, ord("-"), ord("+"))
-    text[:, 2] = np.where(wide, size // 100, size // 10) + ord("0")
-    text[:, 3] = np.where(wide, size // 10 % 10, size % 10) + ord("0")
-    text[:, 4] = np.where(wide, size % 10 + ord("0"), 0)
-    return text.view("<u8").reshape(-1).astype(_U64), _EXP_FORM + wide
+    text[:, 2] = size // 10 + ord("0")
+    text[:, 3] = size % 10 + ord("0")
+    return text.view("<u8").reshape(-1).astype(_U64)
 
 
-_EXP_WORD, _EXP_FORMS = _exponent_words()
+_EXP_WORD = _exponent_words()
 
 
 def _layouts() -> np.ndarray:
@@ -283,11 +246,10 @@ def _layouts() -> np.ndarray:
     small = ((2 <= b) & (b < 4 - decpt)) | ((_DIGITS_AT <= b) & (b < _DIGITS_AT + n))
     large = (((_DIGITS_AT <= b) & (b < _DIGITS_AT + decpt)) | (b == _POINT_AT)
              | ((_POINT_AT + decpt <= b) & (b < _POINT_AT + np.maximum(n, decpt + 1))))
-    wide = np.arange(2)[:, None, None]
     exponent = ((b == _EXP_LEAD_AT) | ((b == _EXP_LEAD_AT + 1) & (n > 1))
                 | ((_EXP_LEAD_AT + 1 < b) & (b < _EXP_LEAD_AT + 1 + n))
-                | ((_EXP_AT <= b) & (b < _EXP_AT + 4 + wide)))
-    masks = np.concatenate([np.where(decpt <= 0, small, large), exponent])
+                | ((_EXP_AT <= b) & (b < _EXP_AT + 4)))
+    masks = np.concatenate([np.where(decpt <= 0, small, large), exponent[None]])
     masks = np.stack([masks, masks])
     masks[..., 0] = True
     masks[1, ..., 1] = True
@@ -309,10 +271,9 @@ def format_rows(table) -> bytes:
 
     Equal to "".join(",".join(repr(float(v)) for v in row) + "\\n" for row
     in table).encode("ascii"), which is how tables of at most
-    _REPR_MAX_VALUES values are formatted.  In larger ones, the normal
-    values go through the array kernel, the rest (signed zeros, subnormals,
-    inf and nan) through repr; the slots are joined where the per-value
-    pass left them.
+    _REPR_MAX_VALUES values are formatted.  In larger ones, the values
+    2^-32 <= |x| < 2^54 go through the array kernel, the rest through repr;
+    the slots are joined where the per-value pass left them.
     """
     table = np.ascontiguousarray(table, dtype=np.float64)
     if table.size <= _REPR_MAX_VALUES:
@@ -388,9 +349,10 @@ def _format_values(values) -> tuple:
     keeps (_join compacts them)."""
     bits = values.view(_U64)
     magnitude = bits & _MASK63
-    # The kernel formats every value; each one it cannot (zeros, subnormals,
-    # inf and nan) is formatted as 1.0 there, and then by repr below.
-    (others,) = np.nonzero(magnitude - _C_MIN >= _NORMAL_SPAN)
+    # The kernel formats every value; each one outside its range (zeros,
+    # subnormals, inf and nan among them) is formatted as 1.0 there, and
+    # then by repr below.
+    (others,) = np.nonzero(magnitude - _KERNEL_LO >= _KERNEL_SPAN)
     magnitude[others] = _ONE
     d, k = _shortest(magnitude)
 
@@ -418,7 +380,7 @@ def _format_values(values) -> tuple:
     if len(scientific):
         # repr's exponent notation: |x| = d.ddd... * 10^(decpt - 1).
         exponent = decpt[scientific] - (_EXP_MIN + 1)
-        form[scientific] = _EXP_FORMS[exponent]
+        form[scientific] = _EXP_FORM
         lead_word[scientific] = (lead[scientific] << _U64(48)) + _U64(_EXP_PREFIX)
         point_word[scientific] = _EXP_WORD[exponent]
     negative = (bits >> _U64(63)).astype(np.intp)

@@ -287,6 +287,12 @@ def _load_csv_text(path: str) -> tuple:
 
 
 def _grid_from_x(x: np.ndarray, context: str) -> Grid:
+    """The uniform grid whose samples are x, first to last.
+
+    x must be finite, increasing from x[0] to x[-1], and within
+    1e-8 * max(|x[0]|, |x[-1]|) of the evenly spaced points between them,
+    a bound that scales with the coordinates on any domain.
+    """
     n = x.size
     if n < 2:
         raise CliError(f"{context}: need at least two samples")
@@ -299,7 +305,7 @@ def _grid_from_x(x: np.ndarray, context: str) -> Grid:
         raise CliError(f"{context}: x spans more than the float64 range")
     with np.errstate(over="ignore"):
         deviation = float(np.max(np.abs(x - (x[0] + dx * np.arange(n)))))
-    tol = 1e-8 * max(1.0, abs(float(x[0])), abs(float(x[-1])))
+    tol = 1e-8 * max(abs(float(x[0])), abs(float(x[-1])))
     if deviation > tol:
         raise CliError(
             f"{context}: x is not a uniform grid (max deviation {deviation:.3e})"

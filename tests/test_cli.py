@@ -92,6 +92,33 @@ class TestForward:
         assert code == 1
         assert "max deviation" in err
 
+    @pytest.mark.parametrize("width", [1.5e-9, 1.5e-7])
+    def test_shuffled_grid_on_a_small_domain_rejected(self, capsys, tmp_path, width):
+        # The uniform-grid tolerance scales with the coordinates, so a
+        # shuffled x is rejected however small the domain.
+        x = np.linspace(0.0, width, 16, endpoint=False)
+        x[1:-1] = np.random.default_rng(0).permutation(x[1:-1])
+        path = tmp_path / "in.csv"
+        path.write_text("x,g\n" + "".join(f"{v!r},1.0\n" for v in x.tolist()))
+        code, _, err = run_cli(capsys, "invert", "--input", str(path), "--mu", "1")
+        assert code == 1
+        assert "x is not a uniform grid" in err
+
+    @pytest.mark.parametrize("x_min, x_max", [
+        ("0", "1e-9"), ("-1e-9", "1e-9"), ("1e6", "1000006.283185307"),
+    ])
+    def test_small_and_offset_domains_round_trip(self, capsys, tmp_path, x_min, x_max):
+        # forward's own grid passes the check that --input makes of it.
+        data = tmp_path / "data.csv"
+        code, _, err = run_cli(capsys, "forward", "--n", "64", f"--x-min={x_min}",
+                               "--x-max", x_max, "--out", str(data))
+        assert code == 0, err
+        x = parse_csv(data.read_text())[1][0]
+        for argv in (["forward", "--demean"], ["invert", "--mu", "0"]):
+            code, out, err = run_cli(capsys, *argv, "--input", str(data))
+            assert code == 0, err
+            np.testing.assert_array_equal(parse_csv(out)[1][0], x)
+
     def test_hat_source(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -315,9 +315,15 @@ class TestFormatTables:
 finite_bits = any_bits.filter(math.isfinite)
 
 
+# The ends of the kernel's range 2^-32 <= |x| < 2^54 and their neighbours
+# outside it.
+RANGE_EDGES = [math.nextafter(2.0**-32, 0.0), 2.0**-32,
+               math.nextafter(2.0**54, 0.0), 2.0**54]
+
+
 class TestExponentNotation:
-    """The kernel's exponent notation, |x| < 1e-4 or |x| >= 1e16 with a
-    two- or three-digit exponent, against repr."""
+    """Exponent notation, |x| < 1e-4 or |x| >= 1e16, against repr: the
+    kernel writes it within its range 2^-32 <= |x| < 2^54, repr outside."""
 
     def test_exponent_width_and_digit_edges(self):
         # The two- to three-digit exponent boundaries, powers of ten with
@@ -338,13 +344,17 @@ class TestExponentNotation:
             assert_formats(values, cols=4)
 
     def test_repr_runs_only_off_the_normals(self, monkeypatch):
+        # repr writes exactly the values outside the kernel's range
+        # 2^-32 <= |x| < 2^54: the normals below and above it, signed
+        # zeros, subnormals, inf and nan.
         rng = np.random.default_rng(8)
         normal = rng.integers(1, 2047, 3001, dtype=np.uint64) << np.uint64(52)
         normal |= rng.integers(0, 2**52, 3001, dtype=np.uint64)
         normal |= rng.integers(0, 2, 3001, dtype=np.uint64) << np.uint64(63)
         others = [0.0, -0.0, 5e-324, -2.225073858507201e-308, math.inf,
                   -math.inf, math.nan]
-        values = np.concatenate([normal.view(np.float64), others])
+        values = np.concatenate([normal.view(np.float64), RANGE_EDGES,
+                                 [-v for v in RANGE_EDGES], others])
         rng.shuffle(values)
         calls = []
         monkeypatch.setattr(_floatfmt, "repr", lambda v: calls.append(v) or repr(v),
@@ -352,7 +362,20 @@ class TestExponentNotation:
         slots, mask = _floatfmt._format_values(values)
         text = _floatfmt._join(slots, mask, 4)
         assert text == reference(values.reshape(-1, 4))
-        assert sorted(map(str, calls)) == sorted(map(str, others))
+        magnitude = np.abs(values)
+        outside = values[~((2.0**-32 <= magnitude) & (magnitude < 2.0**54))]
+        assert len(outside) > len(others)
+        assert sorted(map(str, calls)) == sorted(map(str, outside.tolist()))
+
+    def test_kernel_range_edges(self, monkeypatch):
+        # The doubles on both sides of each end of the kernel's range, and
+        # the smallest, second and largest significand of every biased
+        # exponent in it, 991 ... 1076, with the repr join off.
+        monkeypatch.setattr(_floatfmt, "_REPR_MAX_VALUES", 0)
+        exponent = np.arange(991, 1077, dtype=np.uint64)[:, None] << np.uint64(52)
+        significand = np.array([0, 1, 2**52 - 1], dtype=np.uint64)
+        values = np.concatenate([RANGE_EDGES, (exponent | significand).view(np.float64).ravel()])
+        assert_formats(np.concatenate([values, -values]), cols=4)
 
 
 def test_mul_is_exact_for_full_64_bit_operands():

@@ -17,8 +17,9 @@ hold 34,816 values, more than one formatter pass takes, so each table is
 written in chunks) and for two that fail on an overflowing estimate
 (deltas 0.05, 1e306 with mus 0, 1; x_max 2e-151 with delta 0.05 and mu
 40), `forward` (cosine and hat), `forward --n 64` of a hat of height
-1e-8 and of 1e200 (f and g wholly in exponent notation, with two- and
-three-digit exponents), `forward --input` of `forward`'s own output,
+1e-9, 1e-8, 3e16 and 1e200 (f and g in exponent notation, with two- and
+three-digit exponents; at 1e-9 and 3e16 the values straddle the ends of
+the formatter's range 2^-32 <= |x| < 2^54, beyond which repr writes them), `forward --input` of `forward`'s own output,
 `simulate` in both noise modes, `invert --mu 0.3` and `invert --rule 1
 --delta 0.05` of it, `invert --mu 0.3` of a CRLF, quoted copy
 of the `iid` `simulate` output and of a copy with one bad row (every
@@ -126,7 +127,7 @@ for seed in map(int, sys.argv[1:]):
     run(out, "dump_config.txt", "dump-config")
     run(out, "forward.csv", "forward")
     run(out, "forward_hat.csv", "forward", "--source", "hat")
-    for height in ("1e-8", "1e200"):
+    for height in ("1e-9", "1e-8", "3e16", "1e200"):
         run(out, f"forward_hat_{height}.csv", "forward", "--n", "64", "--source", "hat",
             "--hat-height", height)
     for mode in ("iid", "norm-calibrated"):
