@@ -1,4 +1,4 @@
-"""CSV rows of float64 as repr text, written and read by array operations.
+"""CSV files of float64 as repr text, written and read by array operations.
 
 format_rows(table) is "".join of "%r,%r,...\\n" % row over the rows of a
 2-D float table, encoded as ASCII, computed without a Python call per
@@ -30,7 +30,8 @@ slots in row order into its lines.  format_rows joins the slots where the
 pass left them.  format_tables is the one writer of tables of columns: it
 formats a table _CHUNK_ROWS rows at a time through format_rows, except
 that several tables of few values in all are joined from one pass over
-their columns, so a `figures` run formats each of its columns once.
+their columns, so a `figures` run formats each of its columns once.  Its
+text goes to files after a header line: write_csv's and `figures`'.
 
 parse_rows turns the digits of each value into a uint64 m and a decimal
 exponent -k by SWAR (eight ASCII digits per uint64 word) and m * 10^-k into
@@ -39,8 +40,8 @@ Eisel-Lemire algorithm (D. Lemire, "Number parsing at a gigabyte per
 second", Software: Practice and Experience 51(8), 2021), whose 128-bit
 product never needs a fallback (N. Mushtak and D. Lemire, "Fast number
 parsing without fallback", SPE 53(6), 2023).  It takes only the text
-format_rows writes and declines anything else, so a caller can hand that to
-a general reader.
+format_rows writes and declines anything else, which read_csv, the reader
+of every CSV file, hands to np.loadtxt.
 
 The integer arithmetic runs on uint64 arrays with uint64 operands only, so
 no value is promoted to float64 unasked (numpy 1.24's value-based casting
@@ -49,12 +50,15 @@ included); 64 x 64-bit products are assembled from 32-bit limbs.
 
 from __future__ import annotations
 
+import csv
 import functools
 import itertools
+import os
+import warnings
 
 import numpy as np
 
-__all__ = ["format_rows", "format_tables", "parse_rows"]
+__all__ = ["format_rows", "format_tables", "parse_rows", "read_csv", "write_csv"]
 
 _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
@@ -138,10 +142,13 @@ def _shortest(bits):
     one = _U64(1) << r
     rem = lo & (one - _U64(1))
     # In units of 2^-r, the rounding interval reaches 2 * 5^m above x * 10^m
-    # and as far below, 5^m at a power of two.  Its ends belong to it only
-    # for an even c: for an odd one, each reach is one unit less.
-    odd = c & _U64(1)
-    above = (five << _U64(1)) - odd
+    # and as far below, 5^m at a power of two.  repr keeps an end only for an
+    # even c, but no candidate below is an end: for q <= 0 an end has 1 - q
+    # decimals (2 - q below a power of two) and a candidate at most m <= -q,
+    # save at 2^52 (q = 0, m = 1), whose ends x + 1/2 and x - 1/4 are not x,
+    # x + 0.1 or x + 1; at q = 1, x = s is an even integer, and the one end
+    # a candidate reaches, s + 1, loses to s.
+    above = five << _U64(1)
     below = above - irregular * five
 
     # One digit shorter: sp10 and sp10 + 10 are 10^(k+1) apart and the
@@ -660,3 +667,92 @@ def parse_rows(stream, fields: int):
         flat[done:done + len(values)] = values
         done += len(values)
     return table if done == len(flat) else None
+
+
+# ---------------------------------------------------------------------------
+# Files: where a CSV file becomes a table, and a table a CSV file.
+
+def write_csv(path, header, columns) -> None:
+    """Write a header line and columns of numbers as CSV, LF line endings.
+
+    path is a file path, or an open text stream, written to and left open.
+    columns holds one equal-length 1-D array per header field (a 2-D array
+    holds them as its rows).  Each value is written as repr(float(value)),
+    in chunks of _CHUNK_ROWS rows from format_tables, the writer `figures`
+    shares, so a large table never exists as one array or one string.
+    """
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    rows = len(columns[0]) if columns else 0
+    if len(columns) != len(header) or any(c.shape != (rows,) for c in columns):
+        raise ValueError(
+            f"columns have shapes {[c.shape for c in columns]}, "
+            f"header has {len(header)} fields"
+        )
+    (body,) = format_tables(columns, [range(len(columns))])
+    _write_text(path, header, body)
+
+
+def _write_text(path, header, body) -> None:
+    """Write write_csv's header line, then the ASCII chunks of body, to
+    path: a file path, or an open text stream left open."""
+    chunks = itertools.chain([(",".join(header) + "\n").encode("utf-8")], body)
+    if isinstance(path, (str, os.PathLike)):
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
+    else:
+        for chunk in chunks:
+            path.write(chunk.decode("utf-8"))
+
+
+def read_csv(path) -> tuple:
+    """(header, table) of the CSV of numbers at path: the header's names,
+    stripped, and the (rows, len(header)) float64 table.
+
+    Text as write_csv writes it goes through parse_rows; anything else, or
+    anything it declines, through np.loadtxt, which reads the same values.
+    A file neither reads as such a table raises ValueError naming the path.
+    """
+    # Only a regular file can be read twice (parse_rows seeks back to count
+    # the lines) and reopened; a pipe goes to np.loadtxt alone.
+    if os.path.isfile(path):
+        with open(path, "rb") as fh:
+            first = fh.readline()
+            # The text reader below ends a line at a CR as well.
+            if b"\r" not in first:
+                try:
+                    header = _csv_header(first.decode("utf-8"))
+                except UnicodeDecodeError:
+                    pass
+                else:
+                    table = parse_rows(fh, len(header))
+                    if table is not None:
+                        return header, table
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            first = fh.readline()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}")
+        if not first:
+            raise ValueError(f"{path}: empty CSV")
+        header = _csv_header(first)
+        try:
+            # A header-only file warns "input contained no data"; the
+            # no-rows error below says so on the one stderr line.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", quotechar='"', ndmin=2)
+        except ValueError as exc:
+            # numpy's " at row N" counts data rows from 0, not file lines.
+            reason = str(exc).split(" at row ")[0]
+            raise ValueError(f"{path}: bad data row: {reason}")
+    if table.shape[0] == 0:
+        raise ValueError(f"{path}: no data rows")
+    if table.shape[1] != len(header):
+        raise ValueError(
+            f"{path}: rows have {table.shape[1]} fields, header has {len(header)}"
+        )
+    return header, table
+
+
+def _csv_header(line: str) -> list:
+    return [name.strip() for name in next(csv.reader([line]), [])]

@@ -23,7 +23,6 @@ spacing, endpoints included) or the word `rule`.  Unknown keys are errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import math
 import sys
@@ -33,7 +32,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._floatfmt import parse_rows
+from ._floatfmt import read_csv, write_csv
 from .experiments import (
     RULE_MUS,
     SweepConfig,
@@ -41,7 +40,6 @@ from .experiments import (
     _sweep_summary,
     default_config,
     reproduce_figures,
-    write_csv,
 )
 from .inversion import (
     _zero_mean,
@@ -221,69 +219,10 @@ def _load_config(path: Optional[str]) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# CSV I/O
+# CSV columns: _floatfmt reads and writes the files
 
 def _emit_csv(out_path: Optional[str], header, columns) -> None:
     write_csv(sys.stdout if out_path is None else out_path, header, columns)
-
-
-def _read_csv_columns(path: str):
-    """The columns of a CSV of numbers, by header name.
-
-    Text as write_csv writes it goes through the vectorized reader
-    (_floatfmt.parse_rows), anything else, or anything it declines, through
-    np.loadtxt; the values are the same either way.
-    """
-    data = None
-    # Only a regular file can be read twice (parse_rows seeks back to count
-    # the lines) and reopened; a pipe goes to np.loadtxt alone.
-    if Path(path).is_file():
-        with open(path, "rb") as fh:
-            first = fh.readline()
-            # The text reader below ends a line at a CR as well.
-            if b"\r" not in first:
-                try:
-                    header = _csv_header(first.decode("utf-8"))
-                except UnicodeDecodeError:
-                    pass
-                else:
-                    data = parse_rows(fh, len(header))
-    if data is None:
-        header, data = _load_csv_text(path)
-    return {name: data[:, idx] for idx, name in enumerate(header)}
-
-
-def _csv_header(line: str) -> list:
-    return [name.strip() for name in next(csv.reader([line]), [])]
-
-
-def _load_csv_text(path: str) -> tuple:
-    """(header, rows) of any CSV of numbers, through np.loadtxt."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            first = fh.readline()
-        except UnicodeDecodeError as exc:
-            raise CliError(f"{path}: {exc}")
-        if not first:
-            raise CliError(f"{path}: empty CSV")
-        header = _csv_header(first)
-        try:
-            # A header-only file warns "input contained no data"; the
-            # no-rows error below says so on the one stderr line.
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", quotechar='"', ndmin=2)
-        except ValueError as exc:
-            # numpy's " at row N" counts data rows from 0, not file lines.
-            reason = str(exc).split(" at row ")[0]
-            raise CliError(f"{path}: bad data row: {reason}")
-    if data.shape[0] == 0:
-        raise CliError(f"{path}: no data rows")
-    if data.shape[1] != len(header):
-        raise CliError(
-            f"{path}: rows have {data.shape[1]} fields, header has {len(header)}"
-        )
-    return header, data
 
 
 def _grid_from_x(x: np.ndarray, context: str) -> Grid:
@@ -317,7 +256,8 @@ def _grid_from_x(x: np.ndarray, context: str) -> Grid:
 
 
 def _signal_from_csv(path: str, column_names) -> tuple:
-    cols = _read_csv_columns(path)
+    header, table = read_csv(path)
+    cols = dict(zip(header, table.T))
     if "x" not in cols:
         raise CliError(f"{path}: missing required column 'x'")
     grid = _grid_from_x(cols["x"], path)

@@ -19,14 +19,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import os
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._floatfmt import format_tables
+from ._floatfmt import _write_text, format_tables
 from .inversion import (
     _filter_rows, _zero_mean, error_bound, select_mu, sobolev_norm,
     solve_forward,
@@ -524,42 +523,6 @@ def run_bound_check(config: Optional[SweepConfig] = None) -> list:
     ]
     rows.sort(key=itemgetter(0, 1, 2))
     return _records(BoundFinding, rows)
-
-
-def write_csv(path, header: Sequence[str], columns) -> None:
-    """Write a header and columns of numbers as CSV, LF endings, repr-exact floats.
-
-    path is a file path, or an open text stream that is written to and left
-    open.  columns holds one equal-length 1-D array of numbers per header
-    field (a 2-D array holds them as its rows).  Every cell is written as
-    repr(float(cell)), the shortest string that parses back to the
-    identical double, which is what makes reruns byte-comparable.  The text
-    comes from the vectorized shortest round-trip formatter through
-    _floatfmt.format_tables, the writer `figures` shares, which writes one
-    table in chunks of _floatfmt._CHUNK_ROWS rows, so a large table never
-    exists as one array or one string.
-    """
-    columns = [np.asarray(column, dtype=float) for column in columns]
-    rows = len(columns[0]) if columns else 0
-    if len(columns) != len(header) or any(c.shape != (rows,) for c in columns):
-        raise ValueError(
-            f"columns have shapes {[c.shape for c in columns]}, "
-            f"header has {len(header)} fields"
-        )
-    (body,) = format_tables(columns, [range(len(columns))])
-    _write_text(path, header, body)
-
-
-def _write_text(path, header: Sequence[str], body) -> None:
-    """Write write_csv's header line, then the ASCII chunks of body, to
-    path: a file path, or an open text stream left open."""
-    chunks = itertools.chain([(",".join(header) + "\n").encode("utf-8")], body)
-    if isinstance(path, (str, os.PathLike)):
-        with open(path, "wb") as fh:
-            fh.writelines(chunks)
-    else:
-        for chunk in chunks:
-            path.write(chunk.decode("utf-8"))
 
 
 def _mean_stderr(table: np.ndarray) -> tuple:

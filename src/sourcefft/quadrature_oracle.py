@@ -100,8 +100,8 @@ def continuous_ft(s: RealSignal, xi_nodes) -> np.ndarray:
 
     The closing sample at x_min + length repeats the first one (the signal
     is one period of a periodic function), which makes the rule exact in x
-    for grid frequencies.  For a grid frequency xi_k the value relates to
-    the DFT coefficient C_k = to_spectrum(s).coeff(k) by
+    for grid frequencies.  For a grid frequency xi_k, -n/2 <= k < n/2, the
+    value relates to the DFT coefficient C_k = np.fft.fft(s.values)[k % n] by
 
         continuous_ft(s, xi_k) = dx * exp(-i xi_k x_min) * C_k / sqrt(2*pi),
 

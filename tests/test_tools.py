@@ -40,6 +40,11 @@ def test_compare_outputs_of_one_checkout_are_identical():
                 f"{seed}/help_dump-config.txt", f"{seed}/dump_config.txt",
                 f"{seed}/invert_crlf_quoted.csv",
                 f"{seed}/invert_bad_row.csv.stderr",
+                f"{seed}/invert_empty.csv.stderr",
+                f"{seed}/invert_header_only.csv.stderr",
+                f"{seed}/invert_non_utf8_header.csv.stderr",
+                f"{seed}/invert_four_fields.csv.stderr",
+                f"{seed}/invert_no_x.csv.stderr",
                 f"{seed}/forward_of_forward.csv", f"{seed}/forward_hat_1e-9.csv",
                 f"{seed}/forward_hat_1e-8.csv", f"{seed}/forward_hat_3e16.csv",
                 f"{seed}/forward_hat_1e200.csv"} <= names

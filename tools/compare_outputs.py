@@ -22,8 +22,10 @@ three-digit exponents; at 1e-9 and 3e16 the values straddle the ends of
 the formatter's range 2^-32 <= |x| < 2^54, beyond which repr writes them), `forward --input` of `forward`'s own output,
 `simulate` in both noise modes, `invert --mu 0.3` and `invert --rule 1
 --delta 0.05` of it, `invert --mu 0.3` of a CRLF, quoted copy
-of the `iid` `simulate` output and of a copy with one bad row (every
-command's stderr included), the `--help` text of the top level and of
+of the `iid` `simulate` output, of a copy with one bad row and of five
+inputs the reader refuses (an empty file, a header-only file, a non-UTF-8
+byte in the header, a 4-field row under a 3-name header, no `x` column),
+every command's stderr included, the `--help` text of the top level and of
 each command, the `dump-config` output, the findings of
 `run_bound_check()`, the records of `run_mu_sweep` and
 `run_rule_comparison` (both modes) at 5 replicates, and the
@@ -147,6 +149,19 @@ for seed in map(int, sys.argv[1:]):
     bad.write_text("\n".join(lines[:5] + ["1.0,abc,2.0"] + lines[6:]) + "\n",
                    encoding="utf-8")
     run(out, "invert_bad_row.csv", "invert", "--input", bad, "--mu", "0.3")
+    # Inputs no reader takes, each refused with one error line.
+    rows = "".join(line + "\n" for line in lines[1:]).encode("utf-8")
+    refused = {
+        "empty": b"",
+        "header_only": b"x,g,g_delta\n",
+        "non_utf8_header": b"x,g,g_delta\xff\n" + rows,
+        "four_fields": b"x,g,g_delta\n0.0,1.0,2.0,3.0\n",
+        "no_x": b"t,g,g_delta\n" + rows,
+    }
+    for name, data in refused.items():
+        path = out / f"simulate_{name}.csv"
+        path.write_bytes(data)
+        run(out, f"invert_{name}.csv", "invert", "--input", path, "--mu", "0.3")
     run(out, "forward_of_forward.csv", "forward", "--input", out / "forward.csv")
     base = dataclasses.replace(experiments.default_config(), base_seed=seed)
     bound = dataclasses.replace(base, mus=experiments.RULE_MUS,
