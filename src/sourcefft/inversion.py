@@ -17,6 +17,7 @@ import numpy as np
 
 from .spectral_core import (
     RealSignal,
+    _adopt_signal,
     _parseval_weights,
     _power,
     forward_multiplier,
@@ -51,7 +52,7 @@ def _zero_mean(f: RealSignal, demean: bool, flag: str = "demean=True") -> RealSi
         raise ValueError(
             f"source has discrete mean {mean:.6e}, not zero; pass {flag} to subtract it"
         )
-    return _zero_mean(RealSignal(f.grid, f.values - mean), demean, flag)
+    return _zero_mean(_adopt_signal(f.grid, f.values - mean), demean, flag)
 
 
 def solve_forward(f: RealSignal, demean: bool = False) -> RealSignal:
@@ -64,7 +65,7 @@ def solve_forward(f: RealSignal, demean: bool = False) -> RealSignal:
     """
     f = _zero_mean(f, demean)
     weights = forward_multiplier(f.grid.half_frequencies)
-    return RealSignal(f.grid, _filter_rows(f.values, weights))
+    return _adopt_signal(f.grid, _filter_rows(f.values, weights))
 
 
 def estimate_source_unregularized(g: RealSignal) -> RealSignal:
@@ -76,7 +77,7 @@ def estimate_source_unregularized(g: RealSignal) -> RealSignal:
     of the estimate is 0 by the multiplier's convention.
     """
     weights = inverse_multiplier(g.grid.half_frequencies)
-    return RealSignal(g.grid, _filter_rows(g.values, weights))
+    return _adopt_signal(g.grid, _filter_rows(g.values, weights))
 
 
 def estimate_source_regularized(g: RealSignal, mu: float) -> RealSignal:
@@ -86,7 +87,7 @@ def estimate_source_regularized(g: RealSignal, mu: float) -> RealSignal:
     coincides with estimate_source_unregularized bit for bit.
     """
     weights = regularized_multiplier(g.grid.half_frequencies, mu)
-    return RealSignal(g.grid, _filter_rows(g.values, weights))
+    return _adopt_signal(g.grid, _filter_rows(g.values, weights))
 
 
 def _filter_rows(values: np.ndarray, weights: np.ndarray) -> np.ndarray:

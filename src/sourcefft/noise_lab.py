@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .spectral_core import Grid, RealSignal
+from .spectral_core import Grid, RealSignal, _adopt_signal
 
 __all__ = [
     "NOISE_MODES",
@@ -90,7 +90,7 @@ def add_noise(g: RealSignal, spec: NoiseSpec) -> RealSignal:
     if spec.delta == 0.0:
         return g
     eps = _noise(g.grid, spec.delta, spec.mode, np.random.default_rng(spec.seed))
-    return RealSignal(g.grid, g.values + eps[0])
+    return _adopt_signal(g.grid, g.values + eps[0])
 
 
 def discrete_l2(s: RealSignal) -> float:

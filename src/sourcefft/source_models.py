@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .inversion import solve_forward
-from .spectral_core import Grid, RealSignal, make_grid
+from .spectral_core import Grid, RealSignal, _adopt_signal, make_grid
 
 __all__ = ["SourceSpec", "cosine_source", "hat_source", "sample_source", "exact_data"]
 
@@ -92,7 +92,7 @@ def sample_source(spec: SourceSpec, grid: Grid) -> RealSignal:
     """
     x = grid.points
     if spec.kind == "cosine":
-        return RealSignal(grid, np.cos(x))
+        return _adopt_signal(grid, np.cos(x))
     lo = spec.center - spec.half_width
     hi = spec.center + spec.half_width
     if not (grid.x_min < lo and hi < grid.x_max):
@@ -107,7 +107,7 @@ def sample_source(spec: SourceSpec, grid: Grid) -> RealSignal:
         mean = float(np.mean(tent))
     if not math.isfinite(mean):
         raise ValueError(f"hat height={spec.height:g} overflows float64")
-    return RealSignal(grid, tent - mean)
+    return _adopt_signal(grid, tent - mean)
 
 
 def exact_data(spec: SourceSpec, grid: Grid) -> RealSignal:
@@ -121,7 +121,7 @@ def exact_data(spec: SourceSpec, grid: Grid) -> RealSignal:
     on a target point).
     """
     if spec.kind == "cosine":
-        return RealSignal(grid, -math.expm1(-1.0) * np.cos(grid.points))
+        return _adopt_signal(grid, -math.expm1(-1.0) * np.cos(grid.points))
     fine = make_grid(_HAT_REFINE * grid.n, grid.x_min, grid.x_max)
     g_fine = solve_forward(sample_source(spec, fine))
     return RealSignal(grid, g_fine.values[::_HAT_REFINE])

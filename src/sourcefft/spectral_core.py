@@ -117,8 +117,8 @@ def make_grid(n: int, x_min: float, x_max: float) -> Grid:
     return Grid(n, x_min, x_max)
 
 
-def _as_clean_array(values, n: int, label: str, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype, copy=True)
+def _checked(arr: np.ndarray, n: int, label: str) -> np.ndarray:
+    """arr itself, made read-only, after checking its shape and finiteness."""
     if arr.shape != (n,):
         raise ValueError(f"{label} must have shape ({n},), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -127,9 +127,20 @@ def _as_clean_array(values, n: int, label: str, dtype=float) -> np.ndarray:
     return arr
 
 
+def _as_clean_array(values, n: int, label: str, dtype=float) -> np.ndarray:
+    return _checked(np.array(values, dtype=dtype, copy=True), n, label)
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class RealSignal:
-    """A real-valued function sampled on a Grid.  Immutable after construction."""
+    """A real-valued function sampled on a Grid.  Immutable after construction.
+
+    The constructor copies values, so the caller's array stays its own and
+    later writes to it cannot reach the signal.  Library producers whose
+    array is fresh, made by them and held by nothing else, hand it over
+    through _adopt_signal instead, which checks it the same way without the
+    copy.
+    """
 
     grid: Grid
     values: np.ndarray
@@ -143,6 +154,17 @@ class RealSignal:
         if not isinstance(other, RealSignal):
             return NotImplemented
         return self.grid == other.grid and np.array_equal(self.values, other.values)
+
+
+def _adopt_signal(grid: Grid, values: np.ndarray) -> RealSignal:
+    """A RealSignal that keeps values, a float64 array its caller has just
+    made and shares with nothing, instead of a copy: the constructor's shape
+    and finiteness checks run once, and values becomes read-only.  A view of
+    a longer array or a caller's array goes through RealSignal(...)."""
+    signal = object.__new__(RealSignal)
+    object.__setattr__(signal, "grid", grid)
+    object.__setattr__(signal, "values", _checked(values, grid.n, "signal values"))
+    return signal
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -227,11 +249,14 @@ def _one_minus_exp(a: np.ndarray) -> np.ndarray:
     """1 - e^{-a} for an array a = |xi| of at least one dimension, as
     -expm1(-a), which keeps the digits of small a.  expm1 runs only where
     a < _EXP_SATURATES; the other entries are 1.0, the value -expm1 gives
-    there.  A nan entry also reads 1.0, not nan, but both multipliers still
-    come out nan through a * a, so they are bit for bit those of -expm1
+    there.  A nan entry also reads 1.0, not nan, but the forward multiplier
+    still comes out nan through a * a, so it is bit for bit that of -expm1
     everywhere."""
     out = np.ones_like(a)
-    small = a < _EXP_SATURATES
+    # Index arrays, not boolean masks, here and in both multipliers: each
+    # use of a mask scans all of a, an index array only the few modes below
+    # 40 or the DC mode.
+    small = np.nonzero(a < _EXP_SATURATES)
     out[small] = -np.expm1(-a[small])
     return out
 
@@ -246,7 +271,7 @@ def forward_multiplier(xi):
     """
     xi = np.asarray(xi, dtype=float)
     a = np.abs(np.atleast_1d(xi))
-    zero = a == 0.0
+    zero = np.nonzero(a == 0.0)
     sq = a * a
     sq[zero] = 1.0
     out = np.divide(_one_minus_exp(a), sq, out=sq)
@@ -263,11 +288,14 @@ def inverse_multiplier(xi):
     """
     xi = np.asarray(xi, dtype=float)
     a = np.abs(np.atleast_1d(xi))
-    zero = a == 0.0  # exactly where 1 - e^{-a} is 0
-    denom = _one_minus_exp(a)
-    denom[zero] = 1.0
-    out = np.divide(a * a, denom, out=denom)
-    out[zero] = 0.0
+    # From 40 on the denominator is 1.0 and xi^2 / 1.0 is xi^2, so only the
+    # modes below 40 divide; at xi = 0 that is 0 / 1.0, the pinned DC value.
+    small = np.nonzero(a < _EXP_SATURATES)
+    low = a[small]
+    denom = -np.expm1(-low)
+    denom[low == 0.0] = 1.0
+    out = a * a
+    out[small] /= denom
     return out if xi.ndim else float(out[0])
 
 

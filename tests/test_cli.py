@@ -92,6 +92,19 @@ class TestForward:
         assert code == 1
         assert "max deviation" in err
 
+    # 64 samples in blocks of 5 leave a last block of 4, where the jitter sits.
+    @pytest.mark.parametrize("block", [5, 64, 1 << 16])
+    def test_grid_deviation_does_not_depend_on_the_block(self, monkeypatch, block):
+        x = np.linspace(0.0, TWO_PI, 64, endpoint=False)
+        x[62] += 1e-3
+        dx = (float(x[-1]) - float(x[0])) / 63
+        want = float(np.max(np.abs(x - (x[0] + dx * np.arange(64)))))
+        monkeypatch.setattr(cli, "_GRID_BLOCK", block)
+        with pytest.raises(CliError, match=f"max deviation {want:.3e}"):
+            cli._grid_from_x(x, "in.csv")
+        x[62] -= 1e-3
+        assert cli._grid_from_x(x, "in.csv").n == 64
+
     @pytest.mark.parametrize("width", [1.5e-9, 1.5e-7])
     def test_shuffled_grid_on_a_small_domain_rejected(self, capsys, tmp_path, width):
         # The uniform-grid tolerance scales with the coordinates, so a

@@ -97,6 +97,20 @@ class TestSolveForward:
 
 
 class TestEstimators:
+    # The offset makes demean=True subtract a mean, through _zero_mean.
+    @pytest.mark.parametrize("produce, offset", [
+        (solve_forward, 0.0),
+        (lambda f: solve_forward(f, demean=True), 0.5),
+        (estimate_source_unregularized, 0.0),
+        (lambda g: estimate_source_regularized(g, 0.3), 0.0),
+    ])
+    def test_values_are_read_only_and_share_nothing_with_the_input(
+            self, default_grid, band_limited, produce, offset):
+        s = RealSignal(default_grid, band_limited(default_grid, 5).values + offset)
+        out = produce(s)
+        assert not out.values.flags.writeable
+        assert not np.shares_memory(out.values, s.values)
+
     def test_unregularized_exact_recovery(self, cosine_problem):
         grid, f, g = cosine_problem
         est = estimate_source_unregularized(g)

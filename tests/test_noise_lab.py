@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sourcefft.noise_lab import (
+    NOISE_MODES,
     NoiseSpec,
     _l2,
     _noise,
@@ -54,6 +55,12 @@ class TestAddNoise:
     def test_zero_delta_returns_input_unchanged(self, cosine_signal):
         out = add_noise(cosine_signal, NoiseSpec(0.0, 123))
         assert out is cosine_signal
+
+    @pytest.mark.parametrize("mode", NOISE_MODES)
+    def test_values_are_read_only_and_share_nothing_with_g(self, cosine_signal, mode):
+        out = add_noise(cosine_signal, NoiseSpec(0.05, 3, mode))
+        assert not out.values.flags.writeable
+        assert not np.shares_memory(out.values, cosine_signal.values)
 
     def test_norm_calibrated_hits_delta_exactly(self, cosine_signal):
         for seed in range(5):

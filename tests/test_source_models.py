@@ -90,6 +90,15 @@ class TestSampleSource:
         assert np.allclose(s.values[outside], shift, atol=1e-12)
 
 
+@pytest.mark.parametrize("produce", [sample_source, exact_data])
+@pytest.mark.parametrize("spec", [cosine_source(), hat_source(3.0, 0.7, 2.0)])
+def test_values_are_read_only_and_share_nothing_with_the_grid(produce, spec):
+    grid = make_grid(64, 0.0, TWO_PI)
+    out = produce(spec, grid)
+    assert not out.values.flags.writeable
+    assert not np.shares_memory(out.values, grid.points)
+
+
 class TestExactData:
     def test_cosine_closed_form(self, default_grid):
         g_sig = exact_data(cosine_source(), default_grid)

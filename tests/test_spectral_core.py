@@ -5,6 +5,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from sourcefft.spectral_core import (
     Grid,
@@ -124,6 +127,14 @@ class TestSignalAndSpectrum:
         s = RealSignal(g, np.arange(8.0))
         with pytest.raises(ValueError):
             s.values[0] = -1.0
+
+    def test_signal_copies_the_callers_array(self):
+        g = make_grid(8, 0.0, 1.0)
+        values = np.arange(8.0)
+        s = RealSignal(g, values)
+        values[0] = -1.0
+        assert values.flags.writeable
+        assert np.array_equal(s.values, np.arange(8.0))
 
     def test_spectrum_coeff_indexing(self):
         g = make_grid(8, 0.0, TWO_PI)
@@ -319,6 +330,27 @@ class TestMultipliers:
             fwd, inv = _expm1_multipliers(np.array(values))
             assert np.array_equal(forward_multiplier(values), fwd, equal_nan=True)
             assert np.array_equal(inverse_multiplier(values), inv, equal_nan=True)
+
+    # Zeros anywhere, both signs, and both sides of 40, where expm1 stops.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        xi=arrays(float, array_shapes(min_dims=1, max_dims=2, max_side=12),
+                  elements=st.one_of(
+                      st.sampled_from([0.0, -0.0, 40.0, -40.0,
+                                       np.nextafter(40.0, 0.0),
+                                       np.nextafter(40.0, np.inf)]),
+                      st.floats(-1e-6, 1e-6),
+                      st.floats(-1e3, 1e3))),
+        mu=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+    )
+    def test_multipliers_match_a_where_reference(self, xi, mu):
+        # Entries below about 1e-154 square to 0, so the forward symbol is inf.
+        with np.errstate(divide="ignore"):
+            fwd, inv = _expm1_multipliers(xi)
+            assert np.array_equal(forward_multiplier(xi), fwd)
+        assert np.array_equal(inverse_multiplier(xi), inv)
+        reg = inv / (1.0 + np.square(xi * mu))
+        assert np.array_equal(regularized_multiplier(xi, mu), reg)
 
     def test_regularized_high_frequency_cap(self):
         # For |xi| >= 1: reg <= 1/(mu^2 (1 - e^{-1})).

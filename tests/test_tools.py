@@ -47,5 +47,6 @@ def test_compare_outputs_of_one_checkout_are_identical():
                 f"{seed}/invert_no_x.csv.stderr",
                 f"{seed}/forward_of_forward.csv", f"{seed}/forward_hat_1e-9.csv",
                 f"{seed}/forward_hat_1e-8.csv", f"{seed}/forward_hat_3e16.csv",
-                f"{seed}/forward_hat_1e200.csv"} <= names
+                f"{seed}/forward_hat_1e200.csv", f"{seed}/simulate_n_65536.csv",
+                f"{seed}/invert_rule_n_65536.csv"} <= names
     assert lines and all(line.endswith(": identical") for line in lines)

@@ -21,7 +21,9 @@ written in chunks) and for two that fail on an overflowing estimate
 three-digit exponents; at 1e-9 and 3e16 the values straddle the ends of
 the formatter's range 2^-32 <= |x| < 2^54, beyond which repr writes them), `forward --input` of `forward`'s own output,
 `simulate` in both noise modes, `invert --mu 0.3` and `invert --rule 1
---delta 0.05` of it, `invert --mu 0.3` of a CRLF, quoted copy
+--delta 0.05` of it, `simulate --n 65536 --delta 0.05` and `invert --rule 1
+--delta 0.05` of it (files that span several writer chunks and reader
+blocks), `invert --mu 0.3` of a CRLF, quoted copy
 of the `iid` `simulate` output, of a copy with one bad row and of five
 inputs the reader refuses (an empty file, a header-only file, a non-UTF-8
 byte in the header, a 4-field row under a 3-name header, no `x` column),
@@ -139,6 +141,10 @@ for seed in map(int, sys.argv[1:]):
         run(out, f"invert_mu_{mode}.csv", "invert", "--input", sim, "--mu", "0.3")
         run(out, f"invert_rule_{mode}.csv", "invert", "--input", sim,
             "--rule", "1", "--delta", "0.05")
+    big = out / "simulate_n_65536.csv"
+    run(out, big.name, "simulate", "--n", "65536", "--delta", "0.05", "--seed", seed)
+    run(out, "invert_rule_n_65536.csv", "invert", "--input", big,
+        "--rule", "1", "--delta", "0.05")
     # Inputs write_csv never writes, which the reader must hand to np.loadtxt.
     lines = (out / "simulate_iid.csv").read_text(encoding="utf-8").splitlines()
     crlf = out / "simulate_crlf_quoted.csv"
