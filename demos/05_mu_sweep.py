@@ -18,7 +18,6 @@ from sourcefft import (
     SweepConfig,
     cosine_source,
     make_grid,
-    run_mu_sweep,
     run_rule_comparison,
     summarize_rel_error,
 )
@@ -36,7 +35,7 @@ def main():
         replicates=10,
         base_seed=42,
     )
-    summary = summarize_rel_error(run_mu_sweep(cfg))
+    summary = summarize_rel_error(cfg)
     rule_recs = run_rule_comparison(replace(cfg, mus=RULE_MUS))
 
     print("mean relative error over 10 replicates, cosine source, n = 256")

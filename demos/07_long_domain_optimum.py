@@ -31,7 +31,6 @@ from sourcefft import (
     SweepConfig,
     hat_source,
     make_grid,
-    run_mu_sweep,
     summarize_rel_error,
 )
 
@@ -51,7 +50,7 @@ def main():
     )
     print("hat source, half-width 32, domain [0, 128 pi), n = 2048,")
     print("81 mus on [0, 40], 10 replicates\n")
-    summary = summarize_rel_error(run_mu_sweep(cfg))
+    summary = summarize_rel_error(cfg)
 
     print(f"  {'delta':>7} {'argmin mu':>10} {'min rel err':>12}")
     for delta in DELTAS:

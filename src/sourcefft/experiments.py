@@ -10,8 +10,10 @@ serially, returning arrays: the stream seeds, each delta's noisy row 0, the
 noise norm of each row and the (deltas, columns, replicates) errors, read
 off the spectra by Parseval's identity, with no estimate formed; records,
 findings, summary columns and figures 1-4, which invert row 0, are read from
-those arrays, so nothing else draws noise.  Result lists are sorted by
-parameter values, never by position in the config.
+those arrays, so nothing else draws noise.  Records and findings are named
+tuples, in lists sorted by parameter values, never by position in the
+config.  One fold, _fold_summary, gives the (mu, delta) summary of
+summarize_rel_error, `sweep` and fig5.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import itertools
 import math
 from operator import itemgetter
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -116,8 +118,7 @@ def default_config() -> SweepConfig:
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """One experiment cell: one noise draw, one inversion, its errors.
 
     p and bound are set only for rule-driven cells (bound travels with the
@@ -133,12 +134,6 @@ class SweepRecord:
     abs_error: float
     bound: Optional[float]
     empirical_noise_norm: float
-
-    def __post_init__(self):
-        if self.rel_error < 0 or self.abs_error < 0:
-            raise ValueError("errors must be nonnegative")
-        if (self.p is None) != (self.bound is None):
-            raise ValueError("bound must be present exactly when p is (rule cells)")
 
 
 def cell_seed(base_seed: int, delta_index: int) -> int:
@@ -204,10 +199,6 @@ def _cells(config: SweepConfig, columns, f_true, data=None) -> tuple:
     absolute: a cell below _CANCEL_TOL (sqrt(A) + sqrt(C))^2, as delta = 0
     at small mu (mu = 0 would read 0.0 for an error near 1e-12), is
     recomputed as the direct sum of the nonnegative c |h T - F|^2.
-
-    Records and findings are built from these arrays by _records, which
-    skips the constructors' checks: every error here is finite and, as a
-    square root, nonnegative.
     """
     grid = config.grid
     g_exact = exact_data(config.source, grid) if data is None else data
@@ -265,31 +256,9 @@ def _source_norm(config: SweepConfig) -> tuple:
     return f_true, f_norm
 
 
-def _records(cls, rows) -> list:
-    """Frozen cls instances from rows, tuples of values in field order.
-
-    Each is built as copy.copy and pickle rebuild a dataclass instance:
-    object.__new__(cls), then its __dict__ filled in field order, so it
-    equals, hashes and prints as cls(*row) would.  No __init__ runs, so
-    SweepRecord.__post_init__ does not check the row: the callers build
-    rows from _cells, whose errors are finite (it raises otherwise) and
-    nonnegative (square roots), and from _columns, where p and bound are
-    both absent (None in the record) or both present.
-    """
-    names = [field.name for field in dataclasses.fields(cls)]
-    new = object.__new__
-    records = []
-    for row in rows:
-        record = new(cls)
-        record.__dict__.update(zip(names, row))
-        records.append(record)
-    return records
-
-
 def _sweep_records(config: SweepConfig, order: str) -> list:
-    """One SweepRecord per cell, sorted by (delta, order, replicate) values.
-
-    The rows are sorted as tuples, stably, then built by _records."""
+    """One SweepRecord per cell, sorted by (delta, order, replicate) values
+    as tuples, stably."""
     f_true, f_norm = _source_norm(config)
     columns = _columns(config)
     _, _, noise_norms, errors = _cells(config, columns, f_true)
@@ -307,7 +276,7 @@ def _sweep_records(config: SweepConfig, order: str) -> list:
         for r, (err, noise_norm) in enumerate(zip(col, row_norms))
     ]
     rows.sort(key=itemgetter(0, 1 if order == "mu" else 2, 3))
-    return _records(SweepRecord, rows)
+    return list(map(SweepRecord._make, rows))
 
 
 def _columns(config: SweepConfig) -> dict:
@@ -343,10 +312,9 @@ _SUMMARY_HEADER = ["mu", "delta", "mean_rel_error", "stderr_rel_error"]
 
 
 def _sweep_summary(config: SweepConfig) -> np.ndarray:
-    """The (4, keys) columns (mu, delta, mean, stderr) of summarize_rel_error
-    over run_mu_sweep(config) (run_rule_comparison for mus=RULE_MUS),
-    sorted by (mu, delta) and folded from the columns' error rows by
-    _fold_summary."""
+    """The (4, keys) columns (mu, delta, mean, stderr) of the `sweep` CSV
+    of config, explicit mus or RULE_MUS, folded from the relative errors
+    of its cells by _fold_summary."""
     f_true, f_norm = _source_norm(config)
     columns = _columns(config)
     _, _, _, errors = _cells(config, columns, f_true)
@@ -361,12 +329,12 @@ def _fold_summary(config: SweepConfig, columns, rel_errors) -> np.ndarray:
     The deltas x columns columns are sorted by (mu, delta), then p, then
     position (delta index, then column); equal keys, -0.0 and 0.0
     included, merge, and a merged key shows its first sorted column's mu
-    and delta.  Its values go to _mean_stderr in the order the sorted
-    records give summarize_rel_error: by p, then replicate, then position,
-    so columns of one p interleave by replicate.  Every column at one delta
-    inverts the same draws, so only a repeated delta adds independent
-    values; a repeated mu (or a p giving the same mu) adds copies, and the
-    merged stderr counts them as independent."""
+    and delta.  Its values go to _mean_stderr by p, then replicate, then
+    position, the order of the sorted run_mu_sweep or run_rule_comparison
+    records, so columns of one p interleave by replicate.  Every column at
+    one delta inverts the same draws, so only a repeated delta adds
+    independent values; a repeated mu (or a p giving the same mu) adds
+    copies, and the merged stderr counts them as independent."""
     replicates = config.replicates
     mus = columns["mu"].ravel()
     deltas = np.repeat(config.deltas, columns["mu"].shape[1])
@@ -436,10 +404,9 @@ def run_mu_sweep(config: SweepConfig) -> list:
 
     Returns SweepRecords sorted by (delta, mu, replicate) values.  A
     cell's noisy data is its noise row plus the exact data, added in that
-    order, and its errors come from _cells' Parseval sums; the records are
-    built from those arrays by _records, with the values, equality, hash
-    and repr that SweepRecord(...) gives.  `sweep` and fig5 summarize the
-    same cells' error array, building no records.
+    order, and its errors come from _cells' Parseval sums.
+    summarize_rel_error, `sweep` and fig5 summarize the same cells' error
+    array, building no records.
     """
     if isinstance(config.mus, str):
         raise ValueError(
@@ -463,8 +430,7 @@ def run_rule_comparison(config: SweepConfig) -> list:
     return _sweep_records(config, "p")
 
 
-@dataclasses.dataclass(frozen=True)
-class BoundFinding:
+class BoundFinding(NamedTuple):
     """One bound-check cell: measured error vs both forms of the guarantee.
 
     bound_raw is error_bound(delta, p, mu) as written (unit smoothness
@@ -522,7 +488,7 @@ def run_bound_check(config: Optional[SweepConfig] = None) -> list:
         for r, err in enumerate(col)
     ]
     rows.sort(key=itemgetter(0, 1, 2))
-    return _records(BoundFinding, rows)
+    return list(map(BoundFinding._make, rows))
 
 
 def _mean_stderr(table: np.ndarray) -> tuple:
@@ -535,21 +501,12 @@ def _mean_stderr(table: np.ndarray) -> tuple:
     return mean, np.std(table, axis=-1, ddof=1) / math.sqrt(table.shape[-1])
 
 
-def summarize_rel_error(records) -> dict:
-    """Group records into {(mu, delta): (mean_rel_error, stderr_rel_error)};
-    equal keys merge in record order, so over a sorted run_mu_sweep repeated
-    columns interleave by replicate, as `sweep` and fig5 do without records."""
-    groups: dict = {}
-    for rec in records:
-        groups.setdefault((rec.mu, rec.delta), []).append(rec.rel_error)
-    # One _mean_stderr call per group size, whose rows round as each alone.
-    by_size: dict = {}
-    for key, vals in groups.items():
-        by_size.setdefault(len(vals), []).append(key)
-    for keys in by_size.values():
-        means, stderrs = _mean_stderr(np.array([groups[key] for key in keys]))
-        groups.update(zip(keys, zip(means.tolist(), stderrs.tolist())))
-    return groups
+def summarize_rel_error(config: SweepConfig) -> dict:
+    """{(mu, delta): (mean_rel_error, stderr_rel_error)} over the cells of
+    config, with explicit mus or RULE_MUS: the rows of its `sweep` CSV, in
+    their (mu, delta) order, as _fold_summary merges and folds them."""
+    mus, deltas, means, stderrs = _sweep_summary(config).tolist()
+    return dict(zip(zip(mus, deltas), zip(means, stderrs)))
 
 
 _GNUPLOT_SERIES = """set datafile separator ','

@@ -245,22 +245,6 @@ def from_spectrum(sp: Spectrum) -> RealSignal:
 _EXP_SATURATES = 40.0
 
 
-def _one_minus_exp(a: np.ndarray) -> np.ndarray:
-    """1 - e^{-a} for an array a = |xi| of at least one dimension, as
-    -expm1(-a), which keeps the digits of small a.  expm1 runs only where
-    a < _EXP_SATURATES; the other entries are 1.0, the value -expm1 gives
-    there.  A nan entry also reads 1.0, not nan, but the forward multiplier
-    still comes out nan through a * a, so it is bit for bit that of -expm1
-    everywhere."""
-    out = np.ones_like(a)
-    # Index arrays, not boolean masks, here and in both multipliers: each
-    # use of a mask scans all of a, an index array only the few modes below
-    # 40 or the DC mode.
-    small = np.nonzero(a < _EXP_SATURATES)
-    out[small] = -np.expm1(-a[small])
-    return out
-
-
 def forward_multiplier(xi):
     """Forward-map symbol (1 - e^{-|xi|})/xi^2, with value 0 at xi = 0.
 
@@ -271,11 +255,20 @@ def forward_multiplier(xi):
     """
     xi = np.asarray(xi, dtype=float)
     a = np.abs(np.atleast_1d(xi))
-    zero = np.nonzero(a == 0.0)
-    sq = a * a
-    sq[zero] = 1.0
-    out = np.divide(_one_minus_exp(a), sq, out=sq)
-    out[zero] = 0.0
+    # From 40 on the numerator is 1.0, so the symbol is 1.0 / xi^2 there.
+    # The modes below 40 read 1.0 during that divide, so the DC mode never
+    # divides by zero, then take expm1 over xi^2, where xi = 0 is 0 / 1.0,
+    # the pinned DC value.  Index arrays, not boolean masks, here and in the
+    # inverse: an assignment through a mask scans all of a, through an
+    # index array only those few modes.
+    small = np.nonzero(a < _EXP_SATURATES)
+    low = a[small]
+    out = a * a
+    sq = out[small]
+    sq[low == 0.0] = 1.0
+    out[small] = 1.0
+    np.divide(1.0, out, out=out)
+    out[small] = -np.expm1(-low) / sq
     return out if xi.ndim else float(out[0])
 
 

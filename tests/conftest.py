@@ -49,3 +49,25 @@ def band_limited():
         return RealSignal(grid, np.fft.ifft(coeffs).real)
 
     return make
+
+
+@pytest.fixture(scope="session")
+def reference_summary():
+    """A reference for summarize_rel_error, `sweep` and fig5, folded from
+    the records of run_mu_sweep or run_rule_comparison one group at a time:
+    {(mu, delta): (mean, stderr)} of their rel_error, grouped by (mu, delta)
+    in record order (-0.0 and 0.0 are one key, as first seen), with np.mean
+    and np.std(ddof=1) / sqrt(count) of each group, 0.0 for one value."""
+
+    def summarize(records):
+        groups = {}
+        for rec in records:
+            groups.setdefault((rec.mu, rec.delta), []).append(rec.rel_error)
+        return {
+            key: (float(np.mean(values)), float(
+                np.std(values, ddof=1) / math.sqrt(len(values))
+                if len(values) > 1 else 0.0))
+            for key, values in groups.items()
+        }
+
+    return summarize

@@ -22,7 +22,6 @@ from sourcefft.experiments import (
     default_config,
     expected_rel_error,
     run_bound_check,
-    run_mu_sweep,
     run_rule_comparison,
     summarize_rel_error,
 )
@@ -98,7 +97,7 @@ def test_a3_instability_demonstrated():
             replicates=20,
             base_seed=42,
         )
-        summary = summarize_rel_error(run_mu_sweep(cfg))
+        summary = summarize_rel_error(cfg)
         factor = summary[(0.0, 0.1)][0] / summary[(3.0, 0.1)][0]
     # measured on this seeded run: factor ~= 1129
     ok = factor >= 5.0 and t.elapsed < 5.0
@@ -119,7 +118,7 @@ def test_a4_rule_improves_on_unregularized():
             replicates=20,
             base_seed=42,
         )
-        raw = summarize_rel_error(run_mu_sweep(raw_cfg))
+        raw = summarize_rel_error(raw_cfg)
         rule = run_rule_comparison(replace(raw_cfg, mus=RULE_MUS))
         gains = {}
         for delta in deltas:
@@ -145,7 +144,7 @@ def closed_form_argmins(config):
 
 def test_a5_interior_optimum_near_three():
     with _Timer() as t:
-        summary = summarize_rel_error(run_mu_sweep(default_config()))
+        summary = summarize_rel_error(default_config())
         argmins = {}
         for delta in (0.015, 0.05, 0.1):
             curve = {mu: m for (mu, d), (m, _) in summary.items() if d == delta}
@@ -180,7 +179,7 @@ def test_a5b_long_domain_optimum():
         base_seed=42,
     )
     with _Timer() as t:
-        summary = summarize_rel_error(run_mu_sweep(cfg))
+        summary = summarize_rel_error(cfg)
         argmins = {}
         for delta in cfg.deltas:
             curve = {mu: m for (mu, d), (m, _) in summary.items() if d == delta}

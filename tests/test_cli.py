@@ -35,7 +35,6 @@ from sourcefft.experiments import (
     default_config,
     run_mu_sweep,
     run_rule_comparison,
-    summarize_rel_error,
 )
 from sourcefft.noise_lab import NOISE_MODES
 
@@ -796,7 +795,9 @@ class TestSweepSummary:
     @example(cfg=RunConfig(
         n=8, deltas=(1.0, 0.1), mus=RULE_MUS, p_values=(2.0, 0.0, 2.0), replicates=3
     ))
-    def test_csv_equals_record_summary(self, tmp_path_factory, cfg):
+    def test_csv_equals_record_summary(
+        self, tmp_path_factory, reference_summary, cfg
+    ):
         path = tmp_path_factory.mktemp("sweep") / "sweep.cfg"
         path.write_text(serialize_config(cfg))
         out = io.StringIO()
@@ -804,7 +805,7 @@ class TestSweepSummary:
             assert main(["sweep", "--config", str(path)]) == 0
         sweep = cfg.to_sweep_config()
         run = run_rule_comparison if sweep.mus == RULE_MUS else run_mu_sweep
-        summary = summarize_rel_error(run(sweep))
+        summary = reference_summary(run(sweep))
         expected = io.StringIO()
         rows = [key + summary[key] for key in sorted(summary)]
         write_csv(expected, SWEEP_HEADER, np.reshape(rows, (-1, len(SWEEP_HEADER))).T)

@@ -5,7 +5,7 @@ import io
 import math
 import re
 import warnings
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -126,19 +126,6 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="mus"):
             small_config(mus=())
 
-    def test_record_bound_pairing(self):
-        with pytest.raises(ValueError, match="bound"):
-            SweepRecord(
-                delta=0.1,
-                mu=1.0,
-                p=None,
-                replicate=0,
-                rel_error=0.5,
-                abs_error=0.5,
-                bound=1.0,
-                empirical_noise_norm=0.1,
-            )
-
 
 class TestRunMuSweep:
     def test_noiseless_cell_recovers_source(self):
@@ -171,8 +158,8 @@ class TestRunMuSweep:
 
     def test_doubling_replicates_moves_mean_within_noise(self):
         cfg = small_config(deltas=(0.05,), mus=(1.0, 3.0), replicates=10)
-        a = summarize_rel_error(run_mu_sweep(cfg))
-        b = summarize_rel_error(run_mu_sweep(replace(cfg, replicates=20)))
+        a = summarize_rel_error(cfg)
+        b = summarize_rel_error(replace(cfg, replicates=20))
         for key, (mean_a, se_a) in a.items():
             mean_b, _ = b[key]
             # measured: gaps 0.0026 and 0.00055 vs 3*SE 0.0074 and 0.0016
@@ -226,7 +213,7 @@ class TestRunRuleComparison:
             replicates=10,
             base_seed=42,
         )
-        raw = summarize_rel_error(run_mu_sweep(raw_cfg))
+        raw = summarize_rel_error(raw_cfg)
         rule = run_rule_comparison(replace(raw_cfg, mus=RULE_MUS))
         for delta in deltas:
             rule_mean = np.mean(
@@ -249,7 +236,7 @@ class TestRunRuleComparison:
             replicates=20,
             base_seed=42,
         )
-        fixed_mean = summarize_rel_error(run_mu_sweep(base))[(1.1, 0.1)][0]
+        fixed_mean = summarize_rel_error(base)[(1.1, 0.1)][0]
         rule = run_rule_comparison(replace(base, mus=RULE_MUS))
         rule_mean = np.mean([r.rel_error for r in rule if r.p == 1.0])
         assert fixed_mean < rule_mean
@@ -450,10 +437,10 @@ def assert_matches_reference(cells, cfg):
     field, except the error, which lies within the cell's tolerance on its
     square; a record's rel_error is its abs_error over the source norm.
 
-    Each cell is also what the public constructor builds: its fields have
-    the types of the reference's, and the reference given the cell's
-    errors through that constructor equals it, with the same repr and
-    hash.  Assigning any field raises FrozenInstanceError."""
+    Each cell is also what the public constructor builds: it has the
+    reference's class and field types, and the reference given the cell's
+    errors through _replace equals it, with the same repr and hash.
+    Assigning any field raises AttributeError."""
     if isinstance(cells[0], BoundFinding):
         reference, error, zero = reference_findings(cfg), "error", {"error": 0.0}
     else:
@@ -461,28 +448,28 @@ def assert_matches_reference(cells, cfg):
         zero = {"abs_error": 0.0, "rel_error": 0.0}
         f_norm = discrete_l2(sample_source(cfg.source, cfg.grid))
     assert len(cells) == len(reference)
-    names = [field.name for field in fields(cells[0])]
+    names = cells[0]._fields
     for cell, (expected, tol) in zip(cells, reference):
-        assert replace(cell, **zero) == replace(expected, **zero)
+        assert type(cell) is type(expected)
+        assert cell._replace(**zero) == expected._replace(**zero)
         a, b = getattr(cell, error), getattr(expected, error)
         assert abs(a * a - b * b) <= tol, (cell, expected, tol)
         if error == "abs_error":
             assert cell.rel_error == cell.abs_error / f_norm
         assert ([type(getattr(cell, name)) for name in names]
                 == [type(getattr(expected, name)) for name in names])
-        public = replace(expected, **{name: getattr(cell, name) for name in zero})
+        public = expected._replace(**{name: getattr(cell, name) for name in zero})
         assert cell == public
         assert repr(cell) == repr(public)
         assert hash(cell) == hash(public)
         for name in names:
-            with pytest.raises(FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 setattr(cell, name, getattr(cell, name))
 
 
-def record_summary_columns(records):
-    """The columns of _sweep_summary, from summarize_rel_error of the
-    records, sorted by (mu, delta)."""
-    summary = summarize_rel_error(records)
+def summary_columns(summary):
+    """The (mu, delta, mean, stderr) columns of a {(mu, delta): (mean,
+    stderr)} summary, sorted by (mu, delta): those of _sweep_summary."""
     return np.array(sorted(key + summary[key] for key in summary)).T
 
 
@@ -527,7 +514,7 @@ class TestBatchedCellsMatchPerCell:
 
     @pytest.mark.parametrize("mode", ["iid", "norm_calibrated"])
     @pytest.mark.parametrize("replicates", [1, 3])
-    def test_repeated_mu_sweep(self, mode, replicates):
+    def test_repeated_mu_sweep(self, mode, replicates, reference_summary):
         # A repeated mu, mu = 0 and the noiseless delta = 0.
         cfg = small_config(
             deltas=(0.1, 0.0, 0.05), mus=(3.0, 0.0, 0.5, 3.0, 1.0),
@@ -535,10 +522,11 @@ class TestBatchedCellsMatchPerCell:
         )
         records = run_mu_sweep(cfg)
         assert_matches_reference(records, cfg)
-        assert_same_bits(_sweep_summary(cfg), record_summary_columns(records))
+        assert_same_bits(_sweep_summary(cfg),
+                         summary_columns(reference_summary(records)))
 
     @pytest.mark.parametrize("replicates", [1, 3])
-    def test_equal_rule_columns(self, replicates):
+    def test_equal_rule_columns(self, replicates, reference_summary):
         # At delta = 1 the rule gives mu = 1 for every p: three equal
         # (mu, delta) columns.
         cfg = small_config(
@@ -548,7 +536,8 @@ class TestBatchedCellsMatchPerCell:
         assert {select_mu(1.0, 1.0, p) for p in cfg.p_values} == {1.0}
         records = run_rule_comparison(cfg)
         assert_matches_reference(records, cfg)
-        assert_same_bits(_sweep_summary(cfg), record_summary_columns(records))
+        assert_same_bits(_sweep_summary(cfg),
+                         summary_columns(reference_summary(records)))
         bound_cfg = replace(cfg, noise_mode="norm_calibrated")
         assert_matches_reference(run_bound_check(bound_cfg), bound_cfg)
 
@@ -570,6 +559,7 @@ class TestBatchedCellsMatchPerCell:
     )
     def test_property_matches_per_cell(
         self, n, replicates, mus, p_values, deltas, mode, base_seed,
+        reference_summary,
     ):
         # The rule needs delta > 0; the explicit sweep adds delta = 0.
         rule_cfg = small_config(
@@ -583,11 +573,12 @@ class TestBatchedCellsMatchPerCell:
             warnings.simplefilter("ignore", UserWarning)  # delta > E
             records = run_mu_sweep(cfg)
             assert_matches_reference(records, cfg)
-            assert_same_bits(_sweep_summary(cfg), record_summary_columns(records))
+            assert_same_bits(_sweep_summary(cfg),
+                         summary_columns(reference_summary(records)))
             rule_records = run_rule_comparison(rule_cfg)
             assert_matches_reference(rule_records, rule_cfg)
             assert_same_bits(_sweep_summary(rule_cfg),
-                             record_summary_columns(rule_records))
+                             summary_columns(reference_summary(rule_records)))
             assert_matches_reference(run_bound_check(bound_cfg), bound_cfg)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
@@ -932,9 +923,9 @@ class TestRepeatedColumns:
 
 
 class TestFoldSummary:
-    """_fold_summary sorts the columns, not their values: its columns equal
-    summarize_rel_error over the sorted records, sorted by (mu, delta), bit
-    for bit, where keys merge as well."""
+    """summarize_rel_error, the fold of `sweep` and fig5, sorts the columns,
+    not their values: its rows, in (mu, delta) order, equal the reference
+    fold over the sorted records bit for bit, where keys merge as well."""
 
     @settings(max_examples=60, deadline=None)
     # Every p gives mu = 1 at delta = 1, so that key merges columns of
@@ -958,6 +949,7 @@ class TestFoldSummary:
     )
     def test_property_matches_the_records(
         self, n, replicates, mus, p_values, deltas, mode, base_seed,
+        reference_summary,
     ):
         if mus == RULE_MUS:
             # The rule needs delta > 0.
@@ -971,9 +963,11 @@ class TestFoldSummary:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # delta > E
             records = run(cfg)
-            summary = _sweep_summary(cfg)
-        assert_same_bits(summary, record_summary_columns(records))
-        assert summary.shape[1] == len({(r.mu, r.delta) for r in records})
+            summary = summarize_rel_error(cfg)
+        assert list(summary) == sorted(summary)
+        assert_same_bits(summary_columns(summary),
+                         summary_columns(reference_summary(records)))
+        assert len(summary) == len({(r.mu, r.delta) for r in records})
 
 
 @pytest.fixture(scope="module")
@@ -1108,9 +1102,10 @@ class TestCsvAndFigures:
             assert a.read_bytes() == b.read_bytes()
 
 
-def figure_reference(cfg):
+def figure_reference(cfg, reference_summary):
     """{file name: bytes} of fig1-fig5.csv, each estimate from a public
-    estimator on its own draw and each table through write_csv."""
+    estimator on its own draw, fig5 the reference summary of run_mu_sweep's
+    records and each table through write_csv."""
     grid = cfg.grid
     f_true = sample_source(cfg.source, grid)
     g_exact = exact_data(cfg.source, grid)
@@ -1129,7 +1124,7 @@ def figure_reference(cfg):
             ["x", "f_true"] + [f"f_regularized_mu_{mu:.4g}" for mu in mus],
             base + [estimate_source_regularized(g, mu).values for mu in mus],
         )
-    summary = summarize_rel_error(run_mu_sweep(cfg))
+    summary = reference_summary(run_mu_sweep(cfg))
     tables["fig5"] = (
         ["mu", "delta", "mean_rel_error", "stderr_rel_error"],
         np.array([key + summary[key] for key in sorted(summary)]).T,
@@ -1169,9 +1164,9 @@ class TestFigureTables:
         out = tmp_path_factory.mktemp("figs")
         return cfg, out, reproduce_figures(out, cfg)
 
-    def test_csv_bytes_equal_the_public_estimators(self, run):
+    def test_csv_bytes_equal_the_public_estimators(self, run, reference_summary):
         cfg, out, _ = run
-        reference = figure_reference(cfg)
+        reference = figure_reference(cfg, reference_summary)
         assert sorted(p.name for p in out.glob("*.csv")) == sorted(reference)
         for name, data in reference.items():
             assert (out / name).read_bytes() == data, name

@@ -31,8 +31,10 @@ every command's stderr included, the `--help` text of the top level and of
 each command, the `dump-config` output, the findings of
 `run_bound_check()`, the records of `run_mu_sweep` and
 `run_rule_comparison` (both modes) at 5 replicates, and the
-`summarize_rel_error` dict of those `run_mu_sweep` records, one
-`key: value` repr per line in the dict's order.
+`summarize_rel_error` dict of that `run_mu_sweep` config, one
+`key: value` repr per line in sorted key order.  The driver also runs on
+checkouts whose `summarize_rel_error` takes a list of records: there the
+config call raises TypeError, and the driver passes the records instead.
 For every output it prints "identical" when the bytes agree, else the
 largest relative deviation |a - b| / max(|a|, |b|) of each column of a
 CSV of numbers, or "differs" for other text.  Exit code 0 when every
@@ -87,7 +89,8 @@ def table(path, cells, fields):
 
 RECORD = ["delta", "mu", "p", "replicate", "rel_error", "abs_error", "bound",
           "empirical_noise_norm"]
-FINDING = [f.name for f in dataclasses.fields(experiments.BoundFinding)]
+FINDING = ["delta", "p", "replicate", "seed", "mu", "E", "error", "bound_raw",
+           "bound_scaled", "violates_raw", "violates_scaled"]
 COMMANDS = ["forward", "simulate", "invert", "sweep", "figures", "dump-config"]
 
 for seed in map(int, sys.argv[1:]):
@@ -176,10 +179,13 @@ for seed in map(int, sys.argv[1:]):
     five = dataclasses.replace(base, replicates=5)
     records = experiments.run_mu_sweep(five)
     table(out / "mu_sweep_records.csv", records, RECORD)
-    summary = experiments.summarize_rel_error(records)
+    try:
+        summary = experiments.summarize_rel_error(five)
+    except TypeError:  # a checkout whose summarize_rel_error takes records
+        summary = experiments.summarize_rel_error(records)
     (out / "mu_sweep_summary.txt").write_text(
-        "\n".join(f"{key!r}: {value!r}" for key, value in summary.items()) + "\n",
-        encoding="utf-8")
+        "\n".join(f"{key!r}: {value!r}" for key, value in sorted(summary.items()))
+        + "\n", encoding="utf-8")
     for mode in ("iid", "norm_calibrated"):
         rule = dataclasses.replace(five, mus=experiments.RULE_MUS,
                                    p_values=(0.0, 1.0, 2.0, 3.0), noise_mode=mode)
