@@ -126,6 +126,14 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="mus"):
             small_config(mus=())
 
+    def test_record_bound_pairing(self):
+        # bound is present exactly when p is: on rule cells, never on mu cells
+        sweep = run_mu_sweep(small_config())
+        rule = run_rule_comparison(small_config(mus=RULE_MUS, p_values=(1.0, 2.0)))
+        assert sweep and all(r.p is None and r.bound is None for r in sweep)
+        assert rule and all(r.p is not None and r.bound is not None for r in rule)
+        assert all(r.rel_error >= 0 and r.abs_error >= 0 for r in sweep + rule)
+
 
 class TestRunMuSweep:
     def test_noiseless_cell_recovers_source(self):
