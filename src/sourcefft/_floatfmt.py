@@ -39,7 +39,9 @@ the nearest double as Clinger's exact division when m <= 2^53, else by the
 Eisel-Lemire algorithm (D. Lemire, "Number parsing at a gigabyte per
 second", Software: Practice and Experience 51(8), 2021), whose 128-bit
 product never needs a fallback (N. Mushtak and D. Lemire, "Fast number
-parsing without fallback", SPE 53(6), 2023).  It takes only the text
+parsing without fallback", SPE 53(6), 2023).  It reads the stream once,
+block by block, into one table sized from the bytes left: an upper bound,
+of which only the rows read are touched.  It takes only the text
 format_rows writes and declines anything else, which read_csv, the reader
 of every CSV file, hands to np.loadtxt.
 
@@ -611,25 +613,6 @@ def _parse_lines(text, fields):
     return values
 
 
-def _parsed_blocks(stream, fields):
-    """The values of the stream's lines, one flat array per _READ_BYTES
-    block cut after its last newline; None for a block _parse_lines
-    declines or for text after the last newline, and nothing after it."""
-    tail = b""
-    for block in iter(functools.partial(stream.read, _READ_BYTES), b""):
-        cut = block.rfind(b"\n") + 1
-        if not cut:
-            tail += block
-            continue
-        values = _parse_lines(b"".join((_PAD, tail, memoryview(block)[:cut])), fields)
-        yield values
-        if values is None:
-            return
-        tail = block[cut:]
-    if tail:
-        yield None
-
-
 def parse_rows(stream, fields: int):
     """The (rows, fields) float64 table of the CSV lines left in the binary
     stream, read as float() reads each value; None when the lines are not
@@ -638,35 +621,34 @@ def parse_rows(stream, fields: int):
     Accepted: LF line ends with none missing, no blank line, exactly
     `fields` comma-separated values per line, and only the bytes
     0-9 . - + e , and newline; every value is -?D+.D+ or holds an "e"
-    (repr's exponent form, read by float()).  The first block is parsed
-    first, so most text declined here is read only that far; then the
-    stream is read once to count the lines and once more to parse the
-    rest, in blocks of _READ_BYTES.
+    (repr's exponent form, read by float()).  The stream is read once, in
+    blocks of _READ_BYTES, each cut after its last newline and parsed
+    straight into one table sized for the most values the bytes left can
+    hold; reading stops at the first block declined.
     """
     if fields < 1:
         return None
     start = stream.tell()
-    parsed = _parsed_blocks(stream, fields)
-    first = next(parsed, None)
-    if first is None:
-        return None
-    resume = stream.tell()
+    end = stream.seek(0, os.SEEK_END)
     stream.seek(start)
-    blocks = functools.partial(stream.read, _READ_BYTES)
-    rows = sum(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
-               for block in iter(blocks, b""))
-    stream.seek(resume)
-    # One table of the exact size: growing or joining per-block arrays
-    # would hold two copies at once.
-    table = np.empty((rows, fields))
-    flat = table.reshape(-1)
+    # A value and its separator take at least 4 bytes ("0.0," or "1e5,").
+    # The pages past the last value written are never touched, so only the
+    # values read become resident.
+    flat = np.empty((end - start) // 4)
     done = 0
-    for values in itertools.chain([first], parsed):
+    tail = b""
+    for block in iter(functools.partial(stream.read, _READ_BYTES), b""):
+        cut = block.rfind(b"\n") + 1
+        if not cut:
+            tail += block
+            continue
+        values = _parse_lines(b"".join((_PAD, tail, memoryview(block)[:cut])), fields)
         if values is None or done + len(values) > len(flat):
             return None
         flat[done:done + len(values)] = values
         done += len(values)
-    return table if done == len(flat) else None
+        tail = block[cut:]
+    return flat[:done].reshape(-1, fields) if done and not tail else None
 
 
 # ---------------------------------------------------------------------------
@@ -712,8 +694,8 @@ def read_csv(path) -> tuple:
     anything it declines, through np.loadtxt, which reads the same values.
     A file neither reads as such a table raises ValueError naming the path.
     """
-    # Only a regular file can be read twice (parse_rows seeks back to count
-    # the lines) and reopened; a pipe goes to np.loadtxt alone.
+    # Only a regular file can be sized (parse_rows seeks to its end) and
+    # reopened; a pipe goes to np.loadtxt alone.
     if os.path.isfile(path):
         with open(path, "rb") as fh:
             first = fh.readline()

@@ -505,6 +505,8 @@ def summarize_rel_error(config: SweepConfig) -> dict:
     """{(mu, delta): (mean_rel_error, stderr_rel_error)} over the cells of
     config, with explicit mus or RULE_MUS: the rows of its `sweep` CSV, in
     their (mu, delta) order, as _fold_summary merges and folds them."""
+    if not isinstance(config, SweepConfig):
+        raise TypeError(f"summarize_rel_error takes a SweepConfig, not {type(config)}")
     mus, deltas, means, stderrs = _sweep_summary(config).tolist()
     return dict(zip(zip(mus, deltas), zip(means, stderrs)))
 

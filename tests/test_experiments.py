@@ -173,6 +173,13 @@ class TestRunMuSweep:
             # measured: gaps 0.0026 and 0.00055 vs 3*SE 0.0074 and 0.0016
             assert abs(mean_a - mean_b) < 3.0 * se_a
 
+    def test_summary_of_records_names_the_config_type(self):
+        # The summary takes a config; a list of records gets one line that
+        # says so, not an AttributeError from inside the fold.
+        cfg = small_config(deltas=(0.05,), mus=(1.0,), replicates=2)
+        with pytest.raises(TypeError, match="takes a SweepConfig"):
+            summarize_rel_error(run_mu_sweep(cfg))
+
 
 class TestRunRuleComparison:
     def test_requires_rule_sentinel(self):

@@ -576,13 +576,51 @@ class TestReader:
         pytest.param("1.0,2.0,3.0\n", id="ragged"),
     ])
     def test_declined_first_block_is_read_once(self, monkeypatch, first):
-        # The first block is parsed before the lines are counted, so text
-        # declined there is not read to its end.
+        # Reading stops at the first block declined, so text declined in
+        # the first block is not read to its end.
         import sourcefft._floatfmt as floatfmt
         monkeypatch.setattr(floatfmt, "_READ_BYTES", 64)
         stream = CountingStream((first + "1.5,2.5\n" * 100).encode("ascii"))
         assert parse_rows(stream, 2) is None
         assert stream.bytes_read == 64
+
+    def test_accepted_text_is_read_once(self, monkeypatch):
+        # Every byte is read once: no pass counts the lines first.
+        monkeypatch.setattr(_floatfmt, "_READ_BYTES", 64)
+        values = np.linspace(-3.0, 7.0, 240).tolist()
+        text = "".join(f"{a!r},{b!r}\n" for a, b in zip(values[::2], values[1::2]))
+        stream = CountingStream(text.encode("ascii"))
+        table = parse_rows(stream, 2)
+        assert stream.bytes_read == len(text)
+        np.testing.assert_array_equal(table.view(np.uint64), loadtxt_bits(text))
+
+    @pytest.mark.parametrize("last", [
+        pytest.param("1.5,2.5\r\n", id="crlf"),
+        pytest.param("1.5,2.5,3.5\n", id="ragged"),
+    ])
+    def test_block_declined_after_accepted_ones(self, monkeypatch, last):
+        # The values already written do not make a table: the answer is
+        # None, after one read of the text.
+        monkeypatch.setattr(_floatfmt, "_READ_BYTES", 64)
+        stream = CountingStream(("1.5,2.5\n" * 100 + last).encode("ascii"))
+        assert parse_rows(stream, 2) is None
+        assert stream.bytes_read == 800 + len(last)
+
+    def test_read_csv_of_a_late_decline_reads_like_loadtxt(self, monkeypatch, tmp_path):
+        # Many blocks are accepted before the last line, with its CRLF, is
+        # declined; np.loadtxt then reads the whole file.
+        monkeypatch.setattr(_floatfmt, "_READ_BYTES", 64)
+        values = np.linspace(0.1, 100.0, 300).tolist()
+        lines = [f"{a!r},{-a!r}" for a in values]
+        path = tmp_path / "late.csv"
+        path.write_bytes(("a,b\n" + "\n".join(lines) + "\r\n").encode("ascii"))
+        parsed, parse = [], _floatfmt.parse_rows
+        monkeypatch.setattr(_floatfmt, "parse_rows",
+                            lambda *args: parsed.append(parse(*args)) or parsed[-1])
+        header, table = _floatfmt.read_csv(path)
+        assert header == ["a", "b"] and parsed == [None]
+        expected = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        np.testing.assert_array_equal(table.view(np.uint64), expected.view(np.uint64))
 
     def test_lines_longer_than_a_read(self, monkeypatch):
         # A line split across reads is carried to the next one.

@@ -48,5 +48,8 @@ def test_compare_outputs_of_one_checkout_are_identical():
                 f"{seed}/forward_of_forward.csv", f"{seed}/forward_hat_1e-9.csv",
                 f"{seed}/forward_hat_1e-8.csv", f"{seed}/forward_hat_3e16.csv",
                 f"{seed}/forward_hat_1e200.csv", f"{seed}/simulate_n_65536.csv",
-                f"{seed}/invert_rule_n_65536.csv"} <= names
+                f"{seed}/invert_rule_n_65536.csv",
+                f"{seed}/invert_late_crlf.csv", f"{seed}/invert_late_crlf.csv.stderr",
+                f"{seed}/invert_late_bad_row.csv",
+                f"{seed}/invert_late_bad_row.csv.stderr"} <= names
     assert lines and all(line.endswith(": identical") for line in lines)

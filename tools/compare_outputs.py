@@ -23,8 +23,11 @@ the formatter's range 2^-32 <= |x| < 2^54, beyond which repr writes them), `forw
 `simulate` in both noise modes, `invert --mu 0.3` and `invert --rule 1
 --delta 0.05` of it, `simulate --n 65536 --delta 0.05` and `invert --rule 1
 --delta 0.05` of it (files that span several writer chunks and reader
-blocks), `invert --mu 0.3` of a CRLF, quoted copy
-of the `iid` `simulate` output, of a copy with one bad row and of five
+blocks), `invert --mu 0.3` of two copies of that 2^16 file whose last line
+alone the reader declines, after accepting every block before it (one ends
+in CRLF, which np.loadtxt reads; one has a bad row, which exits 1),
+`invert --mu 0.3` of a CRLF, quoted copy of the `iid` `simulate` output,
+of a copy with one bad row and of five
 inputs the reader refuses (an empty file, a header-only file, a non-UTF-8
 byte in the header, a 4-field row under a 3-name header, no `x` column),
 every command's stderr included, the `--help` text of the top level and of
@@ -32,13 +35,11 @@ each command, the `dump-config` output, the findings of
 `run_bound_check()`, the records of `run_mu_sweep` and
 `run_rule_comparison` (both modes) at 5 replicates, and the
 `summarize_rel_error` dict of that `run_mu_sweep` config, one
-`key: value` repr per line in sorted key order.  The driver also runs on
-checkouts whose `summarize_rel_error` takes a list of records: there the
-config call raises TypeError, and the driver passes the records instead.
-For every output it prints "identical" when the bytes agree, else the
-largest relative deviation |a - b| / max(|a|, |b|) of each column of a
-CSV of numbers, or "differs" for other text.  Exit code 0 when every
-output is identical, 1 when one is not, 2 when a checkout fails to run.
+`key: value` repr per line in sorted key order.  For every output it
+prints "identical" when the bytes agree, else the largest relative
+deviation |a - b| / max(|a|, |b|) of each column of a CSV of numbers, or
+"differs" for other text.  Exit code 0 when every output is identical, 1
+when one is not, 2 when a checkout fails to run.
 Needs only the standard library and numpy.
 """
 
@@ -148,6 +149,16 @@ for seed in map(int, sys.argv[1:]):
     run(out, big.name, "simulate", "--n", "65536", "--delta", "0.05", "--seed", seed)
     run(out, "invert_rule_n_65536.csv", "invert", "--input", big,
         "--rule", "1", "--delta", "0.05")
+    # Late declines: the reader accepts the blocks before the last line of
+    # the 2^16 file and declines that line.
+    data = big.read_bytes()
+    last = data.rindex(b"\n", 0, -1) + 1
+    late = {"late_crlf": data[:-1] + b"\r\n",
+            "late_bad_row": data[:last] + b"1.0,abc,2.0\n"}
+    for name, text in late.items():
+        path = out / f"simulate_{name}.csv"
+        path.write_bytes(text)
+        run(out, f"invert_{name}.csv", "invert", "--input", path, "--mu", "0.3")
     # Inputs write_csv never writes, which the reader must hand to np.loadtxt.
     lines = (out / "simulate_iid.csv").read_text(encoding="utf-8").splitlines()
     crlf = out / "simulate_crlf_quoted.csv"
@@ -179,10 +190,7 @@ for seed in map(int, sys.argv[1:]):
     five = dataclasses.replace(base, replicates=5)
     records = experiments.run_mu_sweep(five)
     table(out / "mu_sweep_records.csv", records, RECORD)
-    try:
-        summary = experiments.summarize_rel_error(five)
-    except TypeError:  # a checkout whose summarize_rel_error takes records
-        summary = experiments.summarize_rel_error(records)
+    summary = experiments.summarize_rel_error(five)
     (out / "mu_sweep_summary.txt").write_text(
         "\n".join(f"{key!r}: {value!r}" for key, value in sorted(summary.items()))
         + "\n", encoding="utf-8")
