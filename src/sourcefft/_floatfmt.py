@@ -688,7 +688,8 @@ def _write_text(path, header, body) -> None:
 
 def read_csv(path) -> tuple:
     """(header, table) of the CSV of numbers at path: the header's names,
-    stripped, and the (rows, len(header)) float64 table.
+    stripped, after a UTF-8 byte-order mark if the file starts with one,
+    and the (rows, len(header)) float64 table.
 
     Text as write_csv writes it goes through parse_rows; anything else, or
     anything it declines, through np.loadtxt, which reads the same values.
@@ -702,14 +703,14 @@ def read_csv(path) -> tuple:
             # The text reader below ends a line at a CR as well.
             if b"\r" not in first:
                 try:
-                    header = _csv_header(first.decode("utf-8"))
+                    header = _csv_header(first.decode("utf-8-sig"))
                 except UnicodeDecodeError:
                     pass
                 else:
                     table = parse_rows(fh, len(header))
                     if table is not None:
                         return header, table
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             first = fh.readline()
         except UnicodeDecodeError as exc:

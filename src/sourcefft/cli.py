@@ -274,6 +274,9 @@ def _grid_from_x(x: np.ndarray, context: str) -> Grid:
 def _signal_from_csv(path: str, column_names) -> tuple:
     header, table = read_csv(path)
     cols = dict(zip(header, table.T))
+    if len(cols) < len(header):
+        name = next(name for name in header if header.count(name) > 1)
+        raise CliError(f"{path}: header repeats column {name!r}")
     if "x" not in cols:
         raise CliError(f"{path}: missing required column 'x'")
     grid = _grid_from_x(cols["x"], path)

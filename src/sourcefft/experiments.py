@@ -13,7 +13,8 @@ findings, summary columns and figures 1-4, which invert row 0, are read from
 those arrays, so nothing else draws noise.  Records and findings are named
 tuples, in lists sorted by parameter values, never by position in the
 config.  One fold, _fold_summary, gives the (mu, delta) summary of
-summarize_rel_error, `sweep` and fig5.
+summarize_rel_error, `sweep` and fig5: one row per column, and a config
+whose columns repeat a (mu, delta) key is refused.
 """
 
 from __future__ import annotations
@@ -312,9 +313,9 @@ _SUMMARY_HEADER = ["mu", "delta", "mean_rel_error", "stderr_rel_error"]
 
 
 def _sweep_summary(config: SweepConfig) -> np.ndarray:
-    """The (4, keys) columns (mu, delta, mean, stderr) of the `sweep` CSV
-    of config, explicit mus or RULE_MUS, folded from the relative errors
-    of its cells by _fold_summary."""
+    """The (4, columns) columns (mu, delta, mean, stderr) of the `sweep`
+    CSV of config, explicit mus or RULE_MUS, folded from the relative
+    errors of its cells by _fold_summary, which refuses a repeated key."""
     f_true, f_norm = _source_norm(config)
     columns = _columns(config)
     _, _, _, errors = _cells(config, columns, f_true)
@@ -322,49 +323,25 @@ def _sweep_summary(config: SweepConfig) -> np.ndarray:
 
 
 def _fold_summary(config: SweepConfig, columns, rel_errors) -> np.ndarray:
-    """The (4, keys) columns (mu, delta, mean, stderr) of the (deltas,
-    columns, replicates) relative errors of _cells over columns, one per
-    (mu, delta) key, sorted by (mu, delta).
-
-    The deltas x columns columns are sorted by (mu, delta), then p, then
-    position (delta index, then column); equal keys, -0.0 and 0.0
-    included, merge, and a merged key shows its first sorted column's mu
-    and delta.  Its values go to _mean_stderr by p, then replicate, then
-    position, the order of the sorted run_mu_sweep or run_rule_comparison
-    records, so columns of one p interleave by replicate.  Every column at
-    one delta inverts the same draws, so only a repeated delta adds
-    independent values; a repeated mu (or a p giving the same mu) adds
-    copies, and the merged stderr counts them as independent."""
-    replicates = config.replicates
+    """The (4, columns) columns (mu, delta, mean, stderr) of the (deltas,
+    columns, replicates) relative errors of _cells over columns: one row
+    per column, sorted by (mu, delta), each the _mean_stderr of its
+    replicates.  Two columns with one key, -0.0 and 0.0 included, raise
+    ValueError naming it; a repeated mu, or a p giving the same mu, would
+    copy one column's draws."""
     mus = columns["mu"].ravel()
     deltas = np.repeat(config.deltas, columns["mu"].shape[1])
-    # An explicit sweep has no p; every column sorts as p = 0.0.
-    ps = columns["p"].ravel() if "p" in columns else np.zeros(len(mus))
-    # lexsort is stable, so ties keep position order.
-    order = np.lexsort((ps, deltas, mus))
-    mus, deltas, ps = mus[order], deltas[order], ps[order]
-    new_key = np.ones(len(order), dtype=bool)
-    new_key[1:] = (mus[1:] != mus[:-1]) | (deltas[1:] != deltas[:-1])
-    new_run = new_key.copy()
-    new_run[1:] |= ps[1:] != ps[:-1]
-    # The values of a run of w sorted columns of one key and p go in
-    # replicate order, so its (w, replicates) block is stored transposed.
-    values = rel_errors.reshape(-1, replicates)[order]
-    run_starts = np.flatnonzero(new_run)
-    widths = np.diff(run_starts, append=len(order))
-    for a, w in zip(run_starts[widths > 1].tolist(), widths[widths > 1].tolist()):
-        values[a:a + w] = values[a:a + w].T.reshape(w, replicates)
-    values = values.reshape(-1)
-
-    key_starts = np.flatnonzero(new_key)
-    counts = np.diff(key_starts, append=len(order)) * replicates
-    starts = key_starts * replicates
-    means, stderrs = np.empty((2, len(key_starts)))
-    for count in set(counts.tolist()):
-        (which,) = np.nonzero(counts == count)
-        table = values[starts[which][:, None] + np.arange(count)]
-        means[which], stderrs[which] = _mean_stderr(table)
-    return np.array([mus[key_starts], deltas[key_starts], means, stderrs])
+    order = np.lexsort((deltas, mus))
+    mus, deltas = mus[order], deltas[order]
+    repeated = np.flatnonzero((mus[1:] == mus[:-1]) & (deltas[1:] == deltas[:-1]))
+    if repeated.size:
+        mu, delta = float(mus[repeated[0]]), float(deltas[repeated[0]])
+        raise ValueError(
+            f"two sweep columns have mu={mu!r} at delta={delta!r}; give each mu, "
+            "delta and p once (the rule gives every p mu=1 at delta=E)"
+        )
+    return np.array([mus, deltas, *_mean_stderr(
+        rel_errors.reshape(-1, config.replicates)[order])])
 
 
 def expected_rel_error(config: SweepConfig) -> dict:
@@ -504,7 +481,8 @@ def _mean_stderr(table: np.ndarray) -> tuple:
 def summarize_rel_error(config: SweepConfig) -> dict:
     """{(mu, delta): (mean_rel_error, stderr_rel_error)} over the cells of
     config, with explicit mus or RULE_MUS: the rows of its `sweep` CSV, in
-    their (mu, delta) order, as _fold_summary merges and folds them."""
+    their (mu, delta) order, one per column.  Two columns with one key
+    raise _fold_summary's ValueError."""
     if not isinstance(config, SweepConfig):
         raise TypeError(f"summarize_rel_error takes a SweepConfig, not {type(config)}")
     mus, deltas, means, stderrs = _sweep_summary(config).tolist()
@@ -556,8 +534,8 @@ def reproduce_figures(out_dir, config: Optional[SweepConfig] = None) -> list:
     rfft/irfft pass over those rows, each bit for bit the public
     estimator's; a delta whose estimates overflow raises ValueError naming
     it, as the sweep does.  fig5 is _fold_summary of the errors, the
-    sweep's bytes: its columns sorted by (mu, delta), then p, then
-    position, and equal keys merged by p, then replicate, then position.
+    sweep's bytes: one row per column, sorted by (mu, delta), and a
+    repeated key raises ValueError.
     The five tables go to one format_tables call, the writer write_csv
     uses, as lists of positions in one list of columns: while those hold
     at most _floatfmt._POOL_MAX_VALUES values, one formatter pass covers

@@ -71,3 +71,22 @@ def reference_summary():
         }
 
     return summarize
+
+
+@pytest.fixture(scope="session")
+def fold_refusal():
+    """The error text summarize_rel_error, `sweep` and fig5 give for the
+    records of run_mu_sweep or run_rule_comparison, or None: when two
+    columns share a (mu, delta) key (-0.0 and 0.0 are one), the text names
+    the first such key in (mu, delta) order, ties in column order."""
+
+    def refusal(records):
+        keys = sorted((rec.mu, rec.delta) for rec in records if rec.replicate == 0)
+        for (mu, delta), key in zip(keys, keys[1:]):
+            if (mu, delta) == key:
+                return (f"two sweep columns have mu={mu!r} at delta={delta!r}; "
+                        "give each mu, delta and p once (the rule gives every p "
+                        "mu=1 at delta=E)")
+        return None
+
+    return refusal

@@ -769,8 +769,8 @@ def repeats(pool, most):
 @st.composite
 def sweep_configs(draw):
     """Small configs whose mus, deltas and p_values repeat values (signed
-    zeros included), so equal (mu, delta) keys merge; delta 0 in mu mode,
-    and delta 1 in rule mode, where every p gives mu = 1."""
+    zeros included), so (mu, delta) keys repeat; delta 0 in mu mode, and
+    delta 1 in rule mode, where every p gives mu = 1."""
     rule = draw(st.booleans())
     return RunConfig(
         n=2 * draw(st.integers(4, 32)),
@@ -785,7 +785,8 @@ def sweep_configs(draw):
 
 class TestSweepSummary:
     """`sweep` summarizes from the cell blocks; its bytes equal the summary
-    of the public record API."""
+    of the public record API, or, where two columns share a (mu, delta)
+    key, it writes one error line naming the key and exits 1."""
 
     @settings(max_examples=60, deadline=None)
     @given(cfg=sweep_configs())
@@ -795,17 +796,25 @@ class TestSweepSummary:
     @example(cfg=RunConfig(
         n=8, deltas=(1.0, 0.1), mus=RULE_MUS, p_values=(2.0, 0.0, 2.0), replicates=3
     ))
+    @example(cfg=RunConfig(n=8, deltas=(0.1, 0.0), mus=(0.5, -0.0), replicates=3))
     def test_csv_equals_record_summary(
-        self, tmp_path_factory, reference_summary, cfg
+        self, tmp_path_factory, reference_summary, fold_refusal, cfg
     ):
         path = tmp_path_factory.mktemp("sweep") / "sweep.cfg"
         path.write_text(serialize_config(cfg))
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(["sweep", "--config", str(path)]) == 0
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["sweep", "--config", str(path)])
         sweep = cfg.to_sweep_config()
         run = run_rule_comparison if sweep.mus == RULE_MUS else run_mu_sweep
-        summary = reference_summary(run(sweep))
+        records = run(sweep)
+        refusal = fold_refusal(records)
+        if refusal is not None:
+            assert (code, out.getvalue()) == (1, "")
+            assert err.getvalue() == f"sourcefft: error: {refusal}\n"
+            return
+        assert (code, err.getvalue()) == (0, "")
+        summary = reference_summary(records)
         expected = io.StringIO()
         rows = [key + summary[key] for key in sorted(summary)]
         write_csv(expected, SWEEP_HEADER, np.reshape(rows, (-1, len(SWEEP_HEADER))).T)
@@ -1125,6 +1134,44 @@ class TestTopLevel:
         assert line.startswith(
             "sourcefft: error: argument command: invalid choice: 'oracle' "
         )
+
+
+class TestInputHeader:
+    """A header that names a column twice is refused; a UTF-8 byte-order
+    mark before the header is not part of the first name."""
+
+    @pytest.mark.parametrize("command, header", [
+        ("invert", "x,g_delta,g_delta"), ("forward", "x,f,f"),
+    ])
+    def test_repeated_name_is_one_error_line(self, capsys, tmp_path, command, header):
+        # The last of the two columns is all zeros; it must not win quietly.
+        path = tmp_path / "in.csv"
+        path.write_text(header + "\n" + "".join(
+            f"{TWO_PI * k / 16!r},{math.cos(TWO_PI * k / 16)!r},0.0\n"
+            for k in range(16)))
+        flags = ("--mu", "1") if command == "invert" else ()
+        code, out, err = run_cli(capsys, command, "--input", str(path), *flags)
+        assert (code, out) == (1, "")
+        name = header.split(",")[-1]
+        assert err.splitlines() == [
+            f"sourcefft: error: {path}: header repeats column {name!r}"]
+
+    # write_csv's bytes go to the vectorized reader, CRLF ones to np.loadtxt.
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n"])
+    def test_byte_order_mark_reads_as_the_plain_file(self, capsys, tmp_path, eol):
+        plain = tmp_path / "plain.csv"
+        assert run_cli(capsys, "simulate", "--delta", "0.05", "--out", str(plain))[0] == 0
+        plain.write_bytes(plain.read_bytes().replace(b"\n", eol))
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outputs = []
+        for path in (plain, marked):
+            dest = tmp_path / f"estimate_{path.name}"
+            code, out, err = run_cli(
+                capsys, "invert", "--input", str(path), "--mu", "0.3", "--out", str(dest))
+            assert (code, out, err) == (0, "", "")
+            outputs.append(dest.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestErrorLines:

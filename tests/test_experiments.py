@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from sourcefft import _floatfmt, experiments, inversion
 from sourcefft._floatfmt import write_csv
+from sourcefft.cli import main, parse_config
 from sourcefft.experiments import (
     RULE_MUS,
     BoundFinding,
@@ -495,6 +496,20 @@ def assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+def assert_summary(cfg, records, reference_summary, fold_refusal):
+    """_sweep_summary(cfg) has the bits of the reference fold of records,
+    the records of cfg; where two columns share a (mu, delta) key, it
+    raises the ValueError that names the key instead."""
+    refusal = fold_refusal(records)
+    if refusal is None:
+        assert_same_bits(_sweep_summary(cfg),
+                         summary_columns(reference_summary(records)))
+    else:
+        with pytest.raises(ValueError) as exc:
+            _sweep_summary(cfg)
+        assert str(exc.value) == refusal
+
+
 class TestBatchedCellsMatchPerCell:
     """The batched drivers against a naive cell-by-cell evaluation.
 
@@ -529,21 +544,24 @@ class TestBatchedCellsMatchPerCell:
 
     @pytest.mark.parametrize("mode", ["iid", "norm_calibrated"])
     @pytest.mark.parametrize("replicates", [1, 3])
-    def test_repeated_mu_sweep(self, mode, replicates, reference_summary):
-        # A repeated mu, mu = 0 and the noiseless delta = 0.
+    def test_repeated_mu_sweep(self, mode, replicates, reference_summary,
+                               fold_refusal):
+        # A repeated mu, mu = 0 and the noiseless delta = 0; the records
+        # hold the copies, and the summary refuses them.
         cfg = small_config(
             deltas=(0.1, 0.0, 0.05), mus=(3.0, 0.0, 0.5, 3.0, 1.0),
             replicates=replicates, noise_mode=mode,
         )
         records = run_mu_sweep(cfg)
         assert_matches_reference(records, cfg)
-        assert_same_bits(_sweep_summary(cfg),
-                         summary_columns(reference_summary(records)))
+        assert fold_refusal(records) is not None
+        assert_summary(cfg, records, reference_summary, fold_refusal)
 
     @pytest.mark.parametrize("replicates", [1, 3])
-    def test_equal_rule_columns(self, replicates, reference_summary):
+    def test_equal_rule_columns(self, replicates, reference_summary,
+                                fold_refusal):
         # At delta = 1 the rule gives mu = 1 for every p: three equal
-        # (mu, delta) columns.
+        # (mu, delta) columns, which the summary refuses.
         cfg = small_config(
             deltas=(0.05, 1.0), mus=RULE_MUS, p_values=(2.0, 0.0, 1.0),
             replicates=replicates,
@@ -551,8 +569,8 @@ class TestBatchedCellsMatchPerCell:
         assert {select_mu(1.0, 1.0, p) for p in cfg.p_values} == {1.0}
         records = run_rule_comparison(cfg)
         assert_matches_reference(records, cfg)
-        assert_same_bits(_sweep_summary(cfg),
-                         summary_columns(reference_summary(records)))
+        assert fold_refusal(records) is not None
+        assert_summary(cfg, records, reference_summary, fold_refusal)
         bound_cfg = replace(cfg, noise_mode="norm_calibrated")
         assert_matches_reference(run_bound_check(bound_cfg), bound_cfg)
 
@@ -574,7 +592,7 @@ class TestBatchedCellsMatchPerCell:
     )
     def test_property_matches_per_cell(
         self, n, replicates, mus, p_values, deltas, mode, base_seed,
-        reference_summary,
+        reference_summary, fold_refusal,
     ):
         # The rule needs delta > 0; the explicit sweep adds delta = 0.
         rule_cfg = small_config(
@@ -588,12 +606,10 @@ class TestBatchedCellsMatchPerCell:
             warnings.simplefilter("ignore", UserWarning)  # delta > E
             records = run_mu_sweep(cfg)
             assert_matches_reference(records, cfg)
-            assert_same_bits(_sweep_summary(cfg),
-                         summary_columns(reference_summary(records)))
+            assert_summary(cfg, records, reference_summary, fold_refusal)
             rule_records = run_rule_comparison(rule_cfg)
             assert_matches_reference(rule_records, rule_cfg)
-            assert_same_bits(_sweep_summary(rule_cfg),
-                             summary_columns(reference_summary(rule_records)))
+            assert_summary(rule_cfg, rule_records, reference_summary, fold_refusal)
             assert_matches_reference(run_bound_check(bound_cfg), bound_cfg)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
@@ -903,7 +919,34 @@ class TestDegenerateInputs:
 class TestRepeatedColumns:
     """Every column at one delta inverts that delta's draws, so a repeated
     mu or p copies its errors bit for bit; only a repeated delta draws anew.
-    A merged sweep row counts the copies as independent values."""
+    A summary row would count copies as independent values, so
+    summarize_rel_error, `sweep` and `figures` refuse two columns with one
+    (mu, delta) key: `sweep` and `figures` with one stderr line, exit 1 and
+    no file written."""
+
+    # Config lines that repeat a key, each with the key it names.  Every
+    # config runs at n = 32 with 2 replicates and the default deltas 0.015,
+    # 0.05 and 0.1 unless it sets its own.
+    REPEATS = [
+        ("mus = 1, 1", (1.0, 0.015)),
+        ("mus = 0, -0.0", (0.0, 0.015)),
+        ("deltas = 0.05, 0.05", (0.0, 0.05)),
+        ("mus = rule\np_values = 1, 1", (select_mu(0.015, 1.0, 1.0), 0.015)),
+        ("mus = rule\ndeltas = 1", (1.0, 1.0)),
+    ]
+    IDS = ["mu", "signed_zero_mu", "delta", "rule_p", "rule_delta_E"]
+
+    @staticmethod
+    def refused(tmp_path, lines, key, fold_refusal):
+        """(config path, config, the refusal text naming key)."""
+        text = lines + "\nn = 32\nreplicates = 2\n"
+        path = tmp_path / "repeat.cfg"
+        path.write_text(text)
+        cfg = parse_config(text).to_sweep_config()
+        run = run_rule_comparison if cfg.mus == RULE_MUS else run_mu_sweep
+        refusal = fold_refusal(run(cfg))
+        assert f" mu={key[0]!r} at delta={key[1]!r};" in refusal
+        return path, cfg, refusal
 
     @staticmethod
     def pairs(records):
@@ -927,28 +970,52 @@ class TestRepeatedColumns:
             assert a.rel_error != b.rel_error
             assert a.empirical_noise_norm != b.empirical_noise_norm
 
-    def test_copies_shrink_the_merged_stderr(self):
-        cfg = small_config(deltas=(0.05,), mus=(1.0,))
-        (_, _, (mean,), (stderr,)) = _sweep_summary(cfg)
-        (_, _, (mean2,), (stderr2,)) = _sweep_summary(replace(cfg, mus=(1.0, 1.0)))
-        r = cfg.replicates
-        assert mean2 == pytest.approx(mean, rel=1e-14)
-        assert stderr2 == pytest.approx(stderr * math.sqrt((r - 1) / (2 * r - 1)),
-                                        rel=1e-12)
+    @pytest.mark.parametrize("lines, key", REPEATS, ids=IDS)
+    def test_summarize_rel_error_refuses(self, tmp_path, lines, key, fold_refusal):
+        _, cfg, refusal = self.refused(tmp_path, lines, key, fold_refusal)
+        with pytest.raises(ValueError) as exc:
+            summarize_rel_error(cfg)
+        assert str(exc.value) == refusal
+
+    @pytest.mark.parametrize("lines, key", REPEATS, ids=IDS)
+    def test_sweep_refuses(self, capsys, tmp_path, lines, key, fold_refusal):
+        path, _, refusal = self.refused(tmp_path, lines, key, fold_refusal)
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.splitlines() == [f"sourcefft: error: {refusal}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lines, key", REPEATS, ids=IDS)
+    def test_figures_refuses(self, capsys, tmp_path, lines, key, fold_refusal):
+        path, cfg, refusal = self.refused(tmp_path, lines, key, fold_refusal)
+        if cfg.mus == RULE_MUS:
+            # figures refuses the rule before it reaches the summary.
+            refusal = "reproduce_figures needs explicit mus for the summary sweep"
+        out = tmp_path / "figs"
+        code = main(["figures", "--config", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.splitlines() == [f"sourcefft: error: {refusal}"]
+        assert not list(out.glob("*"))
 
 
 class TestFoldSummary:
     """summarize_rel_error, the fold of `sweep` and fig5, sorts the columns,
     not their values: its rows, in (mu, delta) order, equal the reference
-    fold over the sorted records bit for bit, where keys merge as well."""
+    fold over the sorted records bit for bit, one per column; where two
+    columns share a key it raises the ValueError that names it."""
 
     @settings(max_examples=60, deadline=None)
-    # Every p gives mu = 1 at delta = 1, so that key merges columns of
-    # different p, which must not interleave by replicate across them.
+    # Every p gives mu = 1 at delta = 1, so that key repeats across p.
     @example(n=16, replicates=3, mus=RULE_MUS, p_values=[0.0, 1.0, 2.0],
              deltas=[1.0, 0.05], mode="iid", base_seed=42)
     @example(n=16, replicates=1, mus=[1.0, 0.0, -0.0, 1.0], p_values=[1.0],
              deltas=[0.05, 0.05, 0.0, -0.0], mode="iid", base_seed=42)
+    # Distinct keys, with -0.0 as a mu and as a delta.
+    @example(n=16, replicates=3, mus=[3.0, -0.0, 0.5], p_values=[1.0],
+             deltas=[0.1, -0.0], mode="iid", base_seed=42)
     @given(
         n=st.sampled_from([8, 16, 64]),
         replicates=st.integers(1, 4),
@@ -964,7 +1031,7 @@ class TestFoldSummary:
     )
     def test_property_matches_the_records(
         self, n, replicates, mus, p_values, deltas, mode, base_seed,
-        reference_summary,
+        reference_summary, fold_refusal,
     ):
         if mus == RULE_MUS:
             # The rule needs delta > 0.
@@ -978,6 +1045,12 @@ class TestFoldSummary:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # delta > E
             records = run(cfg)
+            refusal = fold_refusal(records)
+            if refusal is not None:
+                with pytest.raises(ValueError) as exc:
+                    summarize_rel_error(cfg)
+                assert str(exc.value) == refusal
+                return
             summary = summarize_rel_error(cfg)
         assert list(summary) == sorted(summary)
         assert_same_bits(summary_columns(summary),

@@ -40,6 +40,10 @@ def test_compare_outputs_of_one_checkout_are_identical():
                 f"{seed}/help_dump-config.txt", f"{seed}/dump_config.txt",
                 f"{seed}/invert_crlf_quoted.csv",
                 f"{seed}/invert_bad_row.csv.stderr",
+                f"{seed}/invert_bom.csv", f"{seed}/invert_bom.csv.stderr",
+                f"{seed}/invert_header_twice.csv",
+                f"{seed}/invert_header_twice.csv.stderr",
+                f"{seed}/sweep_repeated_mu.csv.stderr",
                 f"{seed}/invert_empty.csv.stderr",
                 f"{seed}/invert_header_only.csv.stderr",
                 f"{seed}/invert_non_utf8_header.csv.stderr",

@@ -7,10 +7,11 @@ PARENT and CHANGE are checkout directories.  For base seeds 42, 1 and 7
 each checkout runs, through PYTHONPATH=<checkout>/src in a fresh Python
 process, the byte-identity list: the default `sweep`, with and without
 `--workers 4`, `mus = rule` sweeps with p = 0, 1, 2, 3 in both noise
-modes, four sweeps whose summary merges columns (mus 1, 1, 0.5; mus 0,
--0.0, 2; `mus = rule` with p = 1, 1, 2; deltas 0.05, 0.05, 0.1), the
-whole `figures` directory and its printed path list for six configs (the
-default, with and without `--workers 2`, a hat source with
+modes, four sweeps whose columns repeat a (mu, delta) key (mus 1, 1, 0.5;
+mus 0, -0.0, 2; `mus = rule` with p = 1, 1, 2; deltas 0.05, 0.05, 0.1),
+each refused with one error line and exit 1, the whole `figures`
+directory and its printed path list for six configs (the default, with
+and without `--workers 2`, a hat source with
 `norm_calibrated` noise, one delta 0.05, four deltas 0.015, 0.05, 0.1,
 0.2, one replicate, and n = 2048, whose x, f_true and estimate columns
 hold 34,816 values, more than one formatter pass takes, so each table is
@@ -27,7 +28,8 @@ blocks), `invert --mu 0.3` of two copies of that 2^16 file whose last line
 alone the reader declines, after accepting every block before it (one ends
 in CRLF, which np.loadtxt reads; one has a bad row, which exits 1),
 `invert --mu 0.3` of a CRLF, quoted copy of the `iid` `simulate` output,
-of a copy with one bad row and of five
+of a copy with one bad row, of a copy that starts with a UTF-8 byte-order
+mark, of a copy whose header names `g_delta` twice and of five
 inputs the reader refuses (an empty file, a header-only file, a non-UTF-8
 byte in the header, a 4-field row under a 3-name header, no `x` column),
 every command's stderr included, the `--help` text of the top level and of
@@ -101,7 +103,7 @@ for seed in map(int, sys.argv[1:]):
         "sweep": "",
         "rule_iid": "mus = rule\np_values = 0, 1, 2, 3\n",
         "rule_norm": "mus = rule\np_values = 0, 1, 2, 3\nnoise_mode = norm_calibrated\n",
-        # Sweeps whose summary merges columns into one (mu, delta) row.
+        # Sweeps whose columns repeat a (mu, delta) key, which exit 1.
         "sweep_repeated_mu": "mus = 1, 1, 0.5\n",
         "sweep_signed_zero_mu": "mus = 0, -0.0, 2\n",
         "rule_repeated_p": "mus = rule\np_values = 1, 1, 2\n",
@@ -169,6 +171,13 @@ for seed in map(int, sys.argv[1:]):
     bad.write_text("\n".join(lines[:5] + ["1.0,abc,2.0"] + lines[6:]) + "\n",
                    encoding="utf-8")
     run(out, "invert_bad_row.csv", "invert", "--input", bad, "--mu", "0.3")
+    bom = out / "simulate_bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + (out / "simulate_iid.csv").read_bytes())
+    run(out, "invert_bom.csv", "invert", "--input", bom, "--mu", "0.3")
+    twice = out / "simulate_header_twice.csv"
+    twice.write_text("\n".join(["x,g_delta,g_delta"] + lines[1:]) + "\n",
+                     encoding="utf-8")
+    run(out, "invert_header_twice.csv", "invert", "--input", twice, "--mu", "0.3")
     # Inputs no reader takes, each refused with one error line.
     rows = "".join(line + "\n" for line in lines[1:]).encode("utf-8")
     refused = {
