@@ -24,14 +24,15 @@ five times slower per value than the kernel.  The digits are laid out as
 repr does: in fixed notation for 1e-4 <= |x| < 1e16, else in exponent
 notation ("1.5e-05", "1.8e+16").
 
-The kernel is a per-value pass, which gives each value a 48-byte slot of
-text and a mask of the bytes it keeps, and a join, which compacts a table's
-slots in row order into its lines.  format_rows joins the slots where the
-pass left them.  format_tables is the one writer of tables of columns: it
-formats a table _CHUNK_ROWS rows at a time through format_rows, except
-that several tables of few values in all are joined from one pass over
-their columns, so a `figures` run formats each of its columns once.  Its
-text goes to files after a header line: write_csv's and `figures`'.
+The kernel is a per-value pass, which gives each value a 32-byte slot of
+text, a mask of the bytes it keeps and the byte of its separator, and a
+join, which compacts a table's slots in row order into its lines.
+format_rows joins the slots where the pass left them.  format_tables is
+the one writer of tables of columns: it formats a table _CHUNK_ROWS rows
+at a time through format_rows, except that several tables of few values
+in all are joined from one pass over their columns, so a `figures` run
+formats each of its columns once.  Its text goes to files after a header
+line: write_csv's and `figures`'.
 
 parse_rows turns the digits of each value into a uint64 m and a decimal
 exponent -k by SWAR (eight ASCII digits per uint64 word) and m * 10^-k into
@@ -135,7 +136,7 @@ def _shortest(bits):
     c = t | _C_MIN
     # A power of two has the irregular interval, its lower neighbour closer.
     irregular = t == 0
-    row = ((bits - _KERNEL_LO) >> _U64(52)).astype(np.intp) * 2 + irregular
+    row = ((bits - _KERNEL_LO) >> _U64(52)).view(np.intp) * 2 + irregular
     r, five = _R[row], _FIVE[row]
 
     # x * 10^m = 4c * 5^m / 2^r = s + rem / 2^r.
@@ -196,25 +197,18 @@ def _digit_tables():
 
 _DIGITS_LO, _DIGITS_HI, _LAST = _digit_tables()
 
-# A value's slot is six little-endian uint64 words, 48 bytes.  In fixed
-# notation:
-#   0 separator before the value ("," or the previous row's "\n"), 1 "-",
-#   2-6 "0.000", 7 lead digit, 8-23 digits 1-16, 24-30 unused, 31 ".",
-#   32-47 digits 1-16 again;
-# in exponent notation:
-#   0 separator, 1 "-", 2-5 unused, 6 lead digit, 7 ".", 8-23 digits 1-16,
-#   24-27 the exponent ("e-05" or "e+16"), 28-47 unused.
-# Every layout keeps a subset of these bytes, so a block is one column stack
-# and one mask compaction.  The digits appear twice so that the integer
-# part (from byte 7) and the fraction (after byte 31) are both plain runs.
-_SLOT = 48
-_DIGITS_AT = 7
-_POINT_AT = 31
-_EXP_LEAD_AT = 6
+# A value's slot is four little-endian uint64 words, 32 bytes.  Its text,
+# the separator before it ("," or the previous row's "\n") and "-" included,
+# is one run of bytes ending in digits 1-16 at bytes 8-23, because the join
+# copies each run of kept bytes as one block, about 10 ns a run:
+#   decpt <= 0: ",-0.000" up to byte 6, the lead digit at 7;
+#   decpt 1 and exponent notation: ",-" up to byte 5, the lead digit at 6,
+#     "." at 7, and in exponent notation a second run, the exponent ("e-05"
+#     or "e+16") at 24-27;
+#   decpt 2 ... 16: ",-" up to byte 6, the lead digit at 7, and "." at byte
+#     7 + decpt, the digits from there on one byte up, to byte 24.
+_SLOT = 32
 _EXP_AT = 24
-_PREFIX = int.from_bytes(b",-0.0000", "little")
-_EXP_PREFIX = int.from_bytes(b",-00000.", "little")
-_POINT_WORD = _U64(ord(".") << 56)
 # Forms: decimal point positions -3 ... 16, then exponent notation.
 _N_FORMS = 21
 _EXP_FORM = 20
@@ -239,6 +233,20 @@ def _exponent_words():
 _EXP_WORD = _exponent_words()
 
 
+def _lead_words():
+    """Per (negative, form), row negative * _N_FORMS + form: word 0 of the
+    slot for lead digits 0-9, and the byte of the separator."""
+    words, start = [], []
+    for negative, form in itertools.product((0, 1), range(_N_FORMS)):
+        decpt = form - 3
+        lead = ("0." + "0" * -decpt + "{}" if decpt <= 0
+                else "{}." if decpt == 1 or form == _EXP_FORM else "{}")
+        text = ("," + "-" * negative + lead).rjust(9)
+        words += [int.from_bytes(text.format(d).encode(), "little") for d in range(10)]
+        start.append(len(text) - len(text.lstrip()))
+    return np.array(words, dtype=_U64), np.array(start, dtype=np.uint8)
+
+
 def _layouts() -> np.ndarray:
     """The byte mask of every (negative, form, digit count) layout.
 
@@ -251,20 +259,21 @@ def _layouts() -> np.ndarray:
     """
     b = np.arange(_SLOT)
     n = np.arange(1, 18)[:, None]
-    decpt = np.arange(-3, 17)[:, None, None]
-    small = ((2 <= b) & (b < 4 - decpt)) | ((_DIGITS_AT <= b) & (b < _DIGITS_AT + n))
-    large = (((_DIGITS_AT <= b) & (b < _DIGITS_AT + decpt)) | (b == _POINT_AT)
-             | ((_POINT_AT + decpt <= b) & (b < _POINT_AT + np.maximum(n, decpt + 1))))
-    exponent = ((b == _EXP_LEAD_AT) | ((b == _EXP_LEAD_AT + 1) & (n > 1))
-                | ((_EXP_LEAD_AT + 1 < b) & (b < _EXP_LEAD_AT + 1 + n))
-                | ((_EXP_AT <= b) & (b < _EXP_AT + 4)))
-    masks = np.concatenate([np.where(decpt <= 0, small, large), exponent[None]])
-    masks = np.stack([masks, masks])
-    masks[..., 0] = True
-    masks[1, ..., 1] = True
+    start = _START.astype(np.intp)[:, None, None]
+    form = np.tile(np.arange(_N_FORMS), 2)[:, None, None]
+    decpt, exponent = form - 3, form == _EXP_FORM
+    # The text ends after its last digit, or the ".0" after a whole number.
+    end = np.where(exponent, 6 + n + (n > 1), 7 + (decpt >= 2) + np.maximum(n, decpt + 1))
+    masks = ((start <= b) & (b < end)) | (exponent & (_EXP_AT <= b) & (b < _EXP_AT + 4))
     return masks.reshape(-1, _SLOT)
 
 
+# Per decpt 2 ... 16, row decpt - 2, as words 1 and 2 of the slot: the mask
+# of the digits before the point at byte 7 + decpt, and the point.
+_AT_POINT = np.arange(16) - np.arange(1, 16)[:, None]
+_LOW = np.where(_AT_POINT < 0, 255, 0).astype(np.uint8).view("<u8")
+_POINT = np.where(_AT_POINT == 0, ord("."), 0).astype(np.uint8).view("<u8")
+_LEAD_WORDS, _START = _lead_words()
 _LAYOUTS = _layouts()
 
 
@@ -291,7 +300,7 @@ def format_rows(table) -> bytes:
     return _join(*_format_values(table.reshape(-1)), table.shape[1])
 
 
-# Pools of more values are not held as slots, 96 bytes a value, nor passed
+# Pools of more values are not held as slots, 65 bytes a value, nor passed
 # whole through the per-value pass, whose temporaries are larger still.
 _POOL_MAX_VALUES = 1 << 15
 
@@ -340,22 +349,24 @@ def _chunks(columns, rows: int):
         yield format_rows(np.column_stack([c[i:i + _CHUNK_ROWS] for c in columns]))
 
 
-def _join(slots, mask, cols: int) -> bytes:
-    """The CSV text of the (values, _SLOT) slots and byte masks of a
-    table's values in row order, cols to a row; changes both in place."""
+def _join(slots, mask, start, cols: int) -> bytes:
+    """The CSV text of the (values, _SLOT) slots, byte masks and separator
+    bytes of a table's values in row order, cols to a row; changes slots
+    and mask in place."""
     # A row's first value is separated from the previous row by a newline;
     # the table's first value has no separator.
-    slots[::cols, 0] = ord("\n")
-    mask[0, 0] = False
+    text = slots.reshape(-1)
+    text[np.arange(0, text.size, _SLOT * cols) + start[::cols]] = ord("\n")
+    mask[0, start[0]] = False
     # A boolean index copies the kept bytes; np.compress would also build
     # an int64 index of them, eight bytes per byte kept.
-    return slots.reshape(-1)[mask.reshape(-1)].tobytes() + b"\n"
+    return text[mask.reshape(-1)].tobytes() + b"\n"
 
 
 def _format_values(values) -> tuple:
-    """(slots, mask) of a nonempty 1-D float64 array: per value its 48-byte
-    slot, whose separator byte is ",", and the mask of the bytes its text
-    keeps (_join compacts them)."""
+    """(slots, mask, start) of a nonempty 1-D float64 array: per value its
+    32-byte slot, the mask of the bytes its text keeps (_join compacts
+    them) and the byte of its separator, ","."""
     bits = values.view(_U64)
     magnitude = bits & _MASK63
     # The kernel formats every value; each one outside its range (zeros,
@@ -372,42 +383,51 @@ def _format_values(values) -> tuple:
     lead = d // _U64(10 ** 16)
     d -= lead * _U64(10 ** 16)
     hi = d // _U64(10 ** 8)
-    lo = (d - hi * _U64(10 ** 8)).astype(np.uint32)
-    hi = hi.astype(np.uint32)
     groups = []
-    for half in (hi, lo):
-        top = half // np.uint32(10 ** 4)
-        groups += [top, half - top * np.uint32(10 ** 4)]
+    for half in (hi, d - hi * _U64(10 ** 8)):
+        top = half // _U64(10 ** 4)
+        # numpy indexes with intp arrays, here views of the uint64 groups,
+        # about three times faster than with uint32 ones.
+        groups += [top.view(np.intp), (half - top * _U64(10 ** 4)).view(np.intp)]
     n = np.maximum(np.maximum(_LAST[0][groups[0]], _LAST[1][groups[1]]),
                    np.maximum(_LAST[2][groups[2]], _LAST[3][groups[3]]))
-    text_a = _DIGITS_LO[groups[0]] | _DIGITS_HI[groups[1]]
-    text_b = _DIGITS_LO[groups[2]] | _DIGITS_HI[groups[3]]
-    lead_word = (lead << _U64(56)) + _U64(_PREFIX)
-    point_word = np.full(len(lead), _POINT_WORD)
     form = decpt + 3
     (scientific,) = np.nonzero(magnitude - _FIXED_LO >= _FIXED_SPAN)
+    slots = np.empty((len(values), 4), dtype="<u8")
+    lead_word, text_a, text_b, tail = slots.T
     if len(scientific):
         # repr's exponent notation: |x| = d.ddd... * 10^(decpt - 1).
-        exponent = decpt[scientific] - (_EXP_MIN + 1)
+        tail[scientific] = _EXP_WORD[decpt[scientific] - (_EXP_MIN + 1)]
         form[scientific] = _EXP_FORM
-        lead_word[scientific] = (lead[scientific] << _U64(48)) + _U64(_EXP_PREFIX)
-        point_word[scientific] = _EXP_WORD[exponent]
-    negative = (bits >> _U64(63)).astype(np.intp)
-    layout = (negative * _N_FORMS + form) * 17 + n - 1
-
-    slots = np.column_stack(
-        [lead_word, text_a, text_b, point_word, text_a, text_b]
-    ).astype("<u8", copy=False).view(np.uint8)
-
-    mask = np.take(_LAYOUTS, layout, axis=0)
+    row = (bits >> _U64(63)).view(np.intp) * _N_FORMS + form
+    lead_word[...] = _LEAD_WORDS[row * 10 + lead.view(np.intp)]
+    np.bitwise_or(_DIGITS_LO[groups[0]], _DIGITS_HI[groups[1]], out=text_a)
+    np.bitwise_or(_DIGITS_LO[groups[2]], _DIGITS_HI[groups[3]], out=text_b)
+    (shifted,) = np.nonzero((form > 4) & (form < _EXP_FORM))
+    if len(shifted):
+        # Insert "." into digits 1-16 by moving the bytes from the point's
+        # place one byte up; the last one moves into word 3.
+        point = form[shifted] - 5
+        digits = slots[shifted, 1:3]
+        keep = digits & _LOW[point]
+        moved = digits ^ keep
+        tail[shifted] = moved[:, 1] >> _U64(56)
+        keep |= (moved << _U64(8)) | _POINT[point]
+        keep[:, 1] |= moved[:, 0] >> _U64(56)
+        slots[shifted, 1:3] = keep
+    slots = slots.view(np.uint8)
+    mask = np.take(_LAYOUTS, row * 17 + n - 1, axis=0)
+    start = _START[row]
     if len(others):
-        # NUL-padded repr bytes, one row per value; repr never writes a NUL.
-        text = np.array(list(map(repr, values[others].tolist())), dtype="S")
+        # "," and the repr bytes, NUL-padded, one row per value; repr never
+        # writes a NUL, nor more than 24 bytes ("-2.2250738585072014e-308").
+        text = np.array(["," + repr(v) for v in values[others].tolist()], dtype="S")
         text = text.view(np.uint8).reshape(len(others), -1)
-        slots[others, 1:1 + text.shape[1]] = text
-        mask[others, 1:] = False
-        mask[others, 1:1 + text.shape[1]] = text != 0
-    return slots, mask
+        slots[others, :text.shape[1]] = text
+        mask[others] = False
+        mask[others, :text.shape[1]] = text != 0
+        start[others] = 0
+    return slots, mask, start
 
 
 # ---------------------------------------------------------------------------

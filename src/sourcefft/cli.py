@@ -214,7 +214,7 @@ def _load_config(path: Optional[str]) -> tuple:
     if path is None:
         return RunConfig(), _DEFAULTS
     try:
-        cfg = parse_config(Path(path).read_text(encoding="utf-8"))
+        cfg = parse_config(Path(path).read_text(encoding="utf-8-sig"))
         return cfg, cfg.to_sweep_config()
     except (CliError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         raise CliError(f"{path}: {exc}")

@@ -570,6 +570,17 @@ class TestSweep:
         assert header == ["mu", "delta", "mean_rel_error", "stderr_rel_error"]
         assert len(cols[0]) == 2  # one row per (delta, p)
 
+    def test_config_with_a_byte_order_mark_reads_as_the_plain_file(self, capsys, tmp_path):
+        text = "deltas = 0.05\nn = 64\nmus = 0, 1\nreplicates = 2\n"
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        for cfg in (plain, bom):
+            code, _, err = run_cli(capsys, "sweep", "--config", str(cfg),
+                                   "--out", str(cfg.with_suffix(".csv")))
+            assert (code, err) == (0, "")
+        assert bom.with_suffix(".csv").read_bytes() == plain.with_suffix(".csv").read_bytes()
+
     def test_empty_mus_rejected(self, capsys, tmp_path):
         path = tmp_path / "empty.cfg"
         lines = [

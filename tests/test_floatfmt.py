@@ -7,7 +7,9 @@ exactly what the repr-per-value writer produced.  Every reader reference is
 np.loadtxt of the same text, compared bit for bit.
 """
 
+import decimal
 import io
+import itertools
 import math
 import random
 
@@ -359,8 +361,7 @@ class TestExponentNotation:
         calls = []
         monkeypatch.setattr(_floatfmt, "repr", lambda v: calls.append(v) or repr(v),
                             raising=False)
-        slots, mask = _floatfmt._format_values(values)
-        text = _floatfmt._join(slots, mask, 4)
+        text = _floatfmt._join(*_floatfmt._format_values(values), 4)
         assert text == reference(values.reshape(-1, 4))
         magnitude = np.abs(values)
         outside = values[~((2.0**-32 <= magnitude) & (magnitude < 2.0**54))]
@@ -376,6 +377,82 @@ class TestExponentNotation:
         significand = np.array([0, 1, 2**52 - 1], dtype=np.uint64)
         values = np.concatenate([RANGE_EDGES, (exponent | significand).view(np.float64).ravel()])
         assert_formats(np.concatenate([values, -values]), cols=4)
+
+
+def repr_layout(value):
+    """(sign, decpt, n) of repr(value): n significant digits, the decimal
+    point decpt places right of the first one."""
+    sign, digits, exponent = decimal.Decimal(repr(value)).normalize().as_tuple()
+    return sign, len(digits) + exponent, len(digits)
+
+
+def layout_values():
+    """A value of each sign whose repr has n significant digits and its
+    point decpt places right of the first one, for every decpt -3 ... 16
+    and n 1 ... 17; 16 and 17 digits are drawn until repr keeps them."""
+    rng = random.Random(35)
+    values = []
+    for decpt, n in itertools.product(range(-3, 17), range(1, 18)):
+        while True:
+            inner = "".join(rng.choice("0123456789") for _ in range(n - 2))
+            digits = str(rng.randint(1, 9)) + inner + (str(rng.randint(1, 9)) if n > 1 else "")
+            value = float(f"0.{digits}e{decpt}")
+            if repr_layout(value) == (0, decpt, n):
+                break
+        values += [value, -value]
+    return values
+
+
+# Fixed notation's whole numbers (n <= decpt) and its longest text, 1e15 +
+# 0.5 (17 digits and the point); values of decpt 1; exponent notation with
+# 1 and 17 digits; the longest repr text, which the kernel leaves to repr.
+FIXED_EDGES = [1234.0, 1e15 + 0.5, 9999999999999998.0, 1e15, 10.0, 99.0]
+UNIT_EDGES = [1.0, -1.0, 9.999999999999998, 9.5, 1.0000000000000002,
+              -9.8765432109876545]
+EXPONENT_EDGES = [1e-05, -2e16, 1.2345678901234568e-05, -1.0000000000000002e16]
+LONGEST_REPR = [-2.2250738585072014e-308, -1.7976931348623157e308]
+LAYOUT_EDGES = FIXED_EDGES + UNIT_EDGES + EXPONENT_EDGES + LONGEST_REPR
+
+
+class TestLayouts:
+    """Every layout of the kernel's slot against the repr join, in tables
+    above _REPR_MAX_VALUES values, through format_rows and a pooled
+    format_tables call."""
+
+    @staticmethod
+    def assert_layouts(values, cols):
+        table = np.array(values + [1.0] * (-len(values) % cols)).reshape(-1, cols)
+        assert table.size > _REPR_MAX_VALUES
+        assert format_rows(table) == reference(table)
+        # Two tables over the same columns go through one pooled pass.
+        columns = list(table.T)
+        tables = [list(range(cols)), list(range(cols))[::-1]]
+        assert TestFormatTables.kernel_passes(columns, tables) == [table.size]
+        assert formatted(columns, tables)[1] == reference(table[:, ::-1])
+
+    @pytest.mark.parametrize("cols", [1, 3, 4])
+    def test_every_decpt_and_digit_count(self, cols):
+        values = layout_values()
+        layouts = {repr_layout(v) for v in values}
+        assert layouts == set(itertools.product((0, 1), range(-3, 17), range(1, 18)))
+        self.assert_layouts(values, cols)
+        # The same values shuffled among the edge cases.
+        values += LAYOUT_EDGES * 4
+        random.Random(cols).shuffle(values)
+        self.assert_layouts(values, cols)
+
+    def test_edges(self):
+        assert [repr_layout(v)[1:] for v in FIXED_EDGES[:3]] == [(4, 4), (16, 17), (16, 16)]
+        assert {repr_layout(v)[1] for v in UNIT_EDGES} == {1}
+        assert max(repr_layout(v)[2] for v in UNIT_EDGES) == 17
+        assert {repr_layout(v)[2] for v in EXPONENT_EDGES} == {1, 17}
+        assert {len(repr(v)) for v in LONGEST_REPR} == {24}
+        # The longest repr text beside kernel values of every layout.
+        rng = random.Random(2)
+        values = [rng.choice(LAYOUT_EDGES) for _ in range(400)]
+        values[::7] = [LONGEST_REPR[i % 2] for i in range(len(values[::7]))]
+        for cols in (1, 2, 5):
+            self.assert_layouts(values, cols)
 
 
 def test_mul_is_exact_for_full_64_bit_operands():

@@ -51,7 +51,8 @@ def test_compare_outputs_of_one_checkout_are_identical():
                 f"{seed}/invert_no_x.csv.stderr",
                 f"{seed}/forward_of_forward.csv", f"{seed}/forward_hat_1e-9.csv",
                 f"{seed}/forward_hat_1e-8.csv", f"{seed}/forward_hat_3e16.csv",
-                f"{seed}/forward_hat_1e200.csv", f"{seed}/simulate_n_65536.csv",
+                f"{seed}/forward_hat_1e200.csv", f"{seed}/forward_hat_1234.5.csv",
+                f"{seed}/forward_hat_1234.5.csv.stderr", f"{seed}/simulate_n_65536.csv",
                 f"{seed}/invert_rule_n_65536.csv",
                 f"{seed}/invert_late_crlf.csv", f"{seed}/invert_late_crlf.csv.stderr",
                 f"{seed}/invert_late_bad_row.csv",

@@ -20,7 +20,9 @@ written in chunks) and for two that fail on an overflowing estimate
 40), `forward` (cosine and hat), `forward --n 64` of a hat of height
 1e-9, 1e-8, 3e16 and 1e200 (f and g in exponent notation, with two- and
 three-digit exponents; at 1e-9 and 3e16 the values straddle the ends of
-the formatter's range 2^-32 <= |x| < 2^54, beyond which repr writes them), `forward --input` of `forward`'s own output,
+the formatter's range 2^-32 <= |x| < 2^54, beyond which repr writes them)
+and of height 1234.5 (f and g in fixed notation with the point inside
+the digits), `forward --input` of `forward`'s own output,
 `simulate` in both noise modes, `invert --mu 0.3` and `invert --rule 1
 --delta 0.05` of it, `simulate --n 65536 --delta 0.05` and `invert --rule 1
 --delta 0.05` of it (files that span several writer chunks and reader
@@ -137,7 +139,7 @@ for seed in map(int, sys.argv[1:]):
     run(out, "dump_config.txt", "dump-config")
     run(out, "forward.csv", "forward")
     run(out, "forward_hat.csv", "forward", "--source", "hat")
-    for height in ("1e-9", "1e-8", "3e16", "1e200"):
+    for height in ("1e-9", "1e-8", "3e16", "1e200", "1234.5"):
         run(out, f"forward_hat_{height}.csv", "forward", "--n", "64", "--source", "hat",
             "--hat-height", height)
     for mode in ("iid", "norm-calibrated"):
